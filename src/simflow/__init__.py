@@ -26,6 +26,7 @@ from .errors import (
     NotPureError,
     ParseError,
     RelationMismatchError,
+    SettingError,
     SimflowError,
 )
 from .flows import (

@@ -2,12 +2,13 @@
 
 Subset expansions sweep all 2^|F| facet subsets; the cap refuses complexes
 with more than SIMFLOW_SUBSET_CAP facets (default 24) unless the caller
-forces. Kernel enumeration refuses streams longer than the enumeration cap.
+forces; a value that is not a non-negative integer raises SettingError.
+Kernel enumeration refuses streams longer than the enumeration cap.
 """
 
 import os
 
-from .errors import CapExceededError
+from .errors import CapExceededError, SettingError
 
 DEFAULT_SUBSET_CAP = 24
 DEFAULT_ENUM_CAP = 10**7
@@ -20,9 +21,12 @@ def subset_cap():
     if raw is None:
         return DEFAULT_SUBSET_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_SUBSET_CAP
+        cap = None
+    if cap is None or cap < 0:
+        raise SettingError(f"{_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def check_subset_cap(n_facets, force=False):

@@ -5,8 +5,8 @@ write results to stdout, so they compose by piping:
 
     simflow generate --fixture complete --n 5 --k 3 | simflow flows --q 5
 
-Exit codes: 0 success / all checks pass, 1 usage, 2 domain error,
-3 cap refusal.
+Exit codes: 0 success / all checks pass, 1 usage (including a malformed
+SIMFLOW_SUBSET_CAP), 2 domain error, 3 cap refusal.
 """
 
 import argparse
@@ -14,7 +14,13 @@ import json
 import sys
 
 from .complexes import subdivide_facet, suspension
-from .errors import CapExceededError, DomainError, InfeasibleError, SimflowError
+from .errors import (
+    CapExceededError,
+    DomainError,
+    InfeasibleError,
+    SettingError,
+    SimflowError,
+)
 from .fixtures import FIXTURE_PARAMS, make_fixture
 from .flows import (
     count_nz_flows,
@@ -52,7 +58,7 @@ def _add_input(sub):
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("--force", action="store_true", help="override the subset cap")
-    sub.add_argument("--jobs", type=int, default=None, help="parallel sweep workers")
+    sub.add_argument("--jobs", type=int, default=None, help="accepted; has no effect")
 
 
 def build_parser():
@@ -127,7 +133,7 @@ def build_parser():
 
     ver = subs.add_parser("verify", help="run the paper verification suite")
     ver.add_argument("--suite", choices=["paper"], required=True)
-    ver.add_argument("--jobs", type=int, default=None)
+    ver.add_argument("--jobs", type=int, default=None, help="accepted; has no effect")
 
     swp = subs.add_parser("sweep", help="CSV of counts over a modulus range")
     swp.add_argument("--q-range", required=True, help="A..B inclusive")
@@ -379,7 +385,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, SettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:

@@ -2,7 +2,8 @@
 
 Domain errors (bad inputs, infeasible requests) derive from DomainError;
 refusals to start work whose cost exceeds a configured cap derive from
-CapExceededError. The CLI maps these to exit codes 2 and 3 respectively.
+CapExceededError. The CLI maps these to exit codes 2 and 3 respectively,
+and a malformed environment setting (SettingError) to exit code 1.
 """
 
 
@@ -64,6 +65,10 @@ class RelationMismatchError(DomainError):
 
 class ParseError(DomainError):
     """Malformed complex document."""
+
+
+class SettingError(SimflowError):
+    """An environment variable holds a value the program cannot use."""
 
 
 class CapExceededError(SimflowError):

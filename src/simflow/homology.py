@@ -4,15 +4,19 @@ every 2^|F| expansion downstream.
 A facet subset X is always read as X together with the full codimension-1
 skeleton, so only the top boundary map changes between subsets. Everything
 a subset expansion needs (both Betti numbers and the torsion of the
-codimension-1 homology) is a function of the Smith diagonal of the
-restricted top boundary map; the sweep computes those diagonals once per
-block component of that map and assembles a histogram keyed by
-(subset size, rank, torsion multiset).
+codimension-1 homology) is a function of the rank and the torsion of the
+lattice spanned by the restricted columns of the top boundary map. The
+sweep walks the subsets of each block component of that map depth first
+and grows an integer echelon basis one column at a time. It takes a Smith
+diagonal only of a basis with a pivot other than +-1, and counts a subtree
+in closed form once its lattice is saturated and of full rank. The
+per-component histograms keyed by (subset size, rank, torsion multiset)
+are convolved into one.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .caps import check_subset_cap
 from .complexes import boundary_matrix, facet_components, restrict_columns
@@ -104,37 +108,111 @@ def t_q_of(torsion_tuple, q):
 # subset sweep
 
 
-def _component_sweep(cols, nrows, start, end):
+def _fold_column(table, vec, log):
+    """Add the integer vector `vec` to the echelon basis `table`.
+
+    `table[p]` is the basis row whose leading entry sits at position p, or
+    None. Rows are never mutated in place: a row that the gcd reduction
+    replaces is appended to `log` as (p, old row), so the caller can undo
+    the fold. Returns (rank increase, change in the number of pivots
+    other than +-1).
+    """
+    nonunit = 0
+    pos = 0
+    size = len(vec)
+    row = vec
+    while True:
+        while pos < size and not row[pos]:
+            pos += 1
+        if pos == size:
+            return 0, nonunit
+        pivot = table[pos]
+        if pivot is None:
+            log.append((pos, None))
+            table[pos] = row
+            return 1, nonunit + (row[pos] not in (1, -1))
+        a = pivot[pos]
+        b = row[pos]
+        if b % a == 0:
+            q = b // a
+            row = [x - q * y for x, y in zip(row, pivot)]
+        else:
+            # Euclid on the leading entries, as in linalg.row_lattice_reduce
+            p, r = pivot, row
+            while r[pos]:
+                q = p[pos] // r[pos]
+                if q:
+                    p = [x - q * y for x, y in zip(p, r)]
+                p, r = r, p
+            log.append((pos, pivot))
+            table[pos] = p
+            nonunit += (p[pos] not in (1, -1)) - (a not in (1, -1))
+            row = r
+        pos += 1
+
+
+def _component_sweep(cols):
     """(rank, torsion) of every column subset of one block component.
 
-    `cols` holds each column as a tuple of (row, sign) pairs. Returns a
-    bytearray of ranks and a dict of the (rare) masks with torsion.
+    `cols` holds each column as a dense list of ints. A depth-first search
+    decides facets from the highest index down, so every subtree covers a
+    contiguous mask range, and keeps an echelon basis of the selected
+    columns, adding one column per step. A basis whose pivots are all +-1
+    spans a saturated lattice (no torsion); any other basis gets a Smith
+    diagonal of its own few rows. Once the lattice is saturated and of
+    full rank, no further column changes it, so the whole subtree is
+    counted with binomials and left at the full rank every mask starts
+    with.
+
+    Returns a bytearray of ranks, a dict of the (rare) masks with torsion,
+    and the component's Counter keyed by (size, rank, torsion).
     """
-    ranks = bytearray(end - start)
+    n = len(cols)
+    nrows = len(cols[0]) if cols else 0
+    table = [None] * nrows
+    full_rank = sum(_fold_column(table, col, [])[0] for col in cols)
+    table = [None] * nrows
+    log = []
+    ranks = bytearray([full_rank]) * (1 << n)
     torsions = {}
     intern = {}
-    sel = []
-    ncols = len(cols)
-    for mask in range(start, end):
-        sel.clear()
-        m = mask
-        k = 0
-        while m:
-            if m & 1:
-                sel.append(cols[k])
-            m >>= 1
-            k += 1
-        nc = len(sel)
-        rows = [[0] * nc for _ in range(nrows)]
-        for j, col in enumerate(sel):
-            for r, s in col:
-                rows[r][j] = s
-        diag = snf_diagonal(rows)
-        ranks[mask - start] = len(diag)
-        if diag and diag[-1] > 1:
-            tup = tuple(m for m in diag if m > 1)
-            torsions[mask - start] = intern.setdefault(tup, tup)
-    return ranks, torsions
+    histogram = Counter()
+    width = full_rank + 1
+    free = [0] * ((n + 1) * width)  # torsion-free counts at size * width + rank
+    binomials = [[comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
+
+    def visit(mask, open_bits, size, rank, nonunit):
+        tors = ()
+        if nonunit:
+            diag = snf_diagonal([list(r) for r in table if r is not None])
+            if diag[-1] > 1:
+                tors = tuple(m for m in diag if m > 1)
+                tors = intern.setdefault(tors, tors)
+        if rank == full_rank and not tors:
+            at = size * width + rank
+            for c in binomials[open_bits]:
+                free[at] += c
+                at += width
+            return
+        ranks[mask] = rank
+        if tors:
+            torsions[mask] = tors
+            histogram[size, rank, tors] += 1
+        else:
+            free[size * width + rank] += 1
+        for j in range(open_bits - 1, -1, -1):
+            mark = len(log)
+            grew, moved = _fold_column(table, cols[j], log)
+            visit(mask | 1 << j, j, size + 1, rank + grew, nonunit + moved)
+            while len(log) > mark:
+                pos, old = log.pop()
+                table[pos] = old
+
+    visit(0, n, 0, 0, 0)
+    for at, c in enumerate(free):
+        if c:
+            histogram[divmod(at, width) + ((),)] += c
+    return ranks, torsions, histogram
 
 
 class SubsetProfile:
@@ -145,23 +223,19 @@ class SubsetProfile:
     expansions consume.
     """
 
-    def __init__(self, delta, components, comp_ranks, comp_torsions):
+    def __init__(self, delta, components, comp_ranks, comp_torsions, comp_histograms):
         self.delta = delta
         self.components = components
         self.comp_ranks = comp_ranks
         self.comp_torsions = comp_torsions
         self.rank_full = sum(int(r[-1]) for r in comp_ranks) if components else 0
-        self.histogram = self._assemble_histogram()
+        self.histogram = self._assemble_histogram(comp_histograms)
 
-    def _assemble_histogram(self):
+    @staticmethod
+    def _assemble_histogram(comp_histograms):
+        """Convolve the per-component histograms into the global one."""
         hist = Counter({(0, 0, ()): 1})
-        for comp, ranks, tors in zip(
-            self.components, self.comp_ranks, self.comp_torsions
-        ):
-            local = Counter()
-            for mask in range(len(ranks)):
-                key = (mask.bit_count(), ranks[mask], tors.get(mask, ()))
-                local[key] += 1
+        for local in comp_histograms:
             merged = Counter()
             for (s1, r1, t1), c1 in hist.items():
                 for (s2, r2, t2), c2 in local.items():
@@ -201,17 +275,18 @@ class SubsetProfile:
         return period
 
 
-def _parallel_ranges(total, jobs):
-    step = (total + jobs - 1) // jobs
-    return [(a, min(a + step, total)) for a in range(0, total, step)]
+def _component_columns(top, comp):
+    """Dense columns of one block component over the rows it touches."""
+    touched = [i for i, row in enumerate(top.data) if any(row[j] for j in comp)]
+    return [[top.data[i][j] for i in touched] for j in comp]
 
 
 def subset_profile(delta, force=False, jobs=None):
     """Compute (cached) the SubsetProfile of a complex.
 
     Refuses complexes with more facets than the subset cap unless forced.
-    `jobs` > 1 splits each component's mask range over worker processes;
-    the result does not depend on it.
+    `jobs` is accepted for compatibility and has no effect: the sweep
+    runs in the calling process.
     """
     profile = delta._cache.get("subset_profile")
     if profile is not None:
@@ -220,41 +295,13 @@ def subset_profile(delta, force=False, jobs=None):
 
     top = boundary_matrix(delta, delta.dimension).matrix
     components = facet_components(delta)
-    comp_ranks = []
-    comp_torsions = []
-    for comp in components:
-        touched = sorted(
-            {i for j in comp for i in range(top.rows) if top.data[i][j]}
-        )
-        row_local = {r: i for i, r in enumerate(touched)}
-        cols = [
-            tuple(
-                (row_local[i], top.data[i][j]) for i in touched if top.data[i][j]
-            )
-            for j in comp
-        ]
-        total = 1 << len(comp)
-        if jobs and jobs > 1 and total >= 1 << 12:
-            from concurrent.futures import ProcessPoolExecutor
-
-            ranks = bytearray(total)
-            torsions = {}
-            ranges = _parallel_ranges(total, jobs)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(_component_sweep, cols, len(touched), a, b)
-                    for a, b in ranges
-                ]
-                for (a, _), fut in zip(ranges, futures):
-                    part_ranks, part_tors = fut.result()
-                    ranks[a : a + len(part_ranks)] = part_ranks
-                    for local, tup in part_tors.items():
-                        torsions[a + local] = tup
-        else:
-            ranks, torsions = _component_sweep(cols, len(touched), 0, total)
-        comp_ranks.append(ranks)
-        comp_torsions.append(torsions)
-
-    profile = SubsetProfile(delta, components, comp_ranks, comp_torsions)
+    sweeps = [_component_sweep(_component_columns(top, comp)) for comp in components]
+    profile = SubsetProfile(
+        delta,
+        components,
+        [ranks for ranks, _, _ in sweeps],
+        [torsions for _, torsions, _ in sweeps],
+        [histogram for _, _, histogram in sweeps],
+    )
     delta._cache["subset_profile"] = profile
     return profile

@@ -1,0 +1,50 @@
+"""Reference subset sweep: one Smith normal form per facet subset.
+
+This is the sweep simflow used before the incremental lattice sweep in
+`homology._component_sweep`. It rebuilds the restricted matrix and runs
+`snf_diagonal` from scratch for every mask, so it shares nothing with the
+incremental basis, the saturation test or the subtree pruning; the tests
+compare the two mask by mask.
+"""
+
+from collections import Counter
+
+from simflow.complexes import boundary_matrix, facet_components
+from simflow.homology import _component_columns
+from simflow.linalg import snf_diagonal
+
+
+def per_mask_sweep(cols):
+    """(ranks, torsions) of every column subset, given dense columns."""
+    nrows = len(cols[0]) if cols else 0
+    ranks = bytearray(1 << len(cols))
+    torsions = {}
+    for mask in range(len(ranks)):
+        sel = [col for k, col in enumerate(cols) if mask >> k & 1]
+        rows = [[col[i] for col in sel] for i in range(nrows)]
+        diag = snf_diagonal(rows)
+        ranks[mask] = len(diag)
+        if diag and diag[-1] > 1:
+            torsions[mask] = tuple(m for m in diag if m > 1)
+    return ranks, torsions
+
+
+def oracle_profile(delta):
+    """Per-component (ranks, torsions) and the global histogram, built by
+    visiting every mask of every component."""
+    top = boundary_matrix(delta, delta.dimension).matrix
+    sweeps = [
+        per_mask_sweep(_component_columns(top, comp)) for comp in facet_components(delta)
+    ]
+    hist = Counter({(0, 0, ()): 1})
+    for ranks, tors in sweeps:
+        local = Counter(
+            (mask.bit_count(), ranks[mask], tors.get(mask, ()))
+            for mask in range(len(ranks))
+        )
+        merged = Counter()
+        for (s1, r1, t1), c1 in hist.items():
+            for (s2, r2, t2), c2 in local.items():
+                merged[(s1 + s2, r1 + r2, tuple(sorted(t1 + t2)))] += c1 * c2
+        hist = merged
+    return sweeps, hist

@@ -12,8 +12,16 @@ from simflow import (
     torsion_weight,
 )
 from simflow.complexes import restrict_columns
-from simflow.fixtures import cycle, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
+from simflow.fixtures import (
+    cycle,
+    petersen,
+    rp2,
+    rp2_disjoint_pair,
+    simplex_boundary,
+    standard_corpus,
+)
 from simflow.homology import codim1_cycle_rank, t_q_of
+from simflow.linalg import snf_diagonal
 
 
 def test_sphere_homology():
@@ -145,3 +153,38 @@ def test_profile_torsion_period():
 def test_t_q_of():
     assert t_q_of((2, 4), 6) == gcd(2, 6) * gcd(4, 6)
     assert t_q_of((), 5) == 1
+
+
+@pytest.mark.parametrize("corrupt", ["rank", "torsion"])
+def test_property_suite_fails_on_a_corrupted_profile(monkeypatch, corrupt):
+    from simflow import verify
+
+    delta = build_complex([list(f) for f in cycle(4).facets])
+    profile = subset_profile(delta)
+    if corrupt == "rank":
+        profile.comp_ranks[0][0b0011] -= 1
+    else:
+        profile.comp_torsions[0][0b0111] = (2,)
+    monkeypatch.setattr(verify, "standard_corpus", lambda: [("cycle(4)", delta)])
+    result = verify.check_property_suites()
+    assert not result.passed
+    assert result.detail.startswith("cycle(4): ")
+
+
+def test_sweep_takes_smith_diagonals_only_of_non_unit_pivots(monkeypatch):
+    from simflow import homology
+
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return snf_diagonal(rows)
+
+    monkeypatch.setattr(homology, "snf_diagonal", counting)
+    # graph boundary maps are totally unimodular: every pivot is +-1
+    subset_profile(build_complex([list(f) for f in petersen().facets]))
+    assert calls == []
+    # {(2, 1)} has pivot 2; adding (1, 0) turns it into pivots 1, 1
+    ranks, torsions, _ = homology._component_sweep([[1, 0], [2, 1]])
+    assert list(ranks) == [0, 1, 1, 2] and torsions == {}
+    assert calls == [1]

@@ -284,6 +284,20 @@ def test_cli_cap_refusal_and_force(monkeypatch, capsys):
     assert code == 0 and out.strip() == "2"
 
 
+@pytest.mark.parametrize("value", ["lots", "-1"])
+def test_cli_bad_subset_cap_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("SIMFLOW_SUBSET_CAP", value)
+    doc = serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
+    code, out, err = _run_cli(
+        ["flows", "--q", "3", "--method", "subset_expansion"],
+        stdin_text=doc,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 1 and out == ""
+    assert "SIMFLOW_SUBSET_CAP" in err and repr(value) in err
+
+
 def test_cli_file_input(tmp_path, monkeypatch, capsys):
     path = tmp_path / "c3.json"
     path.write_text(serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]])))

@@ -45,6 +45,24 @@ def test_snf_divisibility_chain_random():
         assert len(diag) <= min(rows, cols)
 
 
+def test_snf_matches_sympy_invariant_factors():
+    """Both SNF routines against sympy on random matrices, sparse +-1
+    ones (like boundary maps) and dense ones with larger entries."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(17)
+    for trial in range(300):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        span = (-1, 0, 0, 1) if trial % 2 else range(-12, 13)
+        data = [[rng.choice(span) for _ in range(cols)] for _ in range(rows)]
+        want = [abs(int(f)) for f in invariant_factors(Matrix(data), domain=ZZ) if f]
+        assert snf_diagonal([list(r) for r in data]) == want, data
+        assert list(smith_normal_form(IntMatrix(data)).diagonal) == want, data
+
+
 def test_snf_transforms_random():
     rng = random.Random(11)
     for _ in range(60):
