@@ -20,6 +20,7 @@ from .errors import (
     HasBridgeError,
     IndexOutOfRangeError,
     InfeasibleError,
+    InternalError,
     LiftFailedError,
     NotABaseError,
     NotAFlowError,

@@ -6,7 +6,8 @@ write results to stdout, so they compose by piping:
     simflow generate --fixture complete --n 5 --k 3 | simflow flows --q 5
 
 Exit codes: 0 success / all checks pass, 1 usage (including a malformed
-SIMFLOW_SUBSET_CAP), 2 domain error, 3 cap refusal.
+SIMFLOW_SUBSET_CAP), 2 domain error, 3 cap refusal, 4 broken internal
+invariant.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from .errors import (
     CapExceededError,
     DomainError,
     InfeasibleError,
+    InternalError,
     SettingError,
     SimflowError,
 )
@@ -394,6 +396,9 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except SimflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

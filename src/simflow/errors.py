@@ -2,8 +2,9 @@
 
 Domain errors (bad inputs, infeasible requests) derive from DomainError;
 refusals to start work whose cost exceeds a configured cap derive from
-CapExceededError. The CLI maps these to exit codes 2 and 3 respectively,
-and a malformed environment setting (SettingError) to exit code 1.
+CapExceededError; a broken internal invariant raises InternalError. The
+CLI maps these to exit codes 2, 3 and 4 respectively, and a malformed
+environment setting (SettingError) to exit code 1.
 """
 
 
@@ -59,12 +60,17 @@ class LiftFailedError(DomainError):
     """No signed {-1,0,1} integral lift exists for a mod-2 layer."""
 
 
-class RelationMismatchError(DomainError):
-    """Two independently computed values that must agree do not."""
-
-
 class ParseError(DomainError):
     """Malformed complex document."""
+
+
+class InternalError(SimflowError):
+    """An invariant the program relies on does not hold: a bug, not bad
+    input."""
+
+
+class RelationMismatchError(InternalError):
+    """Two independently computed values that must agree do not."""
 
 
 class SettingError(SimflowError):

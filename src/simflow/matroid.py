@@ -13,6 +13,7 @@ from .errors import (
     FacetInBaseError,
     IndexOutOfRangeError,
     InfeasibleError,
+    InternalError,
     NotABaseError,
 )
 from .homology import codim1_cycle_rank, subset_profile
@@ -203,7 +204,7 @@ def circuit_kernel_vector(delta, mask):
     bm = restrict_columns(delta, mask)
     basis = kernel_basis(bm.matrix)
     if len(basis) != 1:
-        raise ValueError(f"expected nullity 1, got {len(basis)}")
+        raise InternalError(f"expected nullity 1, got {len(basis)}")
     return basis[0]
 
 

@@ -54,13 +54,6 @@ class BivariatePolynomial:
         deg = max(out, default=0)
         return [out.get(j, 0) for j in range(deg + 1)]
 
-    def substitute_y(self, y):
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[i] = out.get(i, 0) + c * y**j
-        deg = max(out, default=0)
-        return [out.get(i, 0) for i in range(deg + 1)]
-
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and self.coeffs == other.coeffs
 
@@ -140,7 +133,3 @@ def format_univariate(coeffs, var="q"):
             body = f"{mag}{mono}"
         terms.append((1 if c > 0 else -1, body))
     return _join_terms(terms)
-
-
-def univariate_equal(coeffs, other):
-    return trim_univariate(coeffs) == trim_univariate(other)

@@ -10,7 +10,12 @@ from math import comb
 from .caps import DEFAULT_ENUM_CAP
 from .complexes import boundary_matrix
 from .errors import BadModulusError, BadParamsError
-from .flows import count_nz_flows, count_proper_colorings, ridge_count
+from .flows import (
+    BRUTE_COLORING_LIMIT,
+    count_nz_flows,
+    count_proper_colorings,
+    ridge_count,
+)
 from .homology import subset_profile, t_q_of
 from .linalg import kernel_count_mod_q
 from .poly import BivariatePolynomial, trim_univariate
@@ -148,8 +153,14 @@ def check_specializations(delta, q_list, force=False, jobs=None):
         qt = q_tkr_polynomial(delta, q, force=force, jobs=jobs)
         flow_specialized = flow_sign * qt.evaluate(0, 1 - q)
 
+        # brute force wherever it is affordable: `auto` would fold the
+        # same histogram that the specialization reads
         coloring_direct = count_proper_colorings(
-            delta, q, force=force, jobs=jobs
+            delta,
+            q,
+            method="brute" if q**rows <= BRUTE_COLORING_LIMIT else "subset_expansion",
+            force=force,
+            jobs=jobs,
         )
         col_special = col_sign * qt.evaluate(1 - q, 0)
         lhs = coloring_direct * q ** max(-col_exp, 0)

@@ -19,14 +19,17 @@ from .complexes import (
 )
 from .fixtures import complete, rp2, rp2_disjoint_pair, petersen, standard_corpus
 from .flows import (
+    _tensions_by_circuits,
     count_nz_flows,
     count_nz_group_flows_2r,
+    count_nz_tensions,
     flow_quasipolynomial,
     is_modular_flow,
     jaeger_flow,
     min_flow_number,
 )
-from .homology import subset_profile
+from .errors import InternalError
+from .homology import subset_profile, torsion_weight
 from .linalg import IntMatrix, kernel_count_mod_q, rational_rank, snf_diagonal
 from .matroid import bridges, coarboricity, facet_connectivity, rank_oracle
 from .tutte import check_specializations, matroid_tutte, tkr_polynomial
@@ -323,6 +326,28 @@ def _profile_failures(name, delta):
     return failures
 
 
+def _tension_failures(name, delta):
+    """Tension counts read off the histogram against the direct filter of
+    the circuit system, for k = 2..5. The histogram counts nowhere-zero
+    coboundaries mod k and the filter counts weightings orthogonal to
+    every circuit; the two sets coincide when k is prime to the torsion
+    of H_{d-1}, so only those k are compared. With at most 10 facets the
+    filter enumerates at most 5^10 < 10^7 vectors."""
+    failures = []
+    for k in range(2, 6):
+        if torsion_weight(delta, delta.full_mask, k) != 1:
+            continue
+        try:
+            got = count_nz_tensions(delta, k)
+            direct = _tensions_by_circuits(delta, k)
+        except InternalError as exc:
+            failures.append(f"{name}: tensions at k={k}: {exc}")
+            continue
+        if got != direct:
+            failures.append(f"{name}: {got} tensions at k={k}, circuit filter {direct}")
+    return failures
+
+
 def check_property_suites():
     failures = []
     rng = random.Random(20240713)
@@ -345,6 +370,7 @@ def check_property_suites():
     for name, delta in standard_corpus():
         if len(delta.facets) <= 10:
             failures.extend(_profile_failures(name, delta))
+            failures.extend(_tension_failures(name, delta))
 
     bridged = [
         build_complex([[0, 1], [1, 2]]),
@@ -364,8 +390,9 @@ def check_property_suites():
         "property suites",
         failures,
         "random kernel counts match brute force; swept subset ranks obey "
-        "the rank axioms and match per-subset Smith diagonals; bridged "
-        "complexes have no nowhere-zero flows",
+        "the rank axioms and match per-subset Smith diagonals; tension "
+        "counts match the circuit-system filter; bridged complexes have no "
+        "nowhere-zero flows",
     )
 
 

@@ -1,3 +1,4 @@
+import io
 from itertools import product
 from math import prod
 
@@ -6,6 +7,7 @@ import pytest
 from simflow import (
     BadModulusError,
     BadParamsError,
+    CapExceededError,
     GroupFlow2r,
     HasBridgeError,
     ModularFlow,
@@ -17,12 +19,16 @@ from simflow import (
     count_nz_tensions,
     count_proper_colorings,
     flow_quasipolynomial,
+    flows,
     jaeger_flow,
     lift_z2r_flow,
     min_flow_number,
+    serialize_complex,
 )
+from simflow.cli import main
 from simflow.fixtures import complete, cycle, petersen, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
-from simflow.flows import circuits, is_modular_flow
+from simflow.flows import _tensions_by_circuits, circuits, is_modular_flow
+from simflow.homology import subset_profile
 from simflow.verify import PETERSEN_FLOWS_AT_5
 
 
@@ -124,6 +130,28 @@ def test_tension_brute_force_small():
             if all(sum(c * x for c, x in zip(row, w)) % k == 0 for row in relations):
                 brute += 1
         assert count_nz_tensions(delta, k) == brute
+        assert _tensions_by_circuits(delta, k) == brute
+
+
+def test_tensions_are_coboundaries_on_rp2():
+    """RP^2 has no circuits, so every nowhere-zero weighting is orthogonal
+    to all of them. The coboundaries mod k are the weightings whose entries
+    sum to an even number when k is even (the mod-2 cycle of RP^2 is every
+    facet): ((k-1)^10 + 1) / 2 of them are nowhere zero."""
+    delta = rp2()
+    for k in range(2, 7):
+        want = ((k - 1) ** 10 + 1) // 2 if k % 2 == 0 else (k - 1) ** 10
+        assert count_nz_tensions(delta, k) == want
+        assert _tensions_by_circuits(delta, k) == (k - 1) ** 10
+
+
+def test_property_suite_fails_on_an_off_by_one_tension_count(monkeypatch):
+    from simflow import verify
+
+    monkeypatch.setattr(verify, "count_nz_tensions", lambda delta, k: count_nz_tensions(delta, k) + 1)
+    result = verify.check_property_suites()
+    assert not result.passed
+    assert "circuit filter" in result.detail
 
 
 def test_circuit_enumeration():
@@ -275,3 +303,75 @@ def test_bridgeless_existence_bound():
         c = coarboricity(delta)
         found = min_flow_number(delta, 1 << c)
         assert found is not None and found <= 1 << c
+
+
+def _fresh(delta):
+    """A copy of a (shared, cached) fixture with an empty cache."""
+    return build_complex([list(f) for f in delta.facets])
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """Counts kernel enumerations and brute-force coloring runs."""
+    calls = {"enum": 0, "brute": 0}
+    enum, brute = flows.enumerate_kernel_mod_q, flows._brute_colorings
+
+    def counting_enum(*args, **kwargs):
+        calls["enum"] += 1
+        return enum(*args, **kwargs)
+
+    def counting_brute(*args, **kwargs):
+        calls["brute"] += 1
+        return brute(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "enumerate_kernel_mod_q", counting_enum)
+    monkeypatch.setattr(flows, "_brute_colorings", counting_brute)
+    return calls
+
+
+def test_auto_sweeps_when_the_sweep_is_no_larger(route_calls):
+    # three disjoint triangles: 3 * 2^3 = 24 subsets, kernel q^3
+    triangles = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [6, 7], [7, 8], [6, 8]]
+    delta = build_complex(triangles)
+    assert count_nz_flows(delta, 2) == 1  # 8 kernel vectors: enumerate
+    assert route_calls["enum"] == 1
+    got = {q: count_nz_flows(delta, q) for q in (3, 4, 5)}
+    assert route_calls["enum"] == 1
+    for q, count in got.items():
+        assert count == count_nz_flows(build_complex(triangles), q, method="kernel_enum")
+    # K_4: 2^6 subsets against k^4 colorings
+    k4 = _fresh(complete(4, 2))
+    assert count_proper_colorings(k4, 2) == 0
+    assert route_calls["brute"] == 1
+    assert count_proper_colorings(k4, 3) == 0
+    assert route_calls["brute"] == 1
+    assert count_proper_colorings(_fresh(k4), 3, method="brute") == 0
+    assert count_proper_colorings(_fresh(k4), 4) == 24
+
+
+def test_auto_folds_a_cached_profile(route_calls):
+    delta = _fresh(petersen())
+    subset_profile(delta)
+    # 2^6 kernel vectors and 2^10 colorings, against 2^15 subsets
+    assert count_nz_flows(delta, 2) == 0
+    assert count_nz_flows(delta, 5) == PETERSEN_FLOWS_AT_5
+    assert count_proper_colorings(delta, 2) == 0
+    assert count_proper_colorings(delta, 3) == 120
+    assert route_calls == {"enum": 0, "brute": 0}
+    assert count_proper_colorings(_fresh(delta), 3, method="brute") == 120
+
+
+def test_auto_over_the_subset_cap_keeps_enumerating(route_calls, monkeypatch, capsys):
+    long_cycle = _fresh(cycle(25))
+    assert count_nz_flows(long_cycle, 3) == 2
+    assert route_calls["enum"] == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(long_cycle)))
+    assert main(["flows", "--q", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    # K_8: 28 facets, 8 ridges; brute colorings up to 10^5 assignments
+    k8 = _fresh(complete(8, 2))
+    assert count_proper_colorings(k8, 3) == 0
+    assert route_calls["brute"] == 1
+    with pytest.raises(CapExceededError):
+        count_proper_colorings(k8, 5)  # 5^8 > 10^5: the expansion, refused
+    assert route_calls["brute"] == 1

@@ -242,6 +242,26 @@ def test_cli_sweep_csv(monkeypatch, capsys):
         assert tensions == count_nz_tensions(delta, q)
 
 
+def test_cli_sweep_petersen_up_to_6(monkeypatch, capsys):
+    from simflow.flows import _tensions_by_circuits
+
+    delta = build_complex([list(f) for f in petersen().facets])
+    code, out, _ = _run_cli(
+        ["sweep", "--q-range", "2..6"],
+        stdin_text=serialize_complex(delta),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    rows = [[int(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [2, 3, 4, 5, 6]
+    for q, flows, colorings, tensions in rows[:3]:
+        assert flows == count_nz_flows(delta, q, method="kernel_enum")
+        assert tensions == _tensions_by_circuits(delta, q)
+        if q**10 <= 10**5:
+            assert colorings == count_proper_colorings(delta, q, method="brute")
+
+
 def test_cli_exit_codes(monkeypatch, capsys):
     # usage
     code, _, err = _run_cli(["flows"], monkeypatch=monkeypatch, capsys=capsys)
@@ -288,14 +308,28 @@ def test_cli_cap_refusal_and_force(monkeypatch, capsys):
 def test_cli_bad_subset_cap_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("SIMFLOW_SUBSET_CAP", value)
     doc = serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
+    # auto reads the cap to choose between the sweep and enumeration
+    for method in ("subset_expansion", "auto"):
+        code, out, err = _run_cli(
+            ["flows", "--q", "3", "--method", method],
+            stdin_text=doc,
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 1 and out == ""
+        assert "SIMFLOW_SUBSET_CAP" in err and repr(value) in err
+
+
+def test_cli_broken_invariant_exits_4(monkeypatch, capsys):
+    from simflow import flows
+
+    monkeypatch.setattr(flows, "is_modular_flow", lambda delta, flow: False)
+    doc = serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
     code, out, err = _run_cli(
-        ["flows", "--q", "3", "--method", "subset_expansion"],
-        stdin_text=doc,
-        monkeypatch=monkeypatch,
-        capsys=capsys,
+        ["construct", "--jaeger"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
     )
-    assert code == 1 and out == ""
-    assert "SIMFLOW_SUBSET_CAP" in err and repr(value) in err
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: ") and "Traceback" not in err
 
 
 def test_cli_file_input(tmp_path, monkeypatch, capsys):
