@@ -60,7 +60,6 @@ def _add_input(sub):
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("--force", action="store_true", help="override the subset cap")
-    sub.add_argument("--jobs", type=int, default=None, help="accepted; has no effect")
 
 
 def build_parser():
@@ -135,7 +134,6 @@ def build_parser():
 
     ver = subs.add_parser("verify", help="run the paper verification suite")
     ver.add_argument("--suite", choices=["paper"], required=True)
-    ver.add_argument("--jobs", type=int, default=None, help="accepted; has no effect")
 
     swp = subs.add_parser("sweep", help="CSV of counts over a modulus range")
     swp.add_argument("--q-range", required=True, help="A..B inclusive")
@@ -180,7 +178,7 @@ def _cmd_analyze(args):
     bridge_list = bridges(delta)
     conn = facet_connectivity(delta)
     try:
-        coarb = coarboricity(delta, force=args.force, jobs=args.jobs)
+        coarb = coarboricity(delta, force=args.force)
     except InfeasibleError:
         coarb = None
     payload = {
@@ -217,9 +215,7 @@ def _cmd_analyze(args):
 
 def _cmd_flows(args):
     delta = _read_complex(args)
-    count = count_nz_flows(
-        delta, args.q, method=args.method, force=args.force, jobs=args.jobs
-    )
+    count = count_nz_flows(delta, args.q, method=args.method, force=args.force)
     if args.json:
         print(json.dumps({"q": args.q, "method": args.method, "flows": count}))
     else:
@@ -230,7 +226,7 @@ def _cmd_flows(args):
 def _cmd_colorings(args):
     delta = _read_complex(args)
     count = count_proper_colorings(
-        delta, args.k, method=args.method, force=args.force, jobs=args.jobs
+        delta, args.k, method=args.method, force=args.force
     )
     if args.json:
         print(json.dumps({"k": args.k, "colorings": count}))
@@ -241,7 +237,7 @@ def _cmd_colorings(args):
 
 def _cmd_tensions(args):
     delta = _read_complex(args)
-    count = count_nz_tensions(delta, args.k, force=args.force, jobs=args.jobs)
+    count = count_nz_tensions(delta, args.k, force=args.force)
     if args.json:
         print(json.dumps({"k": args.k, "tensions": count}))
     else:
@@ -252,21 +248,19 @@ def _cmd_tensions(args):
 def _cmd_poly(args):
     delta = _read_complex(args)
     if args.kind == "tkr":
-        text = format_bivariate(tkr_polynomial(delta, force=args.force, jobs=args.jobs))
+        text = format_bivariate(tkr_polynomial(delta, force=args.force))
     elif args.kind == "qtkr":
         if args.q is None:
             raise _UsageError("poly --kind qtkr requires --q")
         text = format_bivariate(
-            q_tkr_polynomial(delta, args.q, force=args.force, jobs=args.jobs)
+            q_tkr_polynomial(delta, args.q, force=args.force)
         )
     elif args.kind == "tutte":
         text = format_bivariate(
-            matroid_tutte(rank_oracle(delta), force=args.force, jobs=args.jobs)
+            matroid_tutte(rank_oracle(delta), force=args.force)
         )
     else:
-        coeffs = bott_r_polynomial(
-            delta, args.convention, force=args.force, jobs=args.jobs
-        )
+        coeffs = bott_r_polynomial(delta, args.convention, force=args.force)
         text = format_univariate(coeffs, var="L")
     if args.json:
         print(json.dumps({"kind": args.kind, "polynomial": text}))
@@ -277,7 +271,7 @@ def _cmd_poly(args):
 
 def _cmd_quasi(args):
     delta = _read_complex(args)
-    quasi = flow_quasipolynomial(delta, force=args.force, jobs=args.jobs)
+    quasi = flow_quasipolynomial(delta, force=args.force)
     rendered = [format_univariate(c, var="q") for c in quasi.constituents]
     if args.json:
         print(
@@ -296,7 +290,7 @@ def _cmd_quasi(args):
 
 def _cmd_construct(args):
     delta = _read_complex(args)
-    flow = jaeger_flow(delta, force=args.force, jobs=args.jobs)
+    flow = jaeger_flow(delta, force=args.force)
     if args.json:
         print(
             json.dumps(
@@ -315,7 +309,7 @@ def _cmd_construct(args):
 
 def _cmd_min_q(args):
     delta = _read_complex(args)
-    found = min_flow_number(delta, args.max, force=args.force, jobs=args.jobs)
+    found = min_flow_number(delta, args.max, force=args.force)
     if args.json:
         print(json.dumps({"max": args.max, "min_q": found}))
     else:
@@ -338,7 +332,7 @@ def _cmd_subdivide(args):
 
 
 def _cmd_verify(args):
-    results = run_paper_suite(jobs=args.jobs)
+    results = run_paper_suite()
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -358,9 +352,9 @@ def _cmd_sweep(args):
         raise _UsageError(f"bad --q-range {args.q_range!r}; expected A..B")
     print("q,flows,colorings,tensions")
     for q in range(low, high + 1):
-        flows = count_nz_flows(delta, q, force=args.force, jobs=args.jobs)
-        colorings = count_proper_colorings(delta, q, force=args.force, jobs=args.jobs)
-        tensions = count_nz_tensions(delta, q, force=args.force, jobs=args.jobs)
+        flows = count_nz_flows(delta, q, force=args.force)
+        colorings = count_proper_colorings(delta, q, force=args.force)
+        tensions = count_nz_tensions(delta, q, force=args.force)
         print(f"{q},{flows},{colorings},{tensions}")
     return 0
 

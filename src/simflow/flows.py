@@ -1,6 +1,6 @@
-"""Nowhere-zero flow and coloring counts, tension counts, quasipolynomial
-reconstruction, Z_2^r group flows, and the explicit 2^c-flow construction
-through coforest covers.
+"""Nowhere-zero flow and coloring counts, tension counts, the flow
+quasipolynomial, Z_2^r group flows, and the explicit 2^c-flow
+construction through coforest covers.
 
 Counting never scans (q-1)^|F| assignments. Flows and colorings fold the
 inclusion-exclusion expansion over the cached subset histogram, or
@@ -10,11 +10,11 @@ the torsion weight) for flows, all k^|ridges| colorings for colorings.
 admits the complex and its sweep is no larger than the enumeration.
 Tension counts come from the histogram through the chromatic relation;
 `_tensions_by_circuits` filters the circuit system directly and is the
-oracle that `verify` compares them with.
+oracle that `verify` compares them with. The flow quasipolynomial is
+read off the same histogram, one constituent per residue class.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .caps import DEFAULT_ENUM_CAP, check_enum_cap, subset_cap
@@ -132,17 +132,23 @@ def _auto_route(delta, enum_route, enum_size, enum_limit, force):
     return enum_route if size <= enum_limit else "subset_expansion"
 
 
-def _flow_expansion(delta, q, force=False, jobs=None):
-    profile = subset_profile(delta, force=force, jobs=jobs)
-    n = len(delta.facets)
-    total = 0
+def _flow_coefficients(profile, n, r):
+    """Ascending coefficients in q of the flow expansion, each torsion
+    invariant factor m weighted by gcd(m, r): exact at q = r, and at every
+    q = r mod the torsion period."""
+    coeffs = [0] * (n - profile.rank_full + 1)
     for (size, rank, tors), count in profile.histogram.items():
-        term = count * q ** (size - rank) * t_q_of(tors, q)
-        total += term if (n - size) % 2 == 0 else -term
-    return total
+        term = count * t_q_of(tors, r)
+        coeffs[size - rank] += term if (n - size) % 2 == 0 else -term
+    return coeffs
 
 
-def count_nz_flows(delta, q, method="auto", force=False, jobs=None):
+def _flow_expansion(delta, q, force=False):
+    profile = subset_profile(delta, force=force)
+    return eval_univariate(_flow_coefficients(profile, len(delta.facets), q), q)
+
+
+def count_nz_flows(delta, q, method="auto", force=False):
     """Number of nowhere-zero q-flows, by kernel enumeration or by the
     subset inclusion-exclusion expansion (both exact)."""
     if q < 1:
@@ -164,7 +170,7 @@ def count_nz_flows(delta, q, method="auto", force=False, jobs=None):
             1 for v in enumerate_kernel_mod_q(top, q) if all(v)
         )
     if method == "subset_expansion":
-        return _flow_expansion(delta, q, force=force, jobs=jobs)
+        return _flow_expansion(delta, q, force=force)
     raise BadParamsError(f"unknown method {method!r}")
 
 
@@ -173,8 +179,8 @@ def count_nz_flows(delta, q, method="auto", force=False, jobs=None):
 BRUTE_COLORING_LIMIT = 10**5
 
 
-def _coloring_expansion(delta, k, force=False, jobs=None):
-    profile = subset_profile(delta, force=force, jobs=jobs)
+def _coloring_expansion(delta, k, force=False):
+    profile = subset_profile(delta, force=force)
     rows = ridge_count(delta)
     total = 0
     for (size, rank, tors), count in profile.histogram.items():
@@ -195,7 +201,7 @@ def _brute_colorings(delta, k):
     return count
 
 
-def count_proper_colorings(delta, k, method="auto", force=False, jobs=None):
+def count_proper_colorings(delta, k, method="auto", force=False):
     """Ridge colorings where no facet's signed boundary sum vanishes."""
     if k < 1:
         raise BadModulusError(f"modulus must be >= 1, got {k}")
@@ -210,13 +216,13 @@ def count_proper_colorings(delta, k, method="auto", force=False, jobs=None):
     if method == "brute":
         return _brute_colorings(delta, k)
     if method == "subset_expansion":
-        return _coloring_expansion(delta, k, force=force, jobs=jobs)
+        return _coloring_expansion(delta, k, force=force)
     raise BadParamsError(f"unknown method {method!r}")
 
 
-def circuits(delta, force=False, jobs=None):
+def circuits(delta, force=False):
     """All circuits (minimal rationally dependent facet sets) as bitmasks."""
-    profile = subset_profile(delta, force=force, jobs=jobs)
+    profile = subset_profile(delta, force=force)
     n = len(delta.facets)
     found = []
     for mask in range(1, 1 << n):
@@ -236,7 +242,7 @@ def circuits(delta, force=False, jobs=None):
     return found
 
 
-def count_nz_tensions(delta, k, force=False, jobs=None):
+def count_nz_tensions(delta, k, force=False):
     """Nowhere-zero k-tensions: coboundaries of ridge colorings mod k
     with no zero entry.
 
@@ -251,11 +257,11 @@ def count_nz_tensions(delta, k, force=False, jobs=None):
     n = len(delta.facets)
     if k == 1:
         return 0 if n else 1
-    profile = subset_profile(delta, force=force, jobs=jobs)
+    profile = subset_profile(delta, force=force)
     beta_top = n - profile.rank_full
     t_full = t_q_of(profile.torsion(delta.full_mask), k)
     exp = n - beta_top - ridge_count(delta)
-    chromatic = count_proper_colorings(delta, k, force=force, jobs=jobs)
+    chromatic = count_proper_colorings(delta, k, force=force)
     num = chromatic * k ** max(exp, 0)
     den = t_full * k ** max(-exp, 0)
     if num % den:
@@ -265,14 +271,14 @@ def count_nz_tensions(delta, k, force=False, jobs=None):
     return num // den
 
 
-def _tensions_by_circuits(delta, k, force=False, jobs=None):
+def _tensions_by_circuits(delta, k, force=False):
     """Nowhere-zero weightings orthogonal mod k to every signed circuit,
     by filtering the solutions of the circuit system. They are exactly the
     nowhere-zero k-tensions when k is prime to the torsion of H_{d-1};
     otherwise they are more. Exponential in the rank; `verify` holds
     `count_nz_tensions` to it."""
     n = len(delta.facets)
-    circ = circuits(delta, force=force, jobs=jobs)
+    circ = circuits(delta, force=force)
     if not circ:
         return (k - 1) ** n
     rows = []
@@ -291,63 +297,25 @@ def _tensions_by_circuits(delta, k, force=False, jobs=None):
 # quasipolynomial
 
 
-def _interpolate_integer(points):
-    """Exact Lagrange interpolation; raises if coefficients are not ints."""
-    m = len(points)
-    coeffs = [Fraction(0)] * m
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                nxt[p + 1] += c
-                nxt[p] -= c * xj
-            basis = nxt
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for p, c in enumerate(basis):
-            coeffs[p] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InternalError(f"non-integer interpolated coefficient {c}")
-        out.append(int(c))
-    return trim_univariate(out)
-
-
-def flow_quasipolynomial(delta, force=False, jobs=None):
-    """Reconstruct the flow count as a quasipolynomial.
+def flow_quasipolynomial(delta, force=False):
+    """The flow count as a quasipolynomial in q, read off the subset
+    histogram.
 
     The period is the lcm of every torsion invariant factor over all facet
-    subsets (each expansion term is periodic with that period); each
-    residue class is interpolated through beta_d + 1 exact evaluations and
-    re-verified at two fresh moduli.
+    subsets. Each factor m divides it, so gcd(m, q) depends only on the
+    residue r = q mod period (gcd(m, 0) = m covers r = 0), and the
+    constituent for r is the expansion with every gcd(m, q) read as
+    gcd(m, r).
     """
-    profile = subset_profile(delta, force=force, jobs=jobs)
+    profile = subset_profile(delta, force=force)
     n = len(delta.facets)
     period = profile.torsion_period()
-    degree = n - profile.rank_full
-
-    def phi(q):
-        return count_nz_flows(delta, q, method="subset_expansion", force=force)
-
-    constituents = []
-    for residue in range(period):
-        q0 = residue if residue >= 1 else period
-        qs = [q0 + j * period for j in range(degree + 1)]
-        coeffs = _interpolate_integer([(q, phi(q)) for q in qs])
-        for j in range(degree + 1, degree + 3):
-            q = q0 + j * period
-            if eval_univariate(coeffs, q) != phi(q):
-                raise InternalError(
-                    f"constituent for residue {residue} fails at q={q}"
-                )
-        constituents.append(tuple(coeffs))
+    constituents = tuple(
+        tuple(trim_univariate(_flow_coefficients(profile, n, r)))
+        for r in range(period)
+    )
     return Quasipolynomial(
-        period=period, constituents=tuple(constituents), degree=degree
+        period=period, constituents=constituents, degree=n - profile.rank_full
     )
 
 
@@ -470,7 +438,7 @@ def lift_z2r_flow(delta, gf):
     return flow
 
 
-def jaeger_flow(delta, force=False, jobs=None):
+def jaeger_flow(delta, force=False):
     """Explicit nowhere-zero 2^c flow on a bridgeless complex, where c is
     the coarboricity.
 
@@ -481,7 +449,7 @@ def jaeger_flow(delta, force=False, jobs=None):
     bad = bridges(delta)
     if bad:
         raise HasBridgeError(f"facets {bad} are bridges; no nowhere-zero flow")
-    c = coarboricity(delta, force=force, jobs=jobs)
+    c = coarboricity(delta, force=force)
     cover = coforest_cover(delta, c, force=force)
     oracle = rank_oracle(delta)
     n = len(delta.facets)
@@ -515,11 +483,11 @@ def jaeger_flow(delta, force=False, jobs=None):
     return flow
 
 
-def min_flow_number(delta, q_max, force=False, jobs=None):
+def min_flow_number(delta, q_max, force=False):
     """Least modulus in 2..q_max with a nowhere-zero flow, else None."""
     if q_max < 2:
         raise BadParamsError(f"q_max must be >= 2, got {q_max}")
     for q in range(2, q_max + 1):
-        if count_nz_flows(delta, q, force=force, jobs=jobs) > 0:
+        if count_nz_flows(delta, q, force=force) > 0:
             return q
     return None

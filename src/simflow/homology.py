@@ -59,13 +59,9 @@ def codim1_cycle_rank(delta):
 
 
 def _restricted_diagonal(delta, mask):
-    cache = delta._cache.setdefault("subset_diagonals", {})
-    diag = cache.get(mask)
-    if diag is None:
-        bm = restrict_columns(delta, mask)
-        diag = tuple(snf_diagonal([list(r) for r in bm.matrix.data]))
-        cache[mask] = diag
-    return diag
+    """Smith diagonal of the top boundary map restricted to `mask`."""
+    bm = restrict_columns(delta, mask)
+    return snf_diagonal([list(r) for r in bm.matrix.data])
 
 
 def homology_summary(delta, mask=None):
@@ -285,8 +281,7 @@ def subset_profile(delta, force=False, jobs=None):
     """Compute (cached) the SubsetProfile of a complex.
 
     Refuses complexes with more facets than the subset cap unless forced.
-    `jobs` is accepted for compatibility and has no effect: the sweep
-    runs in the calling process.
+    `jobs` is ignored; it stays because perfbench/run.py still passes it.
     """
     profile = delta._cache.get("subset_profile")
     if profile is not None:

@@ -48,9 +48,9 @@ class RankOracle:
     def full_rank(self):
         return self.rank((1 << self.ground_size) - 1)
 
-    def subset_rank_pairs(self, force=False, jobs=None):
+    def subset_rank_pairs(self, force=False):
         """(size, rank, count) over all subsets, via the shared sweep."""
-        profile = subset_profile(self.delta, force=force, jobs=jobs)
+        profile = subset_profile(self.delta, force=force)
         pairs = {}
         for (size, rank, _), count in profile.histogram.items():
             pairs[(size, rank)] = pairs.get((size, rank), 0) + count
@@ -75,13 +75,11 @@ class DualRankOracle:
             - self.primal.full_rank
         )
 
-    def subset_rank_pairs(self, force=False, jobs=None):
+    def subset_rank_pairs(self, force=False):
         n = self.ground_size
         full_rank = self.primal.full_rank
         pairs = {}
-        for size_y, rank_y, count in self.primal.subset_rank_pairs(
-            force=force, jobs=jobs
-        ):
+        for size_y, rank_y, count in self.primal.subset_rank_pairs(force=force):
             key = (n - size_y, n - size_y + rank_y - full_rank)
             pairs[key] = pairs.get(key, 0) + count
         return [(s, r, c) for (s, r), c in sorted(pairs.items())]
@@ -228,7 +226,7 @@ def fundamental_circuit(delta, base_mask, facet_index):
     return circuit
 
 
-def edmonds_covering_number(oracle, force=False, jobs=None):
+def edmonds_covering_number(oracle, force=False):
     """Least c with c * r(X) >= |X| for every subset X of the ground set.
 
     Applied to a dual oracle this is the coarboricity. Raises Infeasible
@@ -237,7 +235,7 @@ def edmonds_covering_number(oracle, force=False, jobs=None):
     """
     check_subset_cap(oracle.ground_size, force=force)
     c = 1
-    for size, rank, _count in oracle.subset_rank_pairs(force=force, jobs=jobs):
+    for size, rank, _count in oracle.subset_rank_pairs(force=force):
         if size == 0:
             continue
         if rank <= 0:
@@ -250,8 +248,8 @@ def edmonds_covering_number(oracle, force=False, jobs=None):
     return c
 
 
-def coarboricity(delta, force=False, jobs=None):
-    return edmonds_covering_number(rank_oracle(delta).dual(), force=force, jobs=jobs)
+def coarboricity(delta, force=False):
+    return edmonds_covering_number(rank_oracle(delta).dual(), force=force)
 
 
 @dataclass

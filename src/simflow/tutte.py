@@ -21,22 +21,18 @@ from .linalg import kernel_count_mod_q
 from .poly import BivariatePolynomial, trim_univariate
 
 
-def tkr_polynomial(delta, force=False, jobs=None):
+def tkr_polynomial(delta, force=False):
     """Sum over facet subsets of (x-1)^(drop in codim-1 Betti) times
-    (y-1)^(top Betti), expanded to the monomial basis."""
-    profile = subset_profile(delta, force=force, jobs=jobs)
-    full_rank = profile.rank_full
-    poly = BivariatePolynomial()
-    for (size, rank, _), count in profile.histogram.items():
-        poly.add_shifted_term(full_rank - rank, size - rank, count)
-    return poly
+    (y-1)^(top Betti), expanded to the monomial basis: the q-TKR
+    polynomial at q = 1, where every torsion weight is 1."""
+    return q_tkr_polynomial(delta, 1, force=force)
 
 
-def q_tkr_polynomial(delta, q, force=False, jobs=None):
+def q_tkr_polynomial(delta, q, force=False):
     """TKR weighted per subset by t_q = |Tor(H_{d-1}(X), Z_q)|."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
-    profile = subset_profile(delta, force=force, jobs=jobs)
+    profile = subset_profile(delta, force=force)
     full_rank = profile.rank_full
     poly = BivariatePolynomial()
     for (size, rank, tors), count in profile.histogram.items():
@@ -46,9 +42,9 @@ def q_tkr_polynomial(delta, q, force=False, jobs=None):
     return poly
 
 
-def matroid_tutte(oracle, force=False, jobs=None):
+def matroid_tutte(oracle, force=False):
     """Tutte polynomial straight from the rank function (no homology)."""
-    pairs = oracle.subset_rank_pairs(force=force, jobs=jobs)
+    pairs = oracle.subset_rank_pairs(force=force)
     full_rank = max(r for s, r, _ in pairs if s == oracle.ground_size)
     poly = BivariatePolynomial()
     for size, rank, count in pairs:
@@ -56,7 +52,7 @@ def matroid_tutte(oracle, force=False, jobs=None):
     return poly
 
 
-def bott_r_polynomial(delta, sign_convention="literal", force=False, jobs=None):
+def bott_r_polynomial(delta, sign_convention="literal", force=False):
     """Bott's R polynomial in lambda, ascending coefficients.
 
     literal: sum of (-1)^|X| lambda^beta_d(X); complemented flips the sign
@@ -65,7 +61,7 @@ def bott_r_polynomial(delta, sign_convention="literal", force=False, jobs=None):
     """
     if sign_convention not in ("literal", "complemented"):
         raise BadParamsError(f"unknown sign convention {sign_convention!r}")
-    profile = subset_profile(delta, force=force, jobs=jobs)
+    profile = subset_profile(delta, force=force)
     n = len(delta.facets)
     out = {}
     for (size, rank, _), count in profile.histogram.items():
@@ -115,11 +111,11 @@ class SpecializationReport:
         return True
 
 
-def check_specializations(delta, q_list, force=False, jobs=None):
+def check_specializations(delta, q_list, force=False):
     """Per modulus: flow and coloring counts against their torsion-weighted
     TKR specializations; plus the Bott identity at polynomial level, and
     the plain-TKR identities when no subset carries torsion."""
-    profile = subset_profile(delta, force=force, jobs=jobs)
+    profile = subset_profile(delta, force=force)
     n = len(delta.facets)
     rows = ridge_count(delta)
     beta_top = n - profile.rank_full
@@ -128,7 +124,7 @@ def check_specializations(delta, q_list, force=False, jobs=None):
     col_sign = -1 if (n - beta_top) % 2 else 1
     col_exp = rows - n + beta_top
 
-    plain = tkr_polynomial(delta, force=force, jobs=jobs)
+    plain = tkr_polynomial(delta, force=force)
     spec_poly = [flow_sign * c for c in _compose_one_minus(plain.substitute_x(0))]
     bott_complemented_ok = (
         bott_r_polynomial(delta, "complemented", force=force) == trim_univariate(spec_poly)
@@ -148,9 +144,9 @@ def check_specializations(delta, q_list, force=False, jobs=None):
             flow_direct = count_nz_flows(delta, q, method="kernel_enum")
         else:
             flow_direct = count_nz_flows(
-                delta, q, method="subset_expansion", force=force, jobs=jobs
+                delta, q, method="subset_expansion", force=force
             )
-        qt = q_tkr_polynomial(delta, q, force=force, jobs=jobs)
+        qt = q_tkr_polynomial(delta, q, force=force)
         flow_specialized = flow_sign * qt.evaluate(0, 1 - q)
 
         # brute force wherever it is affordable: `auto` would fold the
@@ -160,7 +156,6 @@ def check_specializations(delta, q_list, force=False, jobs=None):
             q,
             method="brute" if q**rows <= BRUTE_COLORING_LIMIT else "subset_expansion",
             force=force,
-            jobs=jobs,
         )
         col_special = col_sign * qt.evaluate(1 - q, 0)
         lhs = coloring_direct * q ** max(-col_exp, 0)
@@ -202,12 +197,12 @@ class DualityReport:
     checks: list = field(default_factory=list)
 
 
-def check_duality_swap(a, b, q_list, force=False, jobs=None):
+def check_duality_swap(a, b, q_list, force=False):
     """Verify the variable swap between a claimed dual pair, and the
     scalar flow/coloring relation with sign and power computed from the
     pair's own face counts."""
-    profile_a = subset_profile(a, force=force, jobs=jobs)
-    profile_b = subset_profile(b, force=force, jobs=jobs)
+    profile_a = subset_profile(a, force=force)
+    profile_b = subset_profile(b, force=force)
     beta_a = len(a.facets) - profile_a.rank_full
     beta_b = len(b.facets) - profile_b.rank_full
     eps = len(b.facets) - beta_b - beta_a
@@ -215,19 +210,19 @@ def check_duality_swap(a, b, q_list, force=False, jobs=None):
     sign = -1 if eps % 2 else 1
 
     plain_swap_ok = (
-        tkr_polynomial(a, force=force, jobs=jobs)
-        == tkr_polynomial(b, force=force, jobs=jobs).swap_variables()
+        tkr_polynomial(a, force=force)
+        == tkr_polynomial(b, force=force).swap_variables()
     )
     report = DualityReport(
         plain_swap_ok=plain_swap_ok, eps=eps, scale_exponent=scale, sign=sign
     )
     for q in q_list:
         qtkr_ok = (
-            q_tkr_polynomial(a, q, force=force, jobs=jobs)
-            == q_tkr_polynomial(b, q, force=force, jobs=jobs).swap_variables()
+            q_tkr_polynomial(a, q, force=force)
+            == q_tkr_polynomial(b, q, force=force).swap_variables()
         )
-        flow_value = count_nz_flows(a, q, force=force, jobs=jobs)
-        coloring_value = count_proper_colorings(b, q, force=force, jobs=jobs)
+        flow_value = count_nz_flows(a, q, force=force)
+        coloring_value = count_proper_colorings(b, q, force=force)
         lhs = sign * flow_value * q ** max(scale, 0)
         rhs = coloring_value * q ** max(-scale, 0)
         report.checks.append(

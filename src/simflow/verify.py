@@ -54,7 +54,7 @@ def _result(criterion, name, failures, detail_ok):
     return CheckResult(criterion, name, True, detail_ok)
 
 
-def check_complete_flow_counts(jobs=None):
+def check_complete_flow_counts():
     """Codimension-one complete complexes carry falling-factorial flow
     counts; both counting methods must agree with the product."""
     failures = []
@@ -63,9 +63,7 @@ def check_complete_flow_counts(jobs=None):
         for q in range(2, 9):
             expected = prod(q - i for i in range(1, n))
             enum = count_nz_flows(delta, q, method="kernel_enum")
-            expand = count_nz_flows(
-                delta, q, method="subset_expansion", jobs=jobs
-            )
+            expand = count_nz_flows(delta, q, method="subset_expansion")
             if not (enum == expand == expected):
                 failures.append(
                     f"K_{n}^{n-2} q={q}: enum={enum} expand={expand} want={expected}"
@@ -108,7 +106,7 @@ def check_rp2_quasipolynomial():
         if list(quasi.constituents[1]) not in ([], [0]):
             failures.append(f"odd constituent {quasi.constituents[1]}")
     for q in range(2, 10):
-        direct = count_nz_flows(rp2(), q)
+        direct = count_nz_flows(rp2(), q, method="kernel_enum")
         expected = 1 if q % 2 == 0 else 0
         if direct != expected or quasi.evaluate(q) != expected:
             failures.append(f"q={q}: direct={direct} quasi={quasi.evaluate(q)}")
@@ -116,7 +114,8 @@ def check_rp2_quasipolynomial():
         3,
         "rp2 quasipolynomial",
         failures,
-        "period 2 with constituents 1 (even) and 0 (odd); counts agree for q=2..9",
+        "period 2 with constituents 1 (even) and 0 (odd); kernel enumeration "
+        "agrees for q=2..9",
     )
 
 
@@ -140,16 +139,16 @@ def check_petersen():
     )
 
 
-def check_specialization_identities(jobs=None):
+def check_specialization_identities():
     failures = []
     for name, delta in standard_corpus():
-        report = check_specializations(delta, range(2, 7), jobs=jobs)
+        report = check_specializations(delta, range(2, 7))
         for c in report.checks:
             if not c.flows_ok:
                 failures.append(f"{name} q={c.q}: flow specialization")
             if not c.colorings_ok:
                 failures.append(f"{name} q={c.q}: coloring specialization")
-        if tkr_polynomial(delta, jobs=jobs) != matroid_tutte(rank_oracle(delta)):
+        if tkr_polynomial(delta) != matroid_tutte(rank_oracle(delta)):
             failures.append(f"{name}: TKR != matroid Tutte")
     return _result(
         5,
@@ -177,14 +176,14 @@ def check_group_flow_counts():
     )
 
 
-def check_jaeger_pipeline(jobs=None):
+def check_jaeger_pipeline():
     failures = []
     ran = []
     for name, delta in standard_corpus():
         if bridges(delta):
             continue
-        c = coarboricity(delta, jobs=jobs)
-        flow = jaeger_flow(delta, jobs=jobs)
+        c = coarboricity(delta)
+        flow = jaeger_flow(delta)
         ran.append(name)
         if flow.q != 1 << c:
             failures.append(f"{name}: modulus {flow.q} != 2^{c}")
@@ -396,15 +395,15 @@ def check_property_suites():
     )
 
 
-def run_paper_suite(jobs=None):
+def run_paper_suite():
     return [
-        check_complete_flow_counts(jobs=jobs),
+        check_complete_flow_counts(),
         check_lower_bound(),
         check_rp2_quasipolynomial(),
         check_petersen(),
-        check_specialization_identities(jobs=jobs),
+        check_specialization_identities(),
         check_group_flow_counts(),
-        check_jaeger_pipeline(jobs=jobs),
+        check_jaeger_pipeline(),
         check_invariance(),
         check_structural_invariants(),
         check_property_suites(),

@@ -166,7 +166,7 @@ def test_quasipolynomial_rp2():
     assert list(quasi.constituents[0]) == [1]
     assert list(quasi.constituents[1]) in ([], [0])
     for q in range(2, 10):
-        assert quasi.evaluate(q) == count_nz_flows(rp2(), q)
+        assert quasi.evaluate(q) == count_nz_flows(rp2(), q, method="kernel_enum")
 
 
 def test_quasipolynomial_cycle_and_k4():
@@ -178,13 +178,27 @@ def test_quasipolynomial_cycle_and_k4():
     assert list(k4.constituents[0]) == [-6, 11, -6, 1]
 
 
+def _mod3_moore_space():
+    """A disk whose 9-gon boundary wraps three times around a triangle:
+    H_1 = Z_3, so the flow quasipolynomial has period 3."""
+    tri = [(i % 3, (i + 1) % 3, 3 + i // 2) for i in range(9)]
+    tri += [((2 * j + 2) % 3, 3 + j, 4 + j) for j in range(4)]
+    tri += [(0, 7, 3), (3, 4, 5), (3, 5, 6), (3, 6, 7)]
+    return build_complex([list(t) for t in tri])
+
+
 def test_quasipolynomial_matches_fresh_moduli():
-    for _, delta in standard_corpus():
-        if len(delta.facets) > 10:
-            continue
+    # kernel enumeration, not `auto`: once the quasipolynomial has cached
+    # the histogram, `auto` folds the very histogram it was read off.
+    # rp2_disjoint_pair brings a torsion multiset convolved over two
+    # components (Z_2 + Z_2 on the full set); the Moore space a period
+    # other than 1 or 2.
+    small = [delta for _, delta in standard_corpus() if len(delta.facets) <= 10]
+    for delta in small + [rp2_disjoint_pair(), _mod3_moore_space()]:
         quasi = flow_quasipolynomial(delta)
         for q in range(2, 11):
-            assert quasi.evaluate(q) == count_nz_flows(delta, q), (delta, q)
+            direct = count_nz_flows(delta, q, method="kernel_enum")
+            assert quasi.evaluate(q) == direct, (delta, q)
 
 
 def test_group_flows_rp2_pair():

@@ -282,6 +282,14 @@ def test_cli_exit_codes(monkeypatch, capsys):
         capsys=capsys,
     )
     assert code == 1
+    # the removed --jobs flag is an unknown option
+    code, out, err = _run_cli(
+        ["flows", "--q", "3", "--jobs", "2"],
+        stdin_text='{"facets": [[0,1],[1,2],[0,2]]}',
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 1 and out == "" and "--jobs" in err
 
 
 def test_cli_cap_refusal_and_force(monkeypatch, capsys):
@@ -378,23 +386,3 @@ def test_cli_verify_paper_suite(monkeypatch, capsys):
     assert len(lines) == 11
     assert all("PASS" in line for line in lines[:-1])
     assert lines[-1] == "result: PASS"
-
-
-def test_cli_jobs_flag_deterministic(monkeypatch, capsys):
-    edges = [list(f) for f in petersen().facets]
-    doc = json.dumps({"facets": edges})
-    code, out1, _ = _run_cli(
-        ["flows", "--q", "5", "--method", "subset_expansion", "--jobs", "2"],
-        stdin_text=doc,
-        monkeypatch=monkeypatch,
-        capsys=capsys,
-    )
-    assert code == 0
-    code, out2, _ = _run_cli(
-        ["flows", "--q", "5", "--method", "subset_expansion"],
-        stdin_text=doc,
-        monkeypatch=monkeypatch,
-        capsys=capsys,
-    )
-    assert out1 == out2
-    assert out1.strip() == "240"
