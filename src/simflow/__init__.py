@@ -60,7 +60,6 @@ from .matroid import (
     classify_forest,
     coarboricity,
     coforest_cover,
-    edmonds_covering_number,
     facet_connectivity,
     fundamental_circuit,
     is_bridge,

@@ -34,7 +34,7 @@ from .flows import (
 )
 from .homology import homology_summary
 from .io import parse_complex, serialize_complex
-from .matroid import bridges, coarboricity, facet_connectivity, rank_oracle
+from .matroid import bridges, coarboricity, facet_connectivity
 from .poly import format_bivariate, format_univariate
 from .tutte import bott_r_polynomial, matroid_tutte, q_tkr_polynomial, tkr_polynomial
 from .verify import run_paper_suite
@@ -256,9 +256,7 @@ def _cmd_poly(args):
             q_tkr_polynomial(delta, args.q, force=args.force)
         )
     elif args.kind == "tutte":
-        text = format_bivariate(
-            matroid_tutte(rank_oracle(delta), force=args.force)
-        )
+        text = format_bivariate(matroid_tutte(delta, force=args.force))
     else:
         coeffs = bott_r_polynomial(delta, args.convention, force=args.force)
         text = format_univariate(coeffs, var="L")

@@ -5,8 +5,6 @@ homology (torsion Z_2 in degree one) is validated by the test suite
 rather than trusted from this hardcoded list.
 """
 
-from functools import lru_cache
-
 from .complexes import build_complex, complete_complex
 from .errors import BadParamsError
 
@@ -45,19 +43,16 @@ _PETERSEN_EDGES = (
 )
 
 
-@lru_cache(maxsize=None)
 def cycle(n):
     if n < 3:
         raise BadParamsError(f"cycle needs n >= 3, got {n}")
     return build_complex([(i, (i + 1) % n) for i in range(n)])
 
 
-@lru_cache(maxsize=None)
 def complete(n, k):
     return complete_complex(n, k)
 
 
-@lru_cache(maxsize=None)
 def simplex_boundary(d):
     """Boundary of the (d+1)-simplex: the minimal triangulated d-sphere."""
     if d < 0:
@@ -65,18 +60,15 @@ def simplex_boundary(d):
     return complete_complex(d + 2, d + 1)
 
 
-@lru_cache(maxsize=None)
 def rp2():
     return build_complex(list(_RP2_FACES))
 
 
-@lru_cache(maxsize=None)
 def rp2_disjoint_pair():
     shifted = [tuple(v + 6 for v in f) for f in _RP2_FACES]
     return build_complex(list(_RP2_FACES) + shifted)
 
 
-@lru_cache(maxsize=None)
 def petersen():
     return build_complex(list(_PETERSEN_EDGES))
 

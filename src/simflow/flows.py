@@ -259,7 +259,8 @@ def count_nz_tensions(delta, k, force=False):
         return 0 if n else 1
     profile = subset_profile(delta, force=force)
     beta_top = n - profile.rank_full
-    t_full = t_q_of(profile.torsion(delta.full_mask), k)
+    # the full complex is the one subset of size n
+    t_full = next(t_q_of(tors, k) for (s, _, tors) in profile.histogram if s == n)
     exp = n - beta_top - ridge_count(delta)
     chromatic = count_proper_colorings(delta, k, force=force)
     num = chromatic * k ** max(exp, 0)

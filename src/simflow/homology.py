@@ -148,7 +148,8 @@ def _fold_column(table, vec, log):
 
 
 def _component_sweep(cols):
-    """(rank, torsion) of every column subset of one block component.
+    """Rank of every column subset of one block component, and the
+    component's histogram.
 
     `cols` holds each column as a dense list of ints. A depth-first search
     decides facets from the highest index down, so every subtree covers a
@@ -160,8 +161,8 @@ def _component_sweep(cols):
     counted with binomials and left at the full rank every mask starts
     with.
 
-    Returns a bytearray of ranks, a dict of the (rare) masks with torsion,
-    and the component's Counter keyed by (size, rank, torsion).
+    Returns a bytearray of ranks and the component's Counter keyed by
+    (size, rank, torsion).
     """
     n = len(cols)
     nrows = len(cols[0]) if cols else 0
@@ -170,8 +171,6 @@ def _component_sweep(cols):
     table = [None] * nrows
     log = []
     ranks = bytearray([full_rank]) * (1 << n)
-    torsions = {}
-    intern = {}
     histogram = Counter()
     width = full_rank + 1
     free = [0] * ((n + 1) * width)  # torsion-free counts at size * width + rank
@@ -183,7 +182,6 @@ def _component_sweep(cols):
             diag = snf_diagonal([list(r) for r in table if r is not None])
             if diag[-1] > 1:
                 tors = tuple(m for m in diag if m > 1)
-                tors = intern.setdefault(tors, tors)
         if rank == full_rank and not tors:
             at = size * width + rank
             for c in binomials[open_bits]:
@@ -192,7 +190,6 @@ def _component_sweep(cols):
             return
         ranks[mask] = rank
         if tors:
-            torsions[mask] = tors
             histogram[size, rank, tors] += 1
         else:
             free[size * width + rank] += 1
@@ -208,22 +205,18 @@ def _component_sweep(cols):
     for at, c in enumerate(free):
         if c:
             histogram[divmod(at, width) + ((),)] += c
-    return ranks, torsions, histogram
+    return ranks, histogram
 
 
 class SubsetProfile:
-    """Per-subset rank/torsion of the restricted top boundary map.
-
-    Data is stored per block component; the global histogram counts
-    subsets by (size, rank, torsion multiset) and is what the polynomial
-    expansions consume.
+    """Per-subset rank of the restricted top boundary map, stored per
+    block component, and the global histogram that counts subsets by
+    (size, rank, torsion multiset): what every expansion consumes.
     """
 
-    def __init__(self, delta, components, comp_ranks, comp_torsions, comp_histograms):
-        self.delta = delta
+    def __init__(self, components, comp_ranks, comp_histograms):
         self.components = components
         self.comp_ranks = comp_ranks
-        self.comp_torsions = comp_torsions
         self.rank_full = sum(int(r[-1]) for r in comp_ranks) if components else 0
         self.histogram = self._assemble_histogram(comp_histograms)
 
@@ -255,13 +248,6 @@ class SubsetProfile:
             total += ranks[self._local_mask(comp, mask)]
         return total
 
-    def torsion(self, mask):
-        out = []
-        for comp, tors in zip(self.components, self.comp_torsions):
-            local = mask if len(self.components) == 1 else self._local_mask(comp, mask)
-            out.extend(tors.get(local, ()))
-        return tuple(sorted(out))
-
     def torsion_period(self):
         """lcm of every torsion invariant factor seen across all subsets."""
         period = 1
@@ -292,11 +278,9 @@ def subset_profile(delta, force=False, jobs=None):
     components = facet_components(delta)
     sweeps = [_component_sweep(_component_columns(top, comp)) for comp in components]
     profile = SubsetProfile(
-        delta,
         components,
-        [ranks for ranks, _, _ in sweeps],
-        [torsions for _, torsions, _ in sweeps],
-        [histogram for _, _, histogram in sweeps],
+        [ranks for ranks, _ in sweeps],
+        [histogram for _, histogram in sweeps],
     )
     delta._cache["subset_profile"] = profile
     return profile

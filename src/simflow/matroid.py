@@ -1,12 +1,11 @@
-"""The simplicial matroid (column matroid of the top boundary map), its
-dual, and the covering machinery behind the flow-construction pipeline:
-bridges, facet cuts, forests, fundamental circuits, the Edmonds covering
-bound, and exact coforest covers.
+"""The simplicial matroid (column matroid of the top boundary map) and
+the covering machinery behind the flow-construction pipeline: bridges,
+facet cuts, forests, fundamental circuits, the coarboricity (folded off
+the subset histogram), and exact coforest covers.
 """
 
 from dataclasses import dataclass
 
-from .caps import check_subset_cap
 from .complexes import restrict_columns
 from .errors import (
     CapExceededError,
@@ -21,68 +20,24 @@ from .linalg import kernel_basis, snf_diagonal
 
 
 class RankOracle:
-    """Memoized matroid rank by facet bitmask.
+    """Matroid rank by facet bitmask.
 
     rank(X) is the rational rank of the boundary columns of X, i.e.
-    |X| - beta_d(X). Reuses the complex's subset profile when one has
-    already been swept; otherwise eliminates per queried mask.
+    |X| - beta_d(X). Reads the complex's subset profile when one has
+    already been swept; otherwise takes one Smith diagonal of the
+    restricted columns per query. The full rank is taken once.
     """
 
     def __init__(self, delta):
         self.delta = delta
-        self.ground_size = len(delta.facets)
-        self._memo = {0: 0}
+        self.full_rank = self.rank(delta.full_mask)
 
     def rank(self, mask):
         profile = self.delta._cache.get("subset_profile")
         if profile is not None:
             return profile.rank(mask)
-        r = self._memo.get(mask)
-        if r is None:
-            bm = restrict_columns(self.delta, mask)
-            r = len(snf_diagonal([list(row) for row in bm.matrix.data]))
-            self._memo[mask] = r
-        return r
-
-    @property
-    def full_rank(self):
-        return self.rank((1 << self.ground_size) - 1)
-
-    def subset_rank_pairs(self, force=False):
-        """(size, rank, count) over all subsets, via the shared sweep."""
-        profile = subset_profile(self.delta, force=force)
-        pairs = {}
-        for (size, rank, _), count in profile.histogram.items():
-            pairs[(size, rank)] = pairs.get((size, rank), 0) + count
-        return [(s, r, c) for (s, r), c in sorted(pairs.items())]
-
-    def dual(self):
-        return DualRankOracle(self)
-
-
-class DualRankOracle:
-    """corank r*(X) = |X| + r(F \\ X) - r(F)."""
-
-    def __init__(self, primal):
-        self.primal = primal
-        self.ground_size = primal.ground_size
-
-    def rank(self, mask):
-        full = (1 << self.ground_size) - 1
-        return (
-            mask.bit_count()
-            + self.primal.rank(full & ~mask)
-            - self.primal.full_rank
-        )
-
-    def subset_rank_pairs(self, force=False):
-        n = self.ground_size
-        full_rank = self.primal.full_rank
-        pairs = {}
-        for size_y, rank_y, count in self.primal.subset_rank_pairs(force=force):
-            key = (n - size_y, n - size_y + rank_y - full_rank)
-            pairs[key] = pairs.get(key, 0) + count
-        return [(s, r, c) for (s, r), c in sorted(pairs.items())]
+        bm = restrict_columns(self.delta, mask)
+        return len(snf_diagonal([list(row) for row in bm.matrix.data]))
 
 
 def rank_oracle(delta):
@@ -99,8 +54,9 @@ def matroid_rank(delta, mask):
 
 def matroid_corank(delta, mask):
     """|X| + beta_{d-1}(full) - beta_{d-1}(complement), equivalently the
-    dual rank formula; both reduce to ranks of restricted boundary maps."""
-    return rank_oracle(delta).dual().rank(mask)
+    dual rank |X| + r(F \\ X) - r(F)."""
+    oracle = rank_oracle(delta)
+    return mask.bit_count() + oracle.rank(delta.full_mask & ~mask) - oracle.full_rank
 
 
 def is_bridge(delta, facet_index):
@@ -226,30 +182,28 @@ def fundamental_circuit(delta, base_mask, facet_index):
     return circuit
 
 
-def edmonds_covering_number(oracle, force=False):
-    """Least c with c * r(X) >= |X| for every subset X of the ground set.
+def coarboricity(delta, force=False):
+    """Least c with c * r*(X) >= |X| for every subset X, r* the corank:
+    the least number of coforests that cover the facets (Edmonds).
 
-    Applied to a dual oracle this is the coarboricity. Raises Infeasible
-    when some nonempty subset has rank zero (a loop; no covering by
-    independent sets exists).
+    Folds the subset histogram: a key (s, r, .) with s < n stands for the
+    complements X of size n - s, of corank n - s + r - r(F). Raises
+    Infeasible when some nonempty X has corank zero (a bridge).
     """
-    check_subset_cap(oracle.ground_size, force=force)
+    profile = subset_profile(delta, force=force)
+    n = len(delta.facets)
     c = 1
-    for size, rank, _count in oracle.subset_rank_pairs(force=force):
-        if size == 0:
+    for size, rank, _ in profile.histogram:
+        if size == n:
             continue
-        if rank <= 0:
+        part = n - size
+        corank = part + rank - profile.rank_full
+        if corank <= 0:
             raise InfeasibleError(
                 "ground set contains a loop; no independent-set cover exists"
             )
-        need = -(-size // rank)
-        if need > c:
-            c = need
+        c = max(c, -(-part // corank))
     return c
-
-
-def coarboricity(delta, force=False):
-    return edmonds_covering_number(rank_oracle(delta).dual(), force=force)
 
 
 @dataclass
@@ -279,7 +233,7 @@ def coforest_cover(delta, c, force=False):
     max_part = n - full_rank  # coindependent sets never exceed the corank
     if c >= 1:
         try:
-            bound = edmonds_covering_number(oracle.dual(), force=force)
+            bound = coarboricity(delta, force=force)
         except InfeasibleError:
             raise InfeasibleError(
                 "a bridge lies in no coforest; no cover of any size exists"

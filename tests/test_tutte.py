@@ -11,7 +11,7 @@ from simflow import (
     count_nz_flows,
     matroid_tutte,
     q_tkr_polynomial,
-    rank_oracle,
+    subset_profile,
     tkr_polynomial,
 )
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
@@ -47,8 +47,26 @@ def test_tkr_spanning_tree_count_matches_forest_census():
 
 
 def test_matroid_tutte_equals_tkr_everywhere():
+    """Against the Tutte polynomial built from one rational rank per
+    subset, as verify criterion 5 does."""
+    from simflow.verify import _tutte_by_ranks
+
     for _, delta in standard_corpus():
-        assert tkr_polynomial(delta) == matroid_tutte(rank_oracle(delta))
+        if len(delta.facets) <= 10:
+            assert matroid_tutte(delta) == _tutte_by_ranks(delta)
+
+
+def test_specialization_suite_fails_on_a_corrupted_histogram(monkeypatch):
+    from simflow import verify
+
+    delta = cycle(4)
+    profile = subset_profile(delta)
+    profile.histogram[3, 3, ()] -= 1
+    profile.histogram[3, 2, ()] += 1
+    monkeypatch.setattr(verify, "standard_corpus", lambda: [("cycle(4)", delta)])
+    result = verify.check_specialization_identities()
+    assert not result.passed
+    assert result.detail.startswith("cycle(4): TKR != Tutte from per-subset ranks")
 
 
 def test_tutte_symmetry_of_k4():
