@@ -48,7 +48,6 @@ from .io import parse_complex, serialize_complex
 from .linalg import (
     IntMatrix,
     SNFResult,
-    determinant,
     enumerate_kernel_mod_q,
     kernel_count_mod_q,
     rational_rank,

@@ -15,9 +15,9 @@ read off the same histogram, one constituent per residue class.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
-from .caps import DEFAULT_ENUM_CAP, check_enum_cap, subset_cap
+from .caps import DEFAULT_ENUM_CAP, check_enum_cap, check_subset_cap, subset_cap
 from .complexes import boundary_matrix, facet_components
 from .errors import (
     BadModulusError,
@@ -28,7 +28,7 @@ from .errors import (
     NotAFlowError,
     RelationMismatchError,
 )
-from .homology import subset_profile, t_q_of
+from .homology import _fold_column, _span_rank, subset_profile, t_q_of
 from .linalg import (
     IntMatrix,
     enumerate_kernel_mod_q,
@@ -36,12 +36,12 @@ from .linalg import (
     row_lattice_reduce,
 )
 from .matroid import (
+    _columns,
     bridges,
     circuit_kernel_vector,
     coarboricity,
     coforest_cover,
     fundamental_circuit,
-    rank_oracle,
 )
 from .poly import eval_univariate, trim_univariate
 
@@ -221,25 +221,25 @@ def count_proper_colorings(delta, k, method="auto", force=False):
 
 
 def circuits(delta, force=False):
-    """All circuits (minimal rationally dependent facet sets) as bitmasks."""
-    profile = subset_profile(delta, force=force)
+    """All circuits (minimal rationally dependent facet sets) as bitmasks,
+    in ascending order.
+
+    Masks are scanned by size, so a dependent mask that contains no
+    circuit found so far is minimal. Dependence folds the mask's boundary
+    columns into one echelon basis.
+    """
     n = len(delta.facets)
+    check_subset_cap(n, force=force)
+    cols = _columns(delta)
     found = []
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if profile.rank(mask) != size - 1:
-            continue
-        minimal = True
-        m = mask
-        while m:
-            low = m & -m
-            if profile.rank(mask ^ low) != size - 1:
-                minimal = False
-                break
-            m ^= low
-        if minimal:
-            found.append(mask)
-    return found
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            mask = sum(1 << j for j in combo)
+            if any(c & mask == c for c in found):
+                continue
+            if _span_rank([cols[j] for j in combo]) < size:
+                found.append(mask)
+    return sorted(found)
 
 
 def count_nz_tensions(delta, k, force=False):
@@ -452,21 +452,19 @@ def jaeger_flow(delta, force=False):
         raise HasBridgeError(f"facets {bad} are bridges; no nowhere-zero flow")
     c = coarboricity(delta, force=force)
     cover = coforest_cover(delta, c, force=force)
-    oracle = rank_oracle(delta)
+    cols = _columns(delta)
     n = len(delta.facets)
-    full_rank = oracle.full_rank
+    full_rank = subset_profile(delta, force=force).rank_full
     words = [0] * n
     for k, part in enumerate(cover.parts):
+        # greedy base of the complement: keep each column that grows the span
+        table = [None] * len(cols[0])
+        log = []
         base = 0
-        r = 0
         for f in range(n):
-            if part >> f & 1:
-                continue
-            cand = base | 1 << f
-            if oracle.rank(cand) > r:
-                base = cand
-                r += 1
-        if r != full_rank:
+            if not part >> f & 1 and _fold_column(table, cols[f], log)[0]:
+                base |= 1 << f
+        if base.bit_count() != full_rank:
             raise InternalError("complement of a coforest failed to span")
         layer = 0
         m = part

@@ -10,8 +10,11 @@ sweep walks the subsets of each block component of that map depth first
 and grows an integer echelon basis one column at a time. It takes a Smith
 diagonal only of a basis with a pivot other than +-1, and counts a subtree
 in closed form once its lattice is saturated and of full rank. The
-per-component histograms keyed by (subset size, rank, torsion multiset)
-are convolved into one.
+per-component histograms keyed by (subset size, rank, torsion invariant
+factors) are convolved into one, the torsion of a union taken as the
+invariant factors of the direct sum. Nothing per subset is kept: the
+rank questions that name one subset are answered by folding vectors
+into a fresh echelon basis (`_fold_column`, `_span_rank`).
 """
 
 from collections import Counter
@@ -147,36 +150,37 @@ def _fold_column(table, vec, log):
         pos += 1
 
 
+def _span_rank(vectors):
+    """Rank of a list of equal-length integer vectors, folded into one
+    echelon basis."""
+    table = [None] * (len(vectors[0]) if vectors else 0)
+    log = []
+    return sum(_fold_column(table, vec, log)[0] for vec in vectors)
+
+
 def _component_sweep(cols):
-    """Rank of every column subset of one block component, and the
-    component's histogram.
+    """Histogram of one block component's column subsets, keyed by
+    (size, rank, torsion).
 
     `cols` holds each column as a dense list of ints. A depth-first search
-    decides facets from the highest index down, so every subtree covers a
-    contiguous mask range, and keeps an echelon basis of the selected
-    columns, adding one column per step. A basis whose pivots are all +-1
-    spans a saturated lattice (no torsion); any other basis gets a Smith
-    diagonal of its own few rows. Once the lattice is saturated and of
-    full rank, no further column changes it, so the whole subtree is
-    counted with binomials and left at the full rank every mask starts
-    with.
-
-    Returns a bytearray of ranks and the component's Counter keyed by
-    (size, rank, torsion).
+    decides facets from the highest index down and keeps an echelon basis
+    of the selected columns, adding one column per step and undoing it on
+    the way back. A basis whose pivots are all +-1 spans a saturated
+    lattice (no torsion); any other basis gets a Smith diagonal of its own
+    few rows. Once the lattice is saturated and of full rank, no further
+    column changes it, so the whole subtree is counted with binomials.
     """
     n = len(cols)
     nrows = len(cols[0]) if cols else 0
-    table = [None] * nrows
-    full_rank = sum(_fold_column(table, col, [])[0] for col in cols)
+    full_rank = _span_rank(cols)
     table = [None] * nrows
     log = []
-    ranks = bytearray([full_rank]) * (1 << n)
     histogram = Counter()
     width = full_rank + 1
     free = [0] * ((n + 1) * width)  # torsion-free counts at size * width + rank
     binomials = [[comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
 
-    def visit(mask, open_bits, size, rank, nonunit):
+    def visit(open_bits, size, rank, nonunit):
         tors = ()
         if nonunit:
             diag = snf_diagonal([list(r) for r in table if r is not None])
@@ -188,7 +192,6 @@ def _component_sweep(cols):
                 free[at] += c
                 at += width
             return
-        ranks[mask] = rank
         if tors:
             histogram[size, rank, tors] += 1
         else:
@@ -196,29 +199,37 @@ def _component_sweep(cols):
         for j in range(open_bits - 1, -1, -1):
             mark = len(log)
             grew, moved = _fold_column(table, cols[j], log)
-            visit(mask | 1 << j, j, size + 1, rank + grew, nonunit + moved)
+            visit(j, size + 1, rank + grew, nonunit + moved)
             while len(log) > mark:
                 pos, old = log.pop()
                 table[pos] = old
 
-    visit(0, n, 0, 0, 0)
+    visit(n, 0, 0, 0)
     for at, c in enumerate(free):
         if c:
             histogram[divmod(at, width) + ((),)] += c
-    return ranks, histogram
+    return histogram
+
+
+def _join_torsion(t1, t2):
+    """Invariant factors of the direct sum of two torsion groups."""
+    if not (t1 and t2):
+        return t1 or t2
+    factors = t1 + t2
+    rows = [[m if i == j else 0 for j in range(len(factors))] for i, m in enumerate(factors)]
+    return tuple(m for m in snf_diagonal(rows) if m > 1)
 
 
 class SubsetProfile:
-    """Per-subset rank of the restricted top boundary map, stored per
-    block component, and the global histogram that counts subsets by
-    (size, rank, torsion multiset): what every expansion consumes.
+    """The histogram that counts facet subsets by (size, rank, torsion
+    invariant factors): what every expansion consumes. `rank_full` is the
+    rank of the whole top boundary map.
     """
 
-    def __init__(self, components, comp_ranks, comp_histograms):
+    def __init__(self, components, comp_histograms):
         self.components = components
-        self.comp_ranks = comp_ranks
-        self.rank_full = sum(int(r[-1]) for r in comp_ranks) if components else 0
         self.histogram = self._assemble_histogram(comp_histograms)
+        self.rank_full = max(rank for _, rank, _ in self.histogram)
 
     @staticmethod
     def _assemble_histogram(comp_histograms):
@@ -228,25 +239,9 @@ class SubsetProfile:
             merged = Counter()
             for (s1, r1, t1), c1 in hist.items():
                 for (s2, r2, t2), c2 in local.items():
-                    t = tuple(sorted(t1 + t2)) if (t1 or t2) else ()
-                    merged[(s1 + s2, r1 + r2, t)] += c1 * c2
+                    merged[(s1 + s2, r1 + r2, _join_torsion(t1, t2))] += c1 * c2
             hist = merged
         return hist
-
-    def _local_mask(self, comp, mask):
-        local = 0
-        for k, fi in enumerate(comp):
-            if mask >> fi & 1:
-                local |= 1 << k
-        return local
-
-    def rank(self, mask):
-        if len(self.components) == 1:
-            return self.comp_ranks[0][mask]
-        total = 0
-        for comp, ranks in zip(self.components, self.comp_ranks):
-            total += ranks[self._local_mask(comp, mask)]
-        return total
 
     def torsion_period(self):
         """lcm of every torsion invariant factor seen across all subsets."""
@@ -276,11 +271,9 @@ def subset_profile(delta, force=False, jobs=None):
 
     top = boundary_matrix(delta, delta.dimension).matrix
     components = facet_components(delta)
-    sweeps = [_component_sweep(_component_columns(top, comp)) for comp in components]
     profile = SubsetProfile(
         components,
-        [ranks for ranks, _ in sweeps],
-        [histogram for _, histogram in sweeps],
+        [_component_sweep(_component_columns(top, comp)) for comp in components],
     )
     delta._cache["subset_profile"] = profile
     return profile

@@ -398,32 +398,3 @@ def row_lattice_reduce(rows, ncols):
         # rows that reduce to zero are dropped
     return [table[c] for c in sorted(table)]
 
-
-def determinant(mat):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if mat.rows != mat.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = mat.rows
-    if n == 0:
-        return 1
-    M = [list(row) for row in mat.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = M[k][k]
-        for i in range(k + 1, n):
-            Mi, Mk = M[i], M[k]
-            mik = Mi[k]
-            for j in range(k + 1, n):
-                Mi[j] = (Mi[j] * pkk - mik * Mk[j]) // prev
-            Mi[k] = 0
-        prev = pkk
-    return sign * M[n - 1][n - 1]

@@ -2,11 +2,20 @@
 the covering machinery behind the flow-construction pipeline: bridges,
 facet cuts, forests, fundamental circuits, the coarboricity (folded off
 the subset histogram), and exact coforest covers.
+
+Every question the pipeline asks of one facet set is whether it is
+independent or coindependent. Independence folds the set's boundary
+columns into an echelon basis. Coindependence does the same with the
+set's rows of an integer kernel basis K of the boundary map, taken once
+per complex: K represents the dual matroid, so X is coindependent
+exactly when its rows of K are independent, and a bridge is a zero row.
+`RankOracle` takes one Smith diagonal per query and is kept for the
+public rank functions and as an oracle for the tests.
 """
 
 from dataclasses import dataclass
 
-from .complexes import restrict_columns
+from .complexes import boundary_matrix, restrict_columns
 from .errors import (
     CapExceededError,
     FacetInBaseError,
@@ -15,7 +24,7 @@ from .errors import (
     InternalError,
     NotABaseError,
 )
-from .homology import codim1_cycle_rank, subset_profile
+from .homology import _fold_column, _span_rank, codim1_cycle_rank, subset_profile
 from .linalg import kernel_basis, snf_diagonal
 
 
@@ -23,9 +32,8 @@ class RankOracle:
     """Matroid rank by facet bitmask.
 
     rank(X) is the rational rank of the boundary columns of X, i.e.
-    |X| - beta_d(X). Reads the complex's subset profile when one has
-    already been swept; otherwise takes one Smith diagonal of the
-    restricted columns per query. The full rank is taken once.
+    |X| - beta_d(X), from one Smith diagonal of the restricted columns
+    per query. The full rank is taken once.
     """
 
     def __init__(self, delta):
@@ -33,11 +41,25 @@ class RankOracle:
         self.full_rank = self.rank(delta.full_mask)
 
     def rank(self, mask):
-        profile = self.delta._cache.get("subset_profile")
-        if profile is not None:
-            return profile.rank(mask)
         bm = restrict_columns(self.delta, mask)
         return len(snf_diagonal([list(row) for row in bm.matrix.data]))
+
+
+def _columns(delta):
+    """Columns of the top boundary map, one list per facet."""
+    top = boundary_matrix(delta, delta.dimension).matrix
+    return [top.column(j) for j in range(top.cols)]
+
+
+def _dual_rows(delta):
+    """Row f holds facet f's entries in an integer kernel basis K of the
+    top boundary map (cached); every row has the nullity as its length."""
+    rows = delta._cache.get("dual_rows")
+    if rows is None:
+        basis = kernel_basis(boundary_matrix(delta, delta.dimension).matrix)
+        rows = [[vec[f] for vec in basis] for f in range(len(delta.facets))]
+        delta._cache["dual_rows"] = rows
+    return rows
 
 
 def rank_oracle(delta):
@@ -64,11 +86,11 @@ def is_bridge(delta, facet_index):
     n = len(delta.facets)
     if not 0 <= facet_index < n:
         raise IndexOutOfRangeError(f"facet index {facet_index} out of range")
-    return matroid_corank(delta, 1 << facet_index) == 0
+    return not any(_dual_rows(delta)[facet_index])
 
 
 def bridges(delta):
-    return [f for f in range(len(delta.facets)) if is_bridge(delta, f)]
+    return [f for f, row in enumerate(_dual_rows(delta)) if not any(row)]
 
 
 @dataclass
@@ -86,16 +108,13 @@ def facet_connectivity(delta, k_max=None):
 
     Witnesses are searched in size order, ties broken by ascending bitmask
     value. Cuts are sets whose removal raises beta_{d-1}, i.e. whose
-    complement has deficient rank.
+    complement has deficient rank: the sets whose rows of K are dependent.
     """
     from itertools import combinations
 
     n = len(delta.facets)
     if k_max is None:
         k_max = n
-    oracle = rank_oracle(delta)
-    full = delta.full_mask
-    full_rank = oracle.full_rank
 
     bound = min(k_max, n)
     try:
@@ -103,7 +122,7 @@ def facet_connectivity(delta, k_max=None):
         deficient_sizes = [
             size
             for (size, rank, _) in profile.histogram
-            if rank < full_rank
+            if rank < profile.rank_full
         ]
         least = n - max(deficient_sizes) if deficient_sizes else None
         if least is None or least > k_max:
@@ -112,12 +131,13 @@ def facet_connectivity(delta, k_max=None):
     except CapExceededError:
         sizes = range(1, bound + 1)
 
+    rows = _dual_rows(delta)
     for k in sizes:
         masks = sorted(
             sum(1 << i for i in combo) for combo in combinations(range(n), k)
         )
         for mask in masks:
-            if oracle.rank(full & ~mask) < full_rank:
+            if _span_rank([rows[f] for f in delta.facets_of_mask(mask)]) < k:
                 return FacetConnectivity(value=k, witness=mask, exact=True)
     return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
 
@@ -136,11 +156,11 @@ def classify_forest(delta, mask):
     forest: beta_d(X) = 0; maximal: beta_{d-1}(X) = beta_{d-1}(full);
     tree: beta_{d-1}(X) = 0; spanning tree: tree with beta_{d-1}(full) = 0.
     """
-    oracle = rank_oracle(delta)
-    r = oracle.rank(mask)
+    cols = _columns(delta)
+    r = _span_rank([cols[f] for f in delta.facets_of_mask(mask)])
     size = mask.bit_count()
     z = codim1_cycle_rank(delta)
-    full_rank = oracle.full_rank
+    full_rank = len(cols) - len(_dual_rows(delta)[0])
     forest = r == size
     maximal = r == full_rank
     tree = r == z
@@ -208,29 +228,24 @@ def coarboricity(delta, force=False):
 
 @dataclass
 class CoforestCover:
-    """Facet subsets, each coindependent, jointly covering all facets.
-
-    `minimal` records whether the part count was certified against the
-    dual Edmonds bound (the greedy fast path makes no such claim).
-    """
+    """Facet subsets, each coindependent, jointly covering all facets."""
 
     parts: list
-    minimal: bool = True
 
 
 def coforest_cover(delta, c, force=False):
     """Exact backtracking cover of the facets by c coforests.
 
-    A part B stays coindependent iff rank(F \\ B) = rank(F). Facets are
-    assigned in index order; parts are tried least-filled first (ties by
-    part index) with the dual-Edmonds bound and a part-capacity bound as
+    A part B stays coindependent iff its rows of the kernel basis K stay
+    independent; each part keeps an echelon basis of its rows, folding a
+    facet's row in and undoing the fold on backtrack. Facets are assigned
+    in index order; parts are tried least-filled first (ties by part
+    index) with the dual-Edmonds bound and a part-capacity bound as
     pruning. Raises Infeasible when no c-part cover exists.
     """
     n = len(delta.facets)
-    oracle = rank_oracle(delta)
-    full = delta.full_mask
-    full_rank = oracle.full_rank
-    max_part = n - full_rank  # coindependent sets never exceed the corank
+    rows = _dual_rows(delta)
+    max_part = len(rows[0])  # coindependent sets never exceed the corank
     if c >= 1:
         try:
             bound = coarboricity(delta, force=force)
@@ -243,9 +258,8 @@ def coforest_cover(delta, c, force=False):
                 f"dual Edmonds bound {bound} exceeds requested parts {c}"
             )
     parts = [0] * c
-
-    def feasible(part_mask):
-        return oracle.rank(full & ~part_mask) == full_rank
+    tables = [[None] * max_part for _ in range(c)]
+    logs = [[] for _ in range(c)]
 
     def assign(facet):
         if facet == n:
@@ -263,12 +277,16 @@ def coforest_cover(delta, c, force=False):
             tried.add(key)
             if key.bit_count() >= max_part:
                 continue
-            cand = key | 1 << facet
-            if feasible(cand):
-                parts[i] = cand
+            table, log = tables[i], logs[i]
+            mark = len(log)
+            if _fold_column(table, rows[facet], log)[0]:
+                parts[i] = key | 1 << facet
                 if assign(facet + 1):
                     return True
                 parts[i] = key
+            while len(log) > mark:
+                pos, old = log.pop()
+                table[pos] = old
         return False
 
     if not assign(0):

@@ -4,7 +4,7 @@ This is the sweep simflow used before the incremental lattice sweep in
 `homology._component_sweep`. It rebuilds the restricted matrix and runs
 `snf_diagonal` from scratch for every mask, so it shares nothing with the
 incremental basis, the saturation test or the subtree pruning; the tests
-compare the two mask by mask.
+compare the histograms the two build.
 """
 
 from collections import Counter
@@ -29,9 +29,17 @@ def per_mask_sweep(cols):
     return ranks, torsions
 
 
+def _join(t1, t2):
+    """Invariant factors of the direct sum: the Smith diagonal of the
+    diagonal matrix of both factor lists."""
+    factors = t1 + t2
+    rows = [[m if i == j else 0 for j in range(len(factors))] for i, m in enumerate(factors)]
+    return tuple(m for m in snf_diagonal(rows) if m > 1)
+
+
 def oracle_profile(delta):
-    """Per-component (ranks, torsions) and the global histogram, built by
-    visiting every mask of every component."""
+    """The global histogram, built by visiting every mask of every
+    component."""
     top = boundary_matrix(delta, delta.dimension).matrix
     sweeps = [
         per_mask_sweep(_component_columns(top, comp)) for comp in facet_components(delta)
@@ -45,6 +53,6 @@ def oracle_profile(delta):
         merged = Counter()
         for (s1, r1, t1), c1 in hist.items():
             for (s2, r2, t2), c2 in local.items():
-                merged[(s1 + s2, r1 + r2, tuple(sorted(t1 + t2)))] += c1 * c2
+                merged[(s1 + s2, r1 + r2, _join(t1, t2))] += c1 * c2
         hist = merged
-    return sweeps, hist
+    return hist

@@ -131,8 +131,7 @@ def test_profile_matches_direct_homology():
         direct = Counter()
         for mask in range(1 << len(delta.facets)):
             summary = homology_summary(delta, mask)
-            rank = profile.rank(mask)
-            assert summary.betti[delta.dimension] == mask.bit_count() - rank
+            rank = mask.bit_count() - summary.betti[delta.dimension]
             if delta.dimension >= 1:
                 assert summary.betti[delta.dimension - 1] == z - rank
             tors = tuple(sorted(summary.torsion.get(delta.dimension - 1, ())))
@@ -163,7 +162,8 @@ def test_property_suite_fails_on_a_corrupted_profile(monkeypatch, corrupt):
     delta = build_complex([list(f) for f in cycle(4).facets])
     profile = subset_profile(delta)
     if corrupt == "rank":
-        profile.comp_ranks[0][0b0011] -= 1
+        profile.histogram[3, 3, ()] -= 1
+        profile.histogram[3, 2, ()] += 1
     else:
         profile.histogram[3, 3, ()] -= 1
         profile.histogram[3, 3, (2,)] += 1
@@ -187,7 +187,20 @@ def test_sweep_takes_smith_diagonals_only_of_non_unit_pivots(monkeypatch):
     subset_profile(build_complex([list(f) for f in petersen().facets]))
     assert calls == []
     # {(2, 1)} has pivot 2; adding (1, 0) turns it into pivots 1, 1
-    ranks, histogram = homology._component_sweep([[1, 0], [2, 1]])
-    assert list(ranks) == [0, 1, 1, 2]
+    histogram = homology._component_sweep([[1, 0], [2, 1]])
     assert histogram == {(0, 0, ()): 1, (1, 1, ()): 2, (2, 2, ()): 1}
     assert calls == [1]
+
+
+def test_torsion_of_a_disjoint_union_is_in_invariant_factors():
+    """Z_2 + Z_3 = Z_6: the size-n key of RP^2 and a disjoint mod-3 Moore
+    space carries the invariant factors of the whole complex."""
+    from test_flows import _mod3_moore_space
+
+    moore = [[v + 6 for v in f] for f in _mod3_moore_space().facets]
+    delta = build_complex([list(f) for f in rp2().facets] + moore)
+    n = len(delta.facets)
+    profile = subset_profile(delta, force=True)
+    assert [tors for (size, _, tors) in profile.histogram if size == n] == [(6,)]
+    assert homology_summary(delta).torsion[1] == [6]
+    assert profile.torsion_period() == 6

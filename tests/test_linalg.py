@@ -8,7 +8,6 @@ from simflow import (
     BadModulusError,
     CapExceededError,
     IntMatrix,
-    determinant,
     enumerate_kernel_mod_q,
     kernel_count_mod_q,
     rational_rank,
@@ -17,6 +16,36 @@ from simflow import (
 from simflow.complexes import boundary_matrix
 from simflow.fixtures import complete, cycle, rp2, simplex_boundary
 from simflow.linalg import snf_diagonal
+
+
+def determinant(mat):
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = mat.rows
+    if n == 0:
+        return 1
+    M = [list(row) for row in mat.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pkk = M[k][k]
+        for i in range(k + 1, n):
+            Mi, Mk = M[i], M[k]
+            mik = Mi[k]
+            for j in range(k + 1, n):
+                Mi[j] = (Mi[j] * pkk - mik * Mk[j]) // prev
+            Mi[k] = 0
+        prev = pkk
+    return sign * M[n - 1][n - 1]
 
 
 def brute_kernel(mat, q):

@@ -17,9 +17,10 @@ from simflow import (
     rank_oracle,
 )
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
-from simflow.homology import codim1_cycle_rank, subset_profile
-from simflow.linalg import snf_diagonal
-from simflow.matroid import bridges
+from simflow.flows import circuits, jaeger_flow
+from simflow.homology import _span_rank, codim1_cycle_rank
+from simflow.linalg import kernel_basis, snf_diagonal
+from simflow.matroid import RankOracle, _dual_rows, bridges
 
 
 def test_matroid_rank_examples():
@@ -228,14 +229,6 @@ def test_connectivity_bounds_coarboricity_at_desk_scale():
     assert checked >= 2  # at least the complete graph and the petersen graph
 
 
-def test_rank_oracle_shares_profile():
-    delta = cycle(4)
-    profile = subset_profile(delta)
-    oracle = rank_oracle(delta)
-    for mask in range(1 << 4):
-        assert oracle.rank(mask) == profile.rank(mask)
-
-
 def test_coarboricity_agrees_with_literal_corank_sweep():
     """The histogram fold against max |X| / r*(X) over every nonempty X,
     with r*(X) from `matroid_corank` on a complex that has no profile."""
@@ -264,21 +257,95 @@ def test_coarboricity_agrees_with_literal_corank_sweep():
                 coarboricity(delta)
 
 
-def test_bridges_take_one_smith_diagonal_per_facet_plus_one(monkeypatch):
-    """Without a swept profile, `bridges` takes the full rank once and one
-    rank per facet complement."""
-    from simflow import matroid
+def test_bridges_take_one_kernel_basis(monkeypatch):
+    """`bridges` reads the zero rows of one kernel basis: no Smith
+    diagonal and no sweep."""
+    from simflow import homology, matroid
 
     calls = []
 
-    def counting(rows):
-        calls.append(len(rows))
-        return snf_diagonal(rows)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(matroid, "snf_diagonal", counting)
+        return wrapper
+
+    monkeypatch.setattr(matroid, "kernel_basis", counting("kernel_basis", kernel_basis))
+    for module in (matroid, homology):
+        monkeypatch.setattr(module, "snf_diagonal", counting("snf_diagonal", snf_diagonal))
     delta = petersen()
     assert bridges(delta) == []
-    assert len(calls) == len(delta.facets) + 1
+    assert bridges(delta) == []
+    assert calls == ["kernel_basis"]
+    assert "subset_profile" not in delta._cache
+
+
+def test_pipeline_makes_no_rank_oracle_query(monkeypatch):
+    """Bridges, cuts, covers and the Jaeger bases fold vectors instead of
+    asking `RankOracle.rank`."""
+    calls = []
+    monkeypatch.setattr(RankOracle, "rank", lambda self, mask: calls.append(mask))
+    for _, delta in standard_corpus():
+        bridges(delta)
+        facet_connectivity(delta)
+        if not bridges(delta):
+            coforest_cover(delta, coarboricity(delta))
+            jaeger_flow(delta)
+    assert calls == []
+
+
+def _small_corpus():
+    """Corpus complexes with at most 8 facets, plus K_4 - e, whose first
+    pair of edges is not a cut, and two triangles on an edge (bridges)."""
+    corpus = [delta for _, delta in standard_corpus() if len(delta.facets) <= 8]
+    corpus.append(build_complex([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]))
+    corpus.append(build_complex([[0, 1, 2], [1, 2, 3]]))
+    return corpus
+
+
+def test_dual_rows_are_independent_exactly_on_coindependent_sets():
+    for delta in _small_corpus():
+        rows = _dual_rows(delta)
+        oracle = RankOracle(delta)
+        full = delta.full_mask
+        for mask in range(1 << len(delta.facets)):
+            picked = [rows[f] for f in delta.facets_of_mask(mask)]
+            independent = _span_rank(picked) == mask.bit_count()
+            assert independent == (oracle.rank(full & ~mask) == oracle.full_rank)
+
+
+def test_circuits_are_the_minimal_masks_of_rank_one_short():
+    for delta in _small_corpus():
+        oracle = RankOracle(delta)
+        want = []
+        for mask in range(1, 1 << len(delta.facets)):
+            size = mask.bit_count()
+            if oracle.rank(mask) != size - 1:
+                continue
+            subsets = [mask ^ 1 << f for f in delta.facets_of_mask(mask)]
+            if all(oracle.rank(sub) == size - 1 for sub in subsets):
+                want.append(mask)
+        assert circuits(delta) == want
+
+
+@pytest.mark.parametrize("cap", [None, "0"])
+def test_connectivity_witness_is_the_first_rank_deficient_complement(monkeypatch, cap):
+    """Both searches: the one sized by the histogram, and (with a subset
+    cap of 0) the one that tries every size from 1 up."""
+    if cap is not None:
+        monkeypatch.setenv("SIMFLOW_SUBSET_CAP", cap)
+    for delta in _small_corpus():
+        oracle = RankOracle(delta)
+        full = delta.full_mask
+        cuts = [
+            mask
+            for mask in range(1, 1 << len(delta.facets))
+            if oracle.rank(full & ~mask) < oracle.full_rank
+        ]
+        first = min(cuts, key=lambda mask: (mask.bit_count(), mask))
+        got = facet_connectivity(delta)
+        assert (got.value, got.witness, got.exact) == (first.bit_count(), first, True)
 
 
 def test_rank_is_monotone_and_bounded():

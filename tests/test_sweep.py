@@ -22,15 +22,12 @@ SETTINGS = hypothesis.settings(
 
 def _assert_matches_oracle(delta):
     profile = subset_profile(delta)
-    sweeps, histogram = oracle_profile(delta)
-    assert profile.comp_ranks == [ranks for ranks, _ in sweeps]
-    assert profile.histogram == histogram
+    assert profile.histogram == oracle_profile(delta)
     if len(delta.facets) <= 10:
         direct = Counter()
         for mask in range(1 << len(delta.facets)):
             rows = [list(r) for r in restrict_columns(delta, mask).matrix.data]
             diag = snf_diagonal(rows)
-            assert profile.rank(mask) == len(diag)
             direct[mask.bit_count(), len(diag), tuple(m for m in diag if m > 1)] += 1
         assert profile.histogram == direct
 
@@ -89,10 +86,8 @@ def torsion_complexes(draw):
 def test_component_sweep_on_integer_columns(cols):
     """Entries beyond +-1 drive the gcd steps and the non-unit pivots that
     boundary maps of small complexes rarely reach."""
-    ranks, histogram = _component_sweep(cols)
     want_ranks, want_torsions = per_mask_sweep(cols)
-    assert ranks == want_ranks
-    assert histogram == Counter(
+    assert _component_sweep(cols) == Counter(
         (mask.bit_count(), want_ranks[mask], want_torsions.get(mask, ()))
         for mask in range(len(want_ranks))
     )

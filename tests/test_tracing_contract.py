@@ -29,3 +29,20 @@ def test_every_traced_name_resolves():
         if not callable(getattr(cls, attr, None)):
             missing.append(f"{name}: {cls.__name__}.{attr}")
     assert missing == []
+
+
+
+def test_the_rest_of_what_the_benchmark_reads():
+    """perfbench/run.py and workloads.py also read a swept profile's
+    components, histogram and torsion period and pass `jobs=` to
+    `subset_profile`; spans.py wraps `RankOracle.rank`."""
+    from simflow import RankOracle, subset_profile
+    from simflow.fixtures import rp2
+
+    delta = rp2()
+    profile = subset_profile(delta, jobs=None)
+    assert subset_profile(delta, jobs=2) is profile
+    assert [len(comp) for comp in profile.components] == [10]
+    assert sum(profile.histogram.values()) == 1 << 10
+    assert profile.torsion_period() == 2
+    assert callable(RankOracle.rank)
