@@ -64,7 +64,6 @@ from .matroid import (
     is_bridge,
     matroid_corank,
     matroid_rank,
-    rank_oracle,
 )
 from .poly import BivariatePolynomial
 from .tutte import (

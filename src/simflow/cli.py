@@ -6,8 +6,8 @@ write results to stdout, so they compose by piping:
     simflow generate --fixture complete --n 5 --k 3 | simflow flows --q 5
 
 Exit codes: 0 success / all checks pass, 1 usage (including a malformed
-SIMFLOW_SUBSET_CAP), 2 domain error, 3 cap refusal, 4 broken internal
-invariant.
+SIMFLOW_SUBSET_CAP), 2 domain error (including a file that cannot be
+read or written), 3 cap refusal, 4 broken internal invariant.
 """
 
 import argparse
@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
     InternalError,
+    ParseError,
     SettingError,
     SimflowError,
 )
@@ -145,11 +146,14 @@ def build_parser():
 
 
 def _read_complex(args):
-    if getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if getattr(args, "input", None):
+            with open(args.input, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
     return parse_complex(text)
 
 
@@ -394,7 +398,7 @@ def main(argv=None):
     except SimflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,12 +28,14 @@ from .errors import (
     NotAFlowError,
     RelationMismatchError,
 )
-from .homology import _fold_column, _span_rank, subset_profile, t_q_of
+from .homology import subset_profile, t_q_of
 from .linalg import (
     IntMatrix,
     enumerate_kernel_mod_q,
+    fold_vector,
     kernel_count_mod_q,
     row_lattice_reduce,
+    span_rank,
 )
 from .matroid import (
     _columns,
@@ -237,7 +239,7 @@ def circuits(delta, force=False):
             mask = sum(1 << j for j in combo)
             if any(c & mask == c for c in found):
                 continue
-            if _span_rank([cols[j] for j in combo]) < size:
+            if span_rank([cols[j] for j in combo]) < size:
                 found.append(mask)
     return sorted(found)
 
@@ -462,7 +464,7 @@ def jaeger_flow(delta, force=False):
         log = []
         base = 0
         for f in range(n):
-            if not part >> f & 1 and _fold_column(table, cols[f], log)[0]:
+            if not part >> f & 1 and fold_vector(table, cols[f], log)[0]:
                 base |= 1 << f
         if base.bit_count() != full_rank:
             raise InternalError("complement of a coforest failed to span")

@@ -12,9 +12,10 @@ diagonal only of a basis with a pivot other than +-1, and counts a subtree
 in closed form once its lattice is saturated and of full rank. The
 per-component histograms keyed by (subset size, rank, torsion invariant
 factors) are convolved into one, the torsion of a union taken as the
-invariant factors of the direct sum. Nothing per subset is kept: the
-rank questions that name one subset are answered by folding vectors
-into a fresh echelon basis (`_fold_column`, `_span_rank`).
+invariant factors of the direct sum. The basis is grown with
+`linalg.fold_vector`, the one integer echelon routine. Nothing per
+subset is kept: a rank question that names one subset folds its vectors
+into a fresh basis (`linalg.span_rank`).
 """
 
 from collections import Counter
@@ -24,7 +25,7 @@ from math import comb, gcd, prod
 from .caps import check_subset_cap
 from .complexes import boundary_matrix, facet_components, restrict_columns
 from .errors import BadModulusError
-from .linalg import snf_diagonal
+from .linalg import fold_vector, snf_diagonal, span_rank
 
 
 @dataclass
@@ -41,7 +42,7 @@ def _skeleton_snfs(delta):
     snfs = delta._cache.get("skeleton_snfs")
     if snfs is None:
         snfs = {
-            n: tuple(snf_diagonal([list(r) for r in boundary_matrix(delta, n).matrix.data]))
+            n: tuple(snf_diagonal(boundary_matrix(delta, n).matrix.data))
             for n in range(delta.dimension + 1)
         }
         delta._cache["skeleton_snfs"] = snfs
@@ -64,7 +65,7 @@ def codim1_cycle_rank(delta):
 def _restricted_diagonal(delta, mask):
     """Smith diagonal of the top boundary map restricted to `mask`."""
     bm = restrict_columns(delta, mask)
-    return snf_diagonal([list(r) for r in bm.matrix.data])
+    return snf_diagonal(bm.matrix.data)
 
 
 def homology_summary(delta, mask=None):
@@ -107,57 +108,6 @@ def t_q_of(torsion_tuple, q):
 # subset sweep
 
 
-def _fold_column(table, vec, log):
-    """Add the integer vector `vec` to the echelon basis `table`.
-
-    `table[p]` is the basis row whose leading entry sits at position p, or
-    None. Rows are never mutated in place: a row that the gcd reduction
-    replaces is appended to `log` as (p, old row), so the caller can undo
-    the fold. Returns (rank increase, change in the number of pivots
-    other than +-1).
-    """
-    nonunit = 0
-    pos = 0
-    size = len(vec)
-    row = vec
-    while True:
-        while pos < size and not row[pos]:
-            pos += 1
-        if pos == size:
-            return 0, nonunit
-        pivot = table[pos]
-        if pivot is None:
-            log.append((pos, None))
-            table[pos] = row
-            return 1, nonunit + (row[pos] not in (1, -1))
-        a = pivot[pos]
-        b = row[pos]
-        if b % a == 0:
-            q = b // a
-            row = [x - q * y for x, y in zip(row, pivot)]
-        else:
-            # Euclid on the leading entries, as in linalg.row_lattice_reduce
-            p, r = pivot, row
-            while r[pos]:
-                q = p[pos] // r[pos]
-                if q:
-                    p = [x - q * y for x, y in zip(p, r)]
-                p, r = r, p
-            log.append((pos, pivot))
-            table[pos] = p
-            nonunit += (p[pos] not in (1, -1)) - (a not in (1, -1))
-            row = r
-        pos += 1
-
-
-def _span_rank(vectors):
-    """Rank of a list of equal-length integer vectors, folded into one
-    echelon basis."""
-    table = [None] * (len(vectors[0]) if vectors else 0)
-    log = []
-    return sum(_fold_column(table, vec, log)[0] for vec in vectors)
-
-
 def _component_sweep(cols):
     """Histogram of one block component's column subsets, keyed by
     (size, rank, torsion).
@@ -172,7 +122,7 @@ def _component_sweep(cols):
     """
     n = len(cols)
     nrows = len(cols[0]) if cols else 0
-    full_rank = _span_rank(cols)
+    full_rank = span_rank(cols)
     table = [None] * nrows
     log = []
     histogram = Counter()
@@ -183,7 +133,7 @@ def _component_sweep(cols):
     def visit(open_bits, size, rank, nonunit):
         tors = ()
         if nonunit:
-            diag = snf_diagonal([list(r) for r in table if r is not None])
+            diag = snf_diagonal([r for r in table if r is not None])
             if diag[-1] > 1:
                 tors = tuple(m for m in diag if m > 1)
         if rank == full_rank and not tors:
@@ -198,7 +148,7 @@ def _component_sweep(cols):
             free[size * width + rank] += 1
         for j in range(open_bits - 1, -1, -1):
             mark = len(log)
-            grew, moved = _fold_column(table, cols[j], log)
+            grew, moved = fold_vector(table, cols[j], log)
             visit(j, size + 1, rank + grew, nonunit + moved)
             while len(log) > mark:
                 pos, old = log.pop()

@@ -39,8 +39,10 @@ def parse_document(text):
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError('"name" must be a string')
-    metadata = obj.get("metadata") or {}
-    if not isinstance(metadata, dict):
+    metadata = obj.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif not isinstance(metadata, dict):
         raise ParseError('"metadata" must be an object')
     return ComplexDocument(facets=facets, name=name, metadata=metadata)
 

@@ -1,9 +1,17 @@
-"""Arbitrary-precision integer matrices and Smith normal form.
+"""Arbitrary-precision integer matrices, Smith normal form and the
+integer echelon fold.
 
 Everything here is exact: entries are Python ints, elimination uses
 minimal-absolute-value pivoting (no modular shortcuts, no floats).
 Matrices in this problem are small (tens of rows/columns), so dense
 row-major storage wins over anything clever.
+
+Two routines reduce integer vectors. `snf_diagonal` gives the invariant
+factors of a matrix; `smith_normal_form` also keeps the column transform
+V, whose columns past the rank span the kernel. `fold_vector` adds one
+vector to an echelon basis by gcd elimination and can be undone; every
+rank question that names a set of vectors (`span_rank`), the subset
+sweep and `row_lattice_reduce` are folds.
 """
 
 from dataclasses import dataclass
@@ -81,12 +89,12 @@ class IntMatrix:
 
 @dataclass
 class SNFResult:
-    """diagonal d1 | d2 | ... | dr (positive), rank r, optional U,V with U A V = diag."""
+    """diagonal d1 | d2 | ... | dr (positive), rank r, and a unimodular V
+    such that A V has the diagonal's rank nonzero columns first, then zeros."""
 
     diagonal: tuple
     rank: int
-    U: IntMatrix = None
-    V: IntMatrix = None
+    V: IntMatrix
 
 
 def _chain_normalize(diag):
@@ -112,11 +120,11 @@ def _chain_normalize(diag):
 def snf_diagonal(rows):
     """Invariant factors of the matrix given as a list of row lists.
 
-    Destroys `rows`. Fast path used by the subset sweeps: no transform
-    bookkeeping, columns and rows are physically discarded as pivots
-    are extracted.
+    Works on copies of the nonzero rows, so `rows` is left as it was. No
+    transform bookkeeping: columns and rows are physically discarded as
+    pivots are extracted.
     """
-    rows = [r for r in rows if any(r)]
+    rows = [list(r) for r in rows if any(r)]
     diag = []
     while rows:
         ncols = len(rows[0])
@@ -193,42 +201,35 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def smith_normal_form(mat, keep_transforms=False):
+def smith_normal_form(mat):
     """Smith normal form of an IntMatrix.
 
-    Returns SNFResult; when keep_transforms is set, U and V are unimodular
-    with U @ mat @ V equal to the diagonal embedded in the matrix shape.
+    Returns SNFResult with the column transform V: a unimodular matrix
+    such that mat @ V is zero past the first `rank` columns. The row
+    transform is not kept.
     """
     M = [list(row) for row in mat.data]
     m, n = mat.rows, mat.cols
-    U = IntMatrix.identity(m) if keep_transforms else None
-    V = IntMatrix.identity(n) if keep_transforms else None
+    V = IntMatrix.identity(n)
 
     def swap_rows(a, b):
         M[a], M[b] = M[b], M[a]
-        if U:
-            U.data[a], U.data[b] = U.data[b], U.data[a]
 
     def swap_cols(a, b):
         for row in M:
             row[a], row[b] = row[b], row[a]
-        if V:
-            for row in V.data:
-                row[a], row[b] = row[b], row[a]
+        for row in V.data:
+            row[a], row[b] = row[b], row[a]
 
     def row_sub(i, k, q):
         Mk = M[k]
         M[i] = [a - q * b for a, b in zip(M[i], Mk)]
-        if U:
-            Uk = U.data[k]
-            U.data[i] = [a - q * b for a, b in zip(U.data[i], Uk)]
 
     def col_sub(j, k, q):
         for row in M:
             row[j] -= q * row[k]
-        if V:
-            for row in V.data:
-                row[j] -= q * row[k]
+        for row in V.data:
+            row[j] -= q * row[k]
 
     t = 0
     bound = min(m, n)
@@ -283,8 +284,6 @@ def smith_normal_form(mat, keep_transforms=False):
             break
         if M[t][t] < 0:
             M[t] = [-a for a in M[t]]
-            if U:
-                U.data[t] = [-a for a in U.data[t]]
         t += 1
 
     rank = t
@@ -301,36 +300,32 @@ def smith_normal_form(mat, keep_transforms=False):
                 g, s, tt = _xgcd(a, b)
                 ag, bg = a // g, b // g
                 M[i][i], M[j][j] = g, a * bg
-                if keep_transforms:
-                    ui, uj = U.data[i], U.data[j]
-                    U.data[i] = [s * x + tt * y for x, y in zip(ui, uj)]
-                    U.data[j] = [-bg * x + ag * y for x, y in zip(ui, uj)]
-                    for row in V.data:
-                        vi, vj = row[i], row[j]
-                        row[i] = vi + vj
-                        row[j] = -tt * bg * vi + s * ag * vj
+                for row in V.data:
+                    vi, vj = row[i], row[j]
+                    row[i] = vi + vj
+                    row[j] = -tt * bg * vi + s * ag * vj
 
     diagonal = tuple(M[i][i] for i in range(rank))
-    return SNFResult(diagonal=diagonal, rank=rank, U=U, V=V)
+    return SNFResult(diagonal=diagonal, rank=rank, V=V)
 
 
 def rational_rank(mat):
     """Rank over the rationals (equals the SNF rank)."""
-    return len(snf_diagonal([list(row) for row in mat.data]))
+    return len(snf_diagonal(mat.data))
 
 
 def kernel_count_mod_q(mat, q):
     """Exact number of v in (Z_q)^cols with mat . v == 0 (mod q)."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
-    diag = snf_diagonal([list(row) for row in mat.data])
+    diag = snf_diagonal(mat.data)
     free = mat.cols - len(diag)
     return q**free * prod(gcd(d, q) for d in diag)
 
 
 def kernel_basis(mat):
     """Integer basis of the rational kernel (columns of V past the rank)."""
-    res = smith_normal_form(mat, keep_transforms=True)
+    res = smith_normal_form(mat)
     return [res.V.column(j) for j in range(res.rank, mat.cols)]
 
 
@@ -348,7 +343,7 @@ def enumerate_kernel_mod_q(mat, q, cap=None):
     if n == 0:
         yield ()
         return
-    res = smith_normal_form(mat, keep_transforms=True)
+    res = smith_normal_form(mat)
     vcols = [res.V.column(j) for j in range(n)]
     choices = []
     for i, d in enumerate(res.diagonal):
@@ -371,30 +366,65 @@ def enumerate_kernel_mod_q(mat, q, cap=None):
         yield tuple(x % q for x in v)
 
 
+def fold_vector(table, vec, log):
+    """Add the integer vector `vec` to the echelon basis `table`.
+
+    `table[p]` is the basis row whose leading entry sits at position p, or
+    None. Rows are never mutated in place: a row that the gcd reduction
+    replaces is appended to `log` as (p, old row), so the caller can undo
+    the fold. Every step is a unimodular row operation, so the rows of
+    `table` always span the lattice of the vectors folded in. Returns
+    (rank increase, change in the number of pivots other than +-1).
+    """
+    nonunit = 0
+    pos = 0
+    size = len(vec)
+    row = vec
+    while True:
+        while pos < size and not row[pos]:
+            pos += 1
+        if pos == size:
+            return 0, nonunit
+        pivot = table[pos]
+        if pivot is None:
+            log.append((pos, None))
+            table[pos] = row
+            return 1, nonunit + (row[pos] not in (1, -1))
+        a = pivot[pos]
+        b = row[pos]
+        if b % a == 0:
+            q = b // a
+            row = [x - q * y for x, y in zip(row, pivot)]
+        else:
+            # Euclid on the leading entries
+            p, r = pivot, row
+            while r[pos]:
+                q = p[pos] // r[pos]
+                if q:
+                    p = [x - q * y for x, y in zip(p, r)]
+                p, r = r, p
+            log.append((pos, pivot))
+            table[pos] = p
+            nonunit += (p[pos] not in (1, -1)) - (a not in (1, -1))
+            row = r
+        pos += 1
+
+
+def span_rank(vectors):
+    """Rank of a list of equal-length integer vectors, folded into one
+    echelon basis."""
+    table = [None] * (len(vectors[0]) if vectors else 0)
+    log = []
+    return sum(fold_vector(table, vec, log)[0] for vec in vectors)
+
+
 def row_lattice_reduce(rows, ncols):
     """Reduce a list of integer rows to at most ncols rows spanning the
     same row lattice (unimodular row operations only), so kernels mod any
-    modulus are unchanged."""
-    table = {}
+    modulus are unchanged. The rows come back in echelon form, ordered by
+    leading position; rows that reduce to zero are dropped."""
+    table = [None] * ncols
+    log = []
     for row in rows:
-        row = list(row)
-        col = 0
-        while col < ncols:
-            if row[col] == 0:
-                col += 1
-                continue
-            pivot = table.get(col)
-            if pivot is None:
-                table[col] = row
-                break
-            while row[col]:
-                q = pivot[col] // row[col]
-                if q:
-                    for j in range(col, ncols):
-                        pivot[j] -= q * row[j]
-                pivot, row = row, pivot
-            table[col] = pivot
-            # row now vanishes at col; keep folding it in
-        # rows that reduce to zero are dropped
-    return [table[c] for c in sorted(table)]
-
+        fold_vector(table, row, log)
+    return [row for row in table if row is not None]

@@ -3,14 +3,14 @@ the covering machinery behind the flow-construction pipeline: bridges,
 facet cuts, forests, fundamental circuits, the coarboricity (folded off
 the subset histogram), and exact coforest covers.
 
-Every question the pipeline asks of one facet set is whether it is
-independent or coindependent. Independence folds the set's boundary
-columns into an echelon basis. Coindependence does the same with the
-set's rows of an integer kernel basis K of the boundary map, taken once
-per complex: K represents the dual matroid, so X is coindependent
-exactly when its rows of K are independent, and a bridge is a zero row.
-`RankOracle` takes one Smith diagonal per query and is kept for the
-public rank functions and as an oracle for the tests.
+Every rank question about one facet set folds vectors into an echelon
+basis (`linalg.fold_vector`, `linalg.span_rank`). The rank of X folds
+its boundary columns. The corank folds X's rows of an integer kernel
+basis K of the boundary map, taken once per complex: K represents the
+dual matroid, so X is coindependent exactly when its rows of K are
+independent, and a bridge is a zero row. `RankOracle` takes one Smith
+diagonal per query; nothing in the library calls it, and `verify` and
+the tests hold the folds to it.
 """
 
 from dataclasses import dataclass
@@ -24,8 +24,8 @@ from .errors import (
     InternalError,
     NotABaseError,
 )
-from .homology import _fold_column, _span_rank, codim1_cycle_rank, subset_profile
-from .linalg import kernel_basis, snf_diagonal
+from .homology import codim1_cycle_rank, subset_profile
+from .linalg import fold_vector, kernel_basis, snf_diagonal, span_rank
 
 
 class RankOracle:
@@ -41,8 +41,7 @@ class RankOracle:
         self.full_rank = self.rank(delta.full_mask)
 
     def rank(self, mask):
-        bm = restrict_columns(self.delta, mask)
-        return len(snf_diagonal([list(row) for row in bm.matrix.data]))
+        return len(snf_diagonal(restrict_columns(self.delta, mask).matrix.data))
 
 
 def _columns(delta):
@@ -62,23 +61,18 @@ def _dual_rows(delta):
     return rows
 
 
-def rank_oracle(delta):
-    oracle = delta._cache.get("rank_oracle")
-    if oracle is None:
-        oracle = RankOracle(delta)
-        delta._cache["rank_oracle"] = oracle
-    return oracle
-
-
 def matroid_rank(delta, mask):
-    return rank_oracle(delta).rank(mask)
+    """Rank of the boundary columns of `mask`."""
+    cols = _columns(delta)
+    return span_rank([cols[f] for f in delta.facets_of_mask(mask)])
 
 
 def matroid_corank(delta, mask):
-    """|X| + beta_{d-1}(full) - beta_{d-1}(complement), equivalently the
-    dual rank |X| + r(F \\ X) - r(F)."""
-    oracle = rank_oracle(delta)
-    return mask.bit_count() + oracle.rank(delta.full_mask & ~mask) - oracle.full_rank
+    """Dual rank |X| + r(F \\ X) - r(F), equivalently
+    |X| + beta_{d-1}(full) - beta_{d-1}(complement): the rank of X's rows
+    of K."""
+    rows = _dual_rows(delta)
+    return span_rank([rows[f] for f in delta.facets_of_mask(mask)])
 
 
 def is_bridge(delta, facet_index):
@@ -137,7 +131,7 @@ def facet_connectivity(delta, k_max=None):
             sum(1 << i for i in combo) for combo in combinations(range(n), k)
         )
         for mask in masks:
-            if _span_rank([rows[f] for f in delta.facets_of_mask(mask)]) < k:
+            if span_rank([rows[f] for f in delta.facets_of_mask(mask)]) < k:
                 return FacetConnectivity(value=k, witness=mask, exact=True)
     return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
 
@@ -156,11 +150,10 @@ def classify_forest(delta, mask):
     forest: beta_d(X) = 0; maximal: beta_{d-1}(X) = beta_{d-1}(full);
     tree: beta_{d-1}(X) = 0; spanning tree: tree with beta_{d-1}(full) = 0.
     """
-    cols = _columns(delta)
-    r = _span_rank([cols[f] for f in delta.facets_of_mask(mask)])
+    r = matroid_rank(delta, mask)
     size = mask.bit_count()
     z = codim1_cycle_rank(delta)
-    full_rank = len(cols) - len(_dual_rows(delta)[0])
+    full_rank = len(delta.facets) - len(_dual_rows(delta)[0])
     forest = r == size
     maximal = r == full_rank
     tree = r == z
@@ -279,7 +272,7 @@ def coforest_cover(delta, c, force=False):
                 continue
             table, log = tables[i], logs[i]
             mark = len(log)
-            if _fold_column(table, rows[facet], log)[0]:
+            if fold_vector(table, rows[facet], log)[0]:
                 parts[i] = key | 1 << facet
                 if assign(facet + 1):
                     return True

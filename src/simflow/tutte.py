@@ -79,6 +79,10 @@ def _compose_one_minus(coeffs):
 
 @dataclass
 class SpecializationCheck:
+    """One modulus. The direct counts come only from kernel enumeration
+    (flows) and brute force (colorings). Past their limits a direct count
+    and its verdict are None: that pair is not compared."""
+
     q: int
     flow_direct: int
     flow_specialized: int
@@ -99,18 +103,21 @@ class SpecializationReport:
     def passed(self):
         if not self.bott_complemented_ok:
             return False
-        for c in self.checks:
-            if not (c.flows_ok and c.colorings_ok):
-                return False
-            if c.plain_flow_ok is False:
-                return False
-        return True
+        return not any(
+            False in (c.flows_ok, c.colorings_ok, c.plain_flow_ok) for c in self.checks
+        )
 
 
 def check_specializations(delta, q_list, force=False):
     """Per modulus: flow and coloring counts against their torsion-weighted
     TKR specializations; plus the Bott identity at polynomial level, and
-    the plain-TKR identities when no subset carries torsion."""
+    the plain-TKR identities when no subset carries torsion.
+
+    A direct count never folds the histogram that the specializations
+    read: flows are enumerated when the kernel holds at most
+    DEFAULT_ENUM_CAP vectors, and colorings are brute-forced when there
+    are at most BRUTE_COLORING_LIMIT of them. Other pairs are not compared.
+    """
     profile = subset_profile(delta, force=force)
     n = len(delta.facets)
     rows = ridge_count(delta)
@@ -136,39 +143,30 @@ def check_specializations(delta, q_list, force=False):
     )
     top = boundary_matrix(delta, delta.dimension).matrix
     for q in q_list:
-        if kernel_count_mod_q(top, q) <= DEFAULT_ENUM_CAP:
-            flow_direct = count_nz_flows(delta, q, method="kernel_enum")
-        else:
-            flow_direct = count_nz_flows(
-                delta, q, method="subset_expansion", force=force
-            )
         qt = q_tkr_polynomial(delta, q, force=force)
         flow_specialized = flow_sign * qt.evaluate(0, 1 - q)
+        flow_direct = flows_ok = plain_flow_ok = None
+        if kernel_count_mod_q(top, q) <= DEFAULT_ENUM_CAP:
+            flow_direct = count_nz_flows(delta, q, method="kernel_enum")
+            flows_ok = flow_direct == flow_specialized
+            if torsion_free:
+                plain_flow_ok = flow_direct == flow_sign * plain.evaluate(0, 1 - q)
 
-        # brute force wherever it is affordable: `auto` would fold the
-        # same histogram that the specialization reads
-        coloring_direct = count_proper_colorings(
-            delta,
-            q,
-            method="brute" if q**rows <= BRUTE_COLORING_LIMIT else "subset_expansion",
-            force=force,
-        )
-        col_special = col_sign * qt.evaluate(1 - q, 0)
-        lhs = coloring_direct * q ** max(-col_exp, 0)
-        rhs = col_special * q ** max(col_exp, 0)
-
-        plain_flow_ok = None
-        if torsion_free:
-            plain_flow_ok = flow_direct == flow_sign * plain.evaluate(0, 1 - q)
+        coloring_direct = colorings_ok = None
+        if q**rows <= BRUTE_COLORING_LIMIT:
+            coloring_direct = count_proper_colorings(delta, q, method="brute")
+            lhs = coloring_direct * q ** max(-col_exp, 0)
+            rhs = col_sign * qt.evaluate(1 - q, 0) * q ** max(col_exp, 0)
+            colorings_ok = lhs == rhs
 
         report.checks.append(
             SpecializationCheck(
                 q=q,
                 flow_direct=flow_direct,
                 flow_specialized=flow_specialized,
-                flows_ok=flow_direct == flow_specialized,
+                flows_ok=flows_ok,
                 coloring_direct=coloring_direct,
-                colorings_ok=lhs == rhs,
+                colorings_ok=colorings_ok,
                 plain_flow_ok=plain_flow_ok,
             )
         )

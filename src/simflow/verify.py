@@ -156,21 +156,32 @@ def _tutte_by_ranks(delta):
 
 
 def check_specialization_identities():
+    """Flow counts by kernel enumeration and coloring counts by brute
+    force against the torsion-weighted TKR specializations, q = 2..6. A
+    pair past the enumeration or brute-force limit is not compared, and
+    the detail says how many were."""
     failures = []
+    pairs = flows_compared = colorings_compared = 0
     for name, delta in standard_corpus():
         if len(delta.facets) <= 10 and matroid_tutte(delta) != _tutte_by_ranks(delta):
             failures.append(f"{name}: TKR != Tutte from per-subset ranks")
         report = check_specializations(delta, range(2, 7))
         for c in report.checks:
-            if not c.flows_ok:
+            pairs += 1
+            flows_compared += c.flows_ok is not None
+            colorings_compared += c.colorings_ok is not None
+            if c.flows_ok is False:
                 failures.append(f"{name} q={c.q}: flow specialization")
-            if not c.colorings_ok:
+            if c.colorings_ok is False:
                 failures.append(f"{name} q={c.q}: coloring specialization")
     return _result(
         5,
         "specialization identities",
         failures,
-        "both torsion-weighted specializations hold on the corpus for q=2..6; "
+        "both torsion-weighted specializations hold on the corpus for q=2..6 "
+        f"(compared: {flows_compared} of {pairs} flow counts by kernel "
+        f"enumeration, {colorings_compared} of {pairs} coloring counts by brute "
+        "force; the rest are past those limits); "
         "TKR equals the Tutte polynomial from per-subset ranks up to 10 facets",
     )
 
@@ -321,8 +332,7 @@ def _profile_failures(name, delta):
         failures.append(f"{name}: empty subset has rank {rank[0]}")
     direct = Counter()
     for mask, r in enumerate(rank):
-        rows = [list(row) for row in restrict_columns(delta, mask).matrix.data]
-        diag = snf_diagonal(rows)
+        diag = snf_diagonal(restrict_columns(delta, mask).matrix.data)
         direct[mask.bit_count(), len(diag), tuple(m for m in diag if m > 1)] += 1
         for e in range(n):
             if mask >> e & 1:

@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import simflow
 from simflow import (
     NotPureError,
     ParseError,
@@ -64,6 +67,14 @@ def test_round_trip_fixture_corpus():
 def test_parse_document_fields():
     doc = parse_document('{"facets": [[0,1]], "name": "edge", "metadata": {"k": 1}}')
     assert doc.name == "edge" and doc.metadata == {"k": 1}
+
+
+def test_metadata_is_an_object_null_or_absent():
+    for text in ('{"facets": [[0,1]]}', '{"facets": [[0,1]], "metadata": null}'):
+        assert parse_document(text).metadata == {}
+    for bad in ("[]", "false", "0", '""', "[1]", "true", '"x"'):
+        with pytest.raises(ParseError):
+            parse_document('{"facets": [[0,1]], "metadata": %s}' % bad)
 
 
 def test_rp2_fixture_validates_by_homology():
@@ -140,8 +151,12 @@ def test_cli_pipe_subprocess():
         f"{sys.executable} -m simflow.cli generate --fixture complete --n 5 --k 3"
         f" | {sys.executable} -m simflow.cli flows --q 5"
     )
+    # the child processes import the same simflow as this one
+    src = str(Path(simflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
-        ["sh", "-c", shell], capture_output=True, text=True, timeout=120
+        ["sh", "-c", shell], capture_output=True, text=True, timeout=120, env=env
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "24"
@@ -358,6 +373,31 @@ def test_cli_generate_output_file(tmp_path, monkeypatch, capsys):
     )
     assert code == 0 and out == ""
     assert len(json.loads(out_path.read_text())["facets"]) == 4
+
+
+def _assert_domain_error(code, out, err, start="error: "):
+    assert code == 2 and out == ""
+    assert err.startswith(start) and "Traceback" not in err
+
+
+def test_cli_input_that_is_a_directory(tmp_path, monkeypatch, capsys):
+    _assert_domain_error(
+        *_run_cli(["analyze", str(tmp_path)], monkeypatch=monkeypatch, capsys=capsys)
+    )
+
+
+def test_cli_input_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"facets": [[0, 1]], "name": "caf\u00e9"}'.encode("latin-1"))
+    _assert_domain_error(
+        *_run_cli(["analyze", str(path)], monkeypatch=monkeypatch, capsys=capsys),
+        start="error: input is not UTF-8",
+    )
+
+
+def test_cli_generate_output_to_a_directory(tmp_path, monkeypatch, capsys):
+    argv = ["generate", "--fixture", "cycle", "--n", "4", "-o", str(tmp_path)]
+    _assert_domain_error(*_run_cli(argv, monkeypatch=monkeypatch, capsys=capsys))
 
 
 def test_cli_tensions_and_qtkr(monkeypatch, capsys):

@@ -15,7 +15,7 @@ from simflow import (
 )
 from simflow.complexes import boundary_matrix
 from simflow.fixtures import complete, cycle, rp2, simplex_boundary
-from simflow.linalg import snf_diagonal
+from simflow.linalg import row_lattice_reduce, snf_diagonal
 
 
 def determinant(mat):
@@ -88,7 +88,9 @@ def test_snf_matches_sympy_invariant_factors():
         span = (-1, 0, 0, 1) if trial % 2 else range(-12, 13)
         data = [[rng.choice(span) for _ in range(cols)] for _ in range(rows)]
         want = [abs(int(f)) for f in invariant_factors(Matrix(data), domain=ZZ) if f]
-        assert snf_diagonal([list(r) for r in data]) == want, data
+        before = [list(r) for r in data]
+        assert snf_diagonal(data) == want, data
+        assert data == before  # the rows are read, not reduced in place
         assert list(smith_normal_form(IntMatrix(data)).diagonal) == want, data
 
 
@@ -98,14 +100,31 @@ def test_snf_transforms_random():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         mat = IntMatrix([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
-        res = smith_normal_form(mat, keep_transforms=True)
-        assert abs(determinant(res.U)) == 1
+        res = smith_normal_form(mat)
         assert abs(determinant(res.V)) == 1
-        embedded = res.U @ mat @ res.V
-        for i in range(rows):
-            for j in range(cols):
-                want = res.diagonal[i] if i == j and i < res.rank else 0
-                assert embedded.data[i][j] == want
+        reduced = mat @ res.V
+        for j in range(res.rank, cols):
+            assert not any(reduced.column(j))
+        assert tuple(snf_diagonal(reduced.data)) == res.diagonal
+
+
+def test_row_lattice_reduce_random():
+    """At most ncols rows, in echelon form, with the kernel mod every k
+    unchanged."""
+    rng = random.Random(19)
+    for _ in range(120):
+        nrows = rng.randint(0, 9)
+        ncols = rng.randint(1, 5)
+        rows = [[rng.randint(-7, 7) for _ in range(ncols)] for _ in range(nrows)]
+        reduced = row_lattice_reduce(rows, ncols)
+        assert len(reduced) <= ncols
+        # echelon: every row is nonzero and leads strictly to the right of the last
+        leads = [next(j for j, v in enumerate(row) if v) for row in reduced]
+        assert leads == sorted(set(leads))
+        before = IntMatrix(rows, cols=ncols)
+        after = IntMatrix(reduced, cols=ncols)
+        for k in range(2, 7):
+            assert kernel_count_mod_q(after, k) == kernel_count_mod_q(before, k)
 
 
 def test_snf_product_is_determinant():

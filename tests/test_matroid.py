@@ -14,12 +14,11 @@ from simflow import (
     is_bridge,
     matroid_corank,
     matroid_rank,
-    rank_oracle,
 )
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.flows import circuits, jaeger_flow
-from simflow.homology import _span_rank, codim1_cycle_rank
-from simflow.linalg import kernel_basis, snf_diagonal
+from simflow.homology import codim1_cycle_rank
+from simflow.linalg import kernel_basis, snf_diagonal, span_rank
 from simflow.matroid import RankOracle, _dual_rows, bridges
 
 
@@ -40,14 +39,17 @@ def test_matroid_corank_examples():
 
 
 def test_corank_against_dual_formula():
-    """Cor 2.6 equals the Def 2.5 expression for every subset."""
+    """Cor 2.6 equals the Def 2.5 expression for every subset, and the
+    folded `matroid_rank` and `matroid_corank` agree with one Smith
+    diagonal per mask."""
     for _, delta in standard_corpus():
         if len(delta.facets) > 8:
             continue
-        oracle = rank_oracle(delta)
+        oracle = RankOracle(delta)
         full = delta.full_mask
         z = codim1_cycle_rank(delta)
         for mask in range(1 << len(delta.facets)):
+            assert matroid_rank(delta, mask) == oracle.rank(mask)
             betti_full = z - oracle.rank(full)
             betti_rest = z - oracle.rank(full & ~mask)
             via_betti = mask.bit_count() + betti_full - betti_rest
@@ -114,7 +116,7 @@ def test_maximal_forests_are_bases():
     for _, delta in standard_corpus():
         if len(delta.facets) > 8:
             continue
-        oracle = rank_oracle(delta)
+        oracle = RankOracle(delta)
         full_rank = oracle.full_rank
         for mask in range(1 << len(delta.facets)):
             flags = classify_forest(delta, mask)
@@ -152,7 +154,7 @@ def test_fundamental_circuit_minimality():
     """Circuits are dependent and removing any one element leaves an
     independent set."""
     for delta in (complete(4, 2), simplex_boundary(2), cycle(4)):
-        oracle = rank_oracle(delta)
+        oracle = RankOracle(delta)
         full_rank = oracle.full_rank
         n = len(delta.facets)
         base = 0
@@ -200,7 +202,7 @@ def test_coforest_cover_invariants():
     for _, delta in standard_corpus():
         if bridges(delta):
             continue
-        oracle = rank_oracle(delta)
+        oracle = RankOracle(delta)
         c = coarboricity(delta)
         cover = coforest_cover(delta, c)
         union = 0
@@ -311,7 +313,7 @@ def test_dual_rows_are_independent_exactly_on_coindependent_sets():
         full = delta.full_mask
         for mask in range(1 << len(delta.facets)):
             picked = [rows[f] for f in delta.facets_of_mask(mask)]
-            independent = _span_rank(picked) == mask.bit_count()
+            independent = span_rank(picked) == mask.bit_count()
             assert independent == (oracle.rank(full & ~mask) == oracle.full_rank)
 
 
@@ -353,7 +355,7 @@ def test_rank_is_monotone_and_bounded():
         n = len(delta.facets)
         if n > 8:
             continue
-        oracle = rank_oracle(delta)
+        oracle = RankOracle(delta)
         assert oracle.rank(0) == 0
         for mask in range(1 << n):
             r = oracle.rank(mask)

@@ -119,12 +119,24 @@ def test_check_specializations_cycle():
     assert all(c.plain_flow_ok for c in report.checks)
 
 
-def test_check_specializations_rp2_nonpolynomial():
+def test_check_specializations_rp2_nonpolynomial(monkeypatch):
     """The plain-TKR identity must fail against the even counts, which is
-    exactly the non-polynomiality of the flow quasipolynomial."""
+    exactly the non-polynomiality of the flow quasipolynomial. The direct
+    counts never fold the histogram: past 10^5 colorings (3^15 for q = 3)
+    the coloring pair is not compared."""
+    from simflow import flows
+
+    def folded(*args, **kwargs):
+        raise AssertionError("direct count folded the histogram")
+
+    monkeypatch.setattr(flows, "_flow_expansion", folded)
+    monkeypatch.setattr(flows, "_coloring_expansion", folded)
     report = check_specializations(rp2(), range(2, 6))
     assert report.passed
     assert not report.torsion_free
+    assert [c.flows_ok for c in report.checks] == [True] * 4
+    assert [c.colorings_ok for c in report.checks] == [True, None, None, None]
+    assert report.checks[1].coloring_direct is None
     plain = tkr_polynomial(rp2())
     beta_top = 0
     mismatch = [
