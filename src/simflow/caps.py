@@ -1,9 +1,11 @@
 """Work caps for exponential-cost operations.
 
-Subset expansions sweep all 2^|F| facet subsets; the cap refuses complexes
-with more than SIMFLOW_SUBSET_CAP facets (default 24) unless the caller
-forces; a value that is not a non-negative integer raises SettingError.
-Kernel enumeration refuses streams longer than the enumeration cap.
+Subset expansions sweep all 2^n subsets of n columns: the facets, or for
+flow counts the series-reduced columns. The cap refuses more than
+SIMFLOW_SUBSET_CAP columns (default 24) unless the caller forces; a
+value that is not a non-negative integer raises SettingError. Kernel
+enumeration refuses streams longer than the enumeration cap, and the
+signed lift of a Z_2^r flow refuses a search of more nodes than that.
 """
 
 import os
@@ -29,13 +31,15 @@ def subset_cap():
     return cap
 
 
-def check_subset_cap(n_facets, force=False):
+def check_subset_cap(count, force=False, what="facets"):
+    """Refuse a sweep over `count` columns, which the refusal calls
+    `what`, when they are more than the cap and the caller does not force."""
     cap = subset_cap()
-    if not force and n_facets > cap:
+    if not force and count > cap:
         raise CapExceededError(
-            f"subset expansion over {n_facets} facets exceeds the cap of {cap} "
+            f"subset expansion over {count} {what} exceeds the cap of {cap} "
             f"(set {_ENV_VAR} or pass force=True / --force)",
-            needed=n_facets,
+            needed=count,
         )
 
 

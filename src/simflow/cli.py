@@ -152,7 +152,10 @@ def _read_complex(args):
                 text = handle.read()
         else:
             text = sys.stdin.read()
-    except UnicodeDecodeError as exc:
+            # a stdin that decodes with surrogateescape hands undecodable
+            # bytes over as lone surrogates, which do not encode back
+            text.encode("utf-8")
+    except (UnicodeDecodeError, UnicodeEncodeError) as exc:
         raise ParseError(f"input is not UTF-8: {exc}") from exc
     return parse_complex(text)
 

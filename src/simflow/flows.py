@@ -3,15 +3,19 @@ quasipolynomial, Z_2^r group flows, and the explicit 2^c-flow
 construction through coforest covers.
 
 Counting never scans (q-1)^|F| assignments. Flows and colorings fold the
-inclusion-exclusion expansion over the cached subset histogram, or
+inclusion-exclusion expansion over a cached subset histogram, or
 enumerate: the mod-q kernel of the top boundary map (size q^beta times
 the torsion weight) for flows, all k^|ridges| colorings for colorings.
-`method="auto"` folds whenever a histogram is cached, or the subset cap
-admits the complex and its sweep is no larger than the enumeration.
-Tension counts come from the histogram through the chromatic relation;
+Flows fold `homology.flow_profile`, the histogram of the series-reduced
+columns, and colorings `homology.subset_profile`, the histogram of the
+facets. `method="auto"` folds whenever such a histogram is cached, or
+the subset cap admits the columns it would sweep and its sweep is no
+larger than the enumeration. `method="kernel_enum"` enumerates the
+unreduced kernel: it is the oracle the folds are held to. Tension
+counts come from the facet histogram through the chromatic relation;
 `_tensions_by_circuits` filters the circuit system directly and is the
 oracle that `verify` compares them with. The flow quasipolynomial is
-read off the same histogram, one constituent per residue class.
+read off the flow profile, one constituent per residue class.
 """
 
 from dataclasses import dataclass
@@ -22,13 +26,14 @@ from .complexes import boundary_matrix, facet_components
 from .errors import (
     BadModulusError,
     BadParamsError,
+    CapExceededError,
     HasBridgeError,
     InternalError,
     LiftFailedError,
     NotAFlowError,
     RelationMismatchError,
 )
-from .homology import subset_profile, t_q_of
+from .homology import flow_block_sizes, flow_profile, subset_profile, t_q_of
 from .linalg import (
     IntMatrix,
     enumerate_kernel_mod_q,
@@ -113,31 +118,34 @@ def is_group_flow_2r(delta, gf):
 # counting
 
 
-def _auto_route(delta, enum_route, enum_size, enum_limit, force):
+def _auto_route(cached, block_sizes, enum_route, enum_size, enum_limit, force):
     """The route `method="auto"` takes: "subset_expansion" or `enum_route`.
 
-    A cached subset profile is folded at once. Otherwise the sweep visits
-    at most the sum over block components of 2^|component| subsets, at
-    about the cost of one enumerated item each (some 2.5 us per subset
-    against 4.5 us per kernel vector), so it is taken when the subset cap
-    admits the complex and it is no larger than the enumeration, whose
-    size `enum_size()` gives. Past that, enumeration runs up to
-    `enum_limit` items and the expansion takes the rest.
+    A cached profile (`cached` is true) is folded at once. Otherwise the
+    sweep visits the sum over its block components of 2^|component|
+    subsets, the sizes that `block_sizes()` gives, at about the cost of
+    one enumerated item each (some 2.5 us per subset against 4.5 us per
+    kernel vector). So it is taken when the subset cap admits its column
+    count and it is no larger than the enumeration, whose size
+    `enum_size()` gives. Past that, enumeration runs up to `enum_limit`
+    items and the expansion takes the rest.
     """
-    if delta._cache.get("subset_profile") is not None:
+    if cached:
         return "subset_expansion"
     size = enum_size()
-    if len(delta.facets) <= subset_cap() or force:
-        sweep = sum(1 << len(comp) for comp in facet_components(delta))
-        if sweep <= size:
+    sizes = block_sizes()
+    if sum(sizes) <= subset_cap() or force:
+        if sum(1 << s for s in sizes) <= size:
             return "subset_expansion"
     return enum_route if size <= enum_limit else "subset_expansion"
 
 
-def _flow_coefficients(profile, n, r):
-    """Ascending coefficients in q of the flow expansion, each torsion
-    invariant factor m weighted by gcd(m, r): exact at q = r, and at every
-    q = r mod the torsion period."""
+def _flow_coefficients(profile, r):
+    """Ascending coefficients in q of the flow expansion over the
+    profile's columns, each torsion invariant factor m weighted by
+    gcd(m, r): exact at q = r, and at every q = r mod the torsion
+    period."""
+    n = profile.column_count
     coeffs = [0] * (n - profile.rank_full + 1)
     for (size, rank, tors), count in profile.histogram.items():
         term = count * t_q_of(tors, r)
@@ -146,13 +154,14 @@ def _flow_coefficients(profile, n, r):
 
 
 def _flow_expansion(delta, q, force=False):
-    profile = subset_profile(delta, force=force)
-    return eval_univariate(_flow_coefficients(profile, len(delta.facets), q), q)
+    profile = flow_profile(delta, force=force)
+    return eval_univariate(_flow_coefficients(profile, q), q)
 
 
 def count_nz_flows(delta, q, method="auto", force=False):
-    """Number of nowhere-zero q-flows, by kernel enumeration or by the
-    subset inclusion-exclusion expansion (both exact)."""
+    """Number of nowhere-zero q-flows, by kernel enumeration of the top
+    boundary map or by the subset inclusion-exclusion expansion over its
+    series-reduced columns (both exact)."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
     n = len(delta.facets)
@@ -161,7 +170,8 @@ def count_nz_flows(delta, q, method="auto", force=False):
     top = boundary_matrix(delta, delta.dimension).matrix
     if method == "auto":
         method = _auto_route(
-            delta,
+            "flow_profile" in delta._cache or "subset_profile" in delta._cache,
+            lambda: flow_block_sizes(delta),
             "kernel_enum",
             lambda: kernel_count_mod_q(top, q),
             DEFAULT_ENUM_CAP,
@@ -213,7 +223,12 @@ def count_proper_colorings(delta, k, method="auto", force=False):
     if method == "auto":
         rows = ridge_count(delta)
         method = _auto_route(
-            delta, "brute", lambda: k**rows, BRUTE_COLORING_LIMIT, force
+            "subset_profile" in delta._cache,
+            lambda: [len(comp) for comp in facet_components(delta)],
+            "brute",
+            lambda: k**rows,
+            BRUTE_COLORING_LIMIT,
+            force,
         )
     if method == "brute":
         return _brute_colorings(delta, k)
@@ -301,24 +316,26 @@ def _tensions_by_circuits(delta, k, force=False):
 
 
 def flow_quasipolynomial(delta, force=False):
-    """The flow count as a quasipolynomial in q, read off the subset
-    histogram.
+    """The flow count as a quasipolynomial in q, read off the flow
+    profile (the histogram of the series-reduced columns).
 
-    The period is the lcm of every torsion invariant factor over all facet
-    subsets. Each factor m divides it, so gcd(m, q) depends only on the
+    The period is the lcm of every torsion invariant factor over all
+    column subsets, the same factors that the facet subsets carry. Each
+    factor m divides it, so gcd(m, q) depends only on the
     residue r = q mod period (gcd(m, 0) = m covers r = 0), and the
     constituent for r is the expansion with every gcd(m, q) read as
     gcd(m, r).
     """
-    profile = subset_profile(delta, force=force)
-    n = len(delta.facets)
+    profile = flow_profile(delta, force=force)
     period = profile.torsion_period()
     constituents = tuple(
-        tuple(trim_univariate(_flow_coefficients(profile, n, r)))
+        tuple(trim_univariate(_flow_coefficients(profile, r)))
         for r in range(period)
     )
     return Quasipolynomial(
-        period=period, constituents=constituents, degree=n - profile.rank_full
+        period=period,
+        constituents=constituents,
+        degree=profile.column_count - profile.rank_full,
     )
 
 
@@ -362,9 +379,12 @@ def count_nz_group_flows_2r(delta, r, cap=None):
     return walk(0, 0)
 
 
-def _signed_lift(delta, support_mask):
+def _signed_lift(delta, support_mask, layer):
     """Signed {-1,0,1} integral kernel vector congruent mod 2 to the
-    indicator of `support_mask`, or None when no such lift exists."""
+    indicator of `support_mask`, or None when no such lift exists.
+
+    The sign search is exponential in the support, so it refuses to visit
+    more than DEFAULT_ENUM_CAP search nodes, naming bit layer `layer`."""
     top = boundary_matrix(delta, delta.dimension).matrix
     sup = delta.facets_of_mask(support_mask)
     if not sup:
@@ -381,8 +401,16 @@ def _signed_lift(delta, support_mask):
             remaining[r] += 1
     cur = [0] * len(touched)
     signs = [0] * len(sup)
+    nodes = 0
 
     def dfs(pos):
+        nonlocal nodes
+        nodes += 1
+        if nodes > DEFAULT_ENUM_CAP:
+            raise CapExceededError(
+                f"signed lift of bit layer {layer} visits more than "
+                f"{DEFAULT_ENUM_CAP} search nodes"
+            )
         if pos == len(sup):
             return True
         for v in (1, -1):
@@ -427,7 +455,7 @@ def lift_z2r_flow(delta, gf):
         for i, w in enumerate(gf.words):
             if w >> k & 1:
                 mask |= 1 << i
-        layer = _signed_lift(delta, mask)
+        layer = _signed_lift(delta, mask, k)
         if layer is None:
             raise LiftFailedError(f"bit layer {k} admits no signed integral lift")
         lifted.append(layer)

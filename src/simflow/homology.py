@@ -16,6 +16,14 @@ invariant factors of the direct sum. The basis is grown with
 `linalg.fold_vector`, the one integer echelon routine. Nothing per
 subset is kept: a rank question that names one subset folds its vectors
 into a fresh basis (`linalg.span_rank`).
+
+Flow counts fold a second profile, `flow_profile`: the same sweep over
+the series-reduced top boundary columns (`series_reduce`). A ridge in
+exactly two facets, both with coefficient +-1, ties their flow values
+together, so the pair carries one degree of freedom. The reduction
+keeps every mod-q kernel size and every nowhere-zero count, but not the
+matroid, so colorings, tensions and the Tutte polynomials stay on
+`subset_profile`. When nothing reduces, the two profiles are one.
 """
 
 from collections import Counter
@@ -25,7 +33,7 @@ from math import comb, gcd, prod
 from .caps import check_subset_cap
 from .complexes import boundary_matrix, facet_components, restrict_columns
 from .errors import BadModulusError
-from .linalg import fold_vector, snf_diagonal, span_rank
+from .linalg import IntMatrix, fold_vector, snf_diagonal, span_rank
 
 
 @dataclass
@@ -171,15 +179,16 @@ def _join_torsion(t1, t2):
 
 
 class SubsetProfile:
-    """The histogram that counts facet subsets by (size, rank, torsion
+    """The histogram that counts column subsets by (size, rank, torsion
     invariant factors): what every expansion consumes. `rank_full` is the
-    rank of the whole top boundary map.
+    rank of all `column_count` columns together.
     """
 
     def __init__(self, components, comp_histograms):
         self.components = components
         self.histogram = self._assemble_histogram(comp_histograms)
         self.rank_full = max(rank for _, rank, _ in self.histogram)
+        self.column_count = sum(len(comp) for comp in components)
 
     @staticmethod
     def _assemble_histogram(comp_histograms):
@@ -226,4 +235,116 @@ def subset_profile(delta, force=False, jobs=None):
         [_component_sweep(_component_columns(top, comp)) for comp in components],
     )
     delta._cache["subset_profile"] = profile
+    return profile
+
+
+def series_reduce(columns):
+    """Series-reduce integer columns, each a dense list over one row set.
+
+    While some row has exactly two nonzero entries, both +-1, in columns
+    a < b with signs s_a and s_b: add -s_a*s_b times column b to column a,
+    drop column b, and drop the rows that are now zero. That row forces
+    x_b = -s_a*s_b*x_a on every kernel vector mod every q. The step is a
+    unimodular column operation followed by splitting off a unit block,
+    so the Smith diagonal loses one 1 and is otherwise unchanged, every
+    mod-q kernel keeps its size, and a kernel vector is nowhere zero
+    exactly when its reduction is. Returns the surviving columns in
+    their original order, dense over the surviving rows in theirs.
+    """
+    cols = [{i: v for i, v in enumerate(col) if v} for col in columns]
+    nrows = len(columns[0]) if columns else 0
+    support = [set() for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            support[i].add(j)
+    todo = [i for i in range(nrows) if len(support[i]) == 2]
+    while todo:
+        r = todo.pop()
+        if len(support[r]) != 2:
+            continue
+        a, b = sorted(support[r])
+        col_a, col_b = cols[a], cols[b]
+        if col_a[r] not in (1, -1) or col_b[r] not in (1, -1):
+            continue
+        factor = -col_a[r] * col_b[r]
+        for i, v in col_b.items():
+            support[i].discard(b)
+            w = col_a.get(i, 0) + factor * v
+            if w:
+                col_a[i] = w
+                support[i].add(a)
+            else:
+                col_a.pop(i, None)
+                support[i].discard(a)
+            if len(support[i]) == 2:
+                todo.append(i)
+        cols[b] = None
+    rows = [i for i in range(nrows) if support[i]]
+    return [[col.get(i, 0) for i in rows] for col in cols if col is not None]
+
+
+def _column_components(columns):
+    """Group column indices into block components: columns that share a
+    nonzero row, transitively. A zero column is a component of its own."""
+    parent = list(range(len(columns)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    first = {}
+    for j, col in enumerate(columns):
+        for i, v in enumerate(col):
+            if v:
+                k = first.setdefault(i, j)
+                ra, rb = find(k), find(j)
+                if ra != rb:
+                    parent[rb] = ra
+    groups = {}
+    for j in range(len(columns)):
+        groups.setdefault(find(j), []).append(j)
+    return [tuple(g) for g in sorted(groups.values())]
+
+
+def _series_blocks(delta):
+    """The series-reduced top boundary columns as an IntMatrix, and its
+    block components."""
+    top = boundary_matrix(delta, delta.dimension).matrix
+    reduced = series_reduce([top.column(j) for j in range(top.cols)])
+    return IntMatrix(zip(*reduced), cols=len(reduced)), _column_components(reduced)
+
+
+def flow_block_sizes(delta):
+    """Column counts of the block components that `flow_profile` sweeps."""
+    return [len(comp) for comp in _series_blocks(delta)[1]]
+
+
+def flow_profile(delta, force=False):
+    """Compute (cached) the SubsetProfile that flow counts fold: the
+    subset profile of the series-reduced top boundary columns.
+
+    When no column reduces this is `subset_profile(delta)` itself. It
+    refuses more reduced columns than the subset cap unless forced or a
+    subset profile is already cached: the reduced sweep is never larger
+    than that one, because reduction only splits block components.
+    """
+    profile = delta._cache.get("flow_profile")
+    if profile is not None:
+        return profile
+    reduced, components = _series_blocks(delta)
+    if reduced.cols == len(delta.facets):
+        profile = subset_profile(delta, force=force)
+    else:
+        check_subset_cap(
+            reduced.cols,
+            force=force or "subset_profile" in delta._cache,
+            what="series-reduced columns",
+        )
+        profile = SubsetProfile(
+            components,
+            [_component_sweep(_component_columns(reduced, comp)) for comp in components],
+        )
+    delta._cache["flow_profile"] = profile
     return profile

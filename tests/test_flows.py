@@ -1,5 +1,5 @@
 import io
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -240,6 +240,18 @@ def test_lift_rejects_non_flow():
         lift_z2r_flow(cycle(3), GroupFlow2r(r=1, words=(1, 1, 0)))
 
 
+def test_signed_lift_is_capped(monkeypatch, capsys):
+    monkeypatch.setattr(flows, "DEFAULT_ENUM_CAP", 3)
+    # layer 0 is empty; layer 1 visits one node per facet and one past them
+    with pytest.raises(CapExceededError, match="bit layer 1 visits more than 3"):
+        lift_z2r_flow(cycle(3), GroupFlow2r(r=2, words=(2, 2, 2)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(cycle(3))))
+    assert main(["construct", "--jaeger"]) == 3
+    assert "signed lift of bit layer 0" in capsys.readouterr().err
+    monkeypatch.setattr(flows, "DEFAULT_ENUM_CAP", 4)
+    assert lift_z2r_flow(cycle(3), GroupFlow2r(r=2, words=(2, 2, 2))).values == (2, 2, 2)
+
+
 def test_jaeger_cycle_trace():
     flow = jaeger_flow(cycle(3))
     assert flow.q == 8
@@ -344,15 +356,15 @@ def route_calls(monkeypatch):
 
 
 def test_auto_sweeps_when_the_sweep_is_no_larger(route_calls):
-    # three disjoint triangles: 3 * 2^3 = 24 subsets, kernel q^3
-    triangles = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [6, 7], [7, 8], [6, 8]]
-    delta = build_complex(triangles)
-    assert count_nz_flows(delta, 2) == 1  # 8 kernel vectors: enumerate
+    # two disjoint K_4, no series ridge: 2 * 2^6 = 128 subsets, kernel q^6
+    edges = [[a + s, b + s] for s in (0, 4) for a, b in combinations(range(4), 2)]
+    delta = build_complex(edges)
+    assert count_nz_flows(delta, 2) == 0  # 64 kernel vectors: enumerate
     assert route_calls["enum"] == 1
     got = {q: count_nz_flows(delta, q) for q in (3, 4, 5)}
     assert route_calls["enum"] == 1
     for q, count in got.items():
-        assert count == count_nz_flows(build_complex(triangles), q, method="kernel_enum")
+        assert count == count_nz_flows(build_complex(edges), q, method="kernel_enum")
     # K_4: 2^6 subsets against k^4 colorings
     k4 = _fresh(complete(4, 2))
     assert count_proper_colorings(k4, 2) == 0
@@ -375,11 +387,33 @@ def test_auto_folds_a_cached_profile(route_calls):
     assert count_proper_colorings(_fresh(delta), 3, method="brute") == 120
 
 
+def test_series_reduction_spares_the_enumeration(route_calls, monkeypatch, capsys):
+    # K_6 less two edges, every vertex in at least three of its 13 edges,
+    # with 12 edges subdivided: 25 edges, over the subset cap, and 13
+    # series-reduced columns, whose 2^13 subsets beat 4^8 kernel vectors
+    base = [[a, b] for a, b in combinations(range(6), 2) if (a, b) not in ((0, 1), (2, 3))]
+    graph = [e for i, (a, b) in enumerate(base[:12]) for e in ([a, 6 + i], [6 + i, b])]
+    graph += base[12:]
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(build_complex(graph))))
+    assert main(["flows", "--q", "4"]) == 0
+    assert route_calls["enum"] == 0
+    want = count_nz_flows(build_complex(base), 4, method="subset_expansion")
+    assert capsys.readouterr().out.strip() == str(want)
+
+
+def _moebius_ladder(n):
+    """Cubic, bipartite when n / 2 is odd: n vertices, 3n / 2 edges and
+    no series ridge."""
+    return [[i, (i + 1) % n] for i in range(n)] + [[i, i + n // 2] for i in range(n // 2)]
+
+
 def test_auto_over_the_subset_cap_keeps_enumerating(route_calls, monkeypatch, capsys):
-    long_cycle = _fresh(cycle(25))
-    assert count_nz_flows(long_cycle, 3) == 2
+    # 27 edges after series reduction, beta = 10: 3^10 kernel vectors; a
+    # bipartite cubic graph has exactly two nowhere-zero 3-flows
+    ladder = build_complex(_moebius_ladder(18))
+    assert count_nz_flows(ladder, 3) == 2
     assert route_calls["enum"] == 1
-    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(long_cycle)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(ladder)))
     assert main(["flows", "--q", "3"]) == 0
     assert capsys.readouterr().out.strip() == "2"
     # K_8: 28 facets, 8 ridges; brute colorings up to 10^5 assignments

@@ -308,23 +308,29 @@ def test_cli_exit_codes(monkeypatch, capsys):
 
 
 def test_cli_cap_refusal_and_force(monkeypatch, capsys):
+    # the cap counts series-reduced columns: 6 for K_4, and 6 for K_4 with
+    # one edge subdivided
     monkeypatch.setenv("SIMFLOW_SUBSET_CAP", "2")
-    doc = serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
-    code, _, err = _run_cli(
-        ["flows", "--q", "3", "--method", "subset_expansion"],
-        stdin_text=doc,
-        monkeypatch=monkeypatch,
-        capsys=capsys,
-    )
-    assert code == 3
-    assert "SIMFLOW_SUBSET_CAP" in err and "--force" in err
-    code, out, _ = _run_cli(
-        ["flows", "--q", "3", "--method", "subset_expansion", "--force"],
-        stdin_text=doc,
-        monkeypatch=monkeypatch,
-        capsys=capsys,
-    )
-    assert code == 0 and out.strip() == "2"
+    k4 = [[a, b] for a in range(4) for b in range(a + 1, 4)]
+    subdivided = k4[1:] + [[0, 4], [4, 1]]
+    for facets, counted in ((k4, "6 facets"), (subdivided, "6 series-reduced columns")):
+        doc = serialize_complex(build_complex(facets))
+        code, _, err = _run_cli(
+            ["flows", "--q", "4", "--method", "subset_expansion"],
+            stdin_text=doc,
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 3
+        assert f"over {counted} exceeds the cap of 2" in err
+        assert "SIMFLOW_SUBSET_CAP" in err and "--force" in err
+        code, out, _ = _run_cli(
+            ["flows", "--q", "4", "--method", "subset_expansion", "--force"],
+            stdin_text=doc,
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 0 and out.strip() == "6"
 
 
 @pytest.mark.parametrize("value", ["lots", "-1"])
@@ -393,6 +399,25 @@ def test_cli_input_that_is_not_utf8(tmp_path, monkeypatch, capsys):
         *_run_cli(["analyze", str(path)], monkeypatch=monkeypatch, capsys=capsys),
         start="error: input is not UTF-8",
     )
+
+
+@pytest.mark.parametrize("utf8_mode", ["0", "1"])
+def test_cli_stdin_that_is_not_utf8(utf8_mode):
+    """In UTF-8 mode (or a C locale) stdin decodes with surrogateescape, so
+    a Latin-1 byte arrives as a lone surrogate instead of an error."""
+    src = str(Path(simflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUTF8": utf8_mode}
+    doc = '{"facets": [[0, 1], [1, 2], [0, 2]], "name": "caf\u00e9"}'
+    result = subprocess.run(
+        [sys.executable, "-m", "simflow.cli", "flows", "--q", "3"],
+        input=doc.encode("latin-1"),
+        capture_output=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 2 and result.stdout == b""
+    assert result.stderr.startswith(b"error: input is not UTF-8")
 
 
 def test_cli_generate_output_to_a_directory(tmp_path, monkeypatch, capsys):
