@@ -16,6 +16,7 @@ import sys
 
 from .complexes import subdivide_facet, suspension
 from .errors import (
+    BadModulusError,
     CapExceededError,
     DomainError,
     InfeasibleError,
@@ -355,6 +356,10 @@ def _cmd_sweep(args):
         low, high = int(low), int(high)
     except ValueError:
         raise _UsageError(f"bad --q-range {args.q_range!r}; expected A..B")
+    if low > high:
+        raise _UsageError(f"empty --q-range {args.q_range!r}; expected A <= B")
+    if low < 1:
+        raise BadModulusError(f"modulus must be >= 1, got {low}")
     print("q,flows,colorings,tensions")
     for q in range(low, high + 1):
         flows = count_nz_flows(delta, q, force=args.force)

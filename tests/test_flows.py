@@ -26,7 +26,8 @@ from simflow import (
     serialize_complex,
 )
 from simflow.cli import main
-from simflow.fixtures import complete, cycle, petersen, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
+from simflow.complexes import subdivide_facet
+from simflow.fixtures import _RP2_FACES, complete, cycle, petersen, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
 from simflow.flows import _tensions_by_circuits, circuits, is_modular_flow
 from simflow.homology import subset_profile
 from simflow.verify import PETERSEN_FLOWS_AT_5
@@ -37,6 +38,18 @@ def brute_count_flows(delta, q):
     count = 0
     for v in product(range(1, q), repeat=top.cols):
         if all(s % q == 0 for s in top.mat_vec(v)):
+            count += 1
+    return count
+
+
+def dense_colorings(delta, k):
+    """Proper colorings by computing every facet's boundary sum afresh for
+    each of the k^|ridges| colorings: the reference for the Gray walk."""
+    top = boundary_matrix(delta, delta.dimension).matrix
+    cols = [top.column(j) for j in range(top.cols)]
+    count = 0
+    for chi in product(range(k), repeat=top.rows):
+        if all(sum(c * x for c, x in zip(col, chi)) % k for col in cols):
             count += 1
     return count
 
@@ -91,6 +104,77 @@ def test_coloring_methods_agree():
             brute = count_proper_colorings(delta, k, method="brute")
             expansion = count_proper_colorings(delta, k, method="subset_expansion")
             assert brute == expansion, (delta, k)
+
+
+def _coloring_cases(st):
+    """Random bridgeless graphs (one or two cycles on six vertices),
+    random 2-complexes on five vertices, RP^2 (Z_2 torsion) relabeled and
+    at most once refined, and 0-dimensional complexes."""
+
+    @st.composite
+    def graphs(draw):
+        edges = set()
+        for _ in range(draw(st.integers(1, 2))):
+            cyc = draw(st.lists(st.integers(0, 5), min_size=3, max_size=5, unique=True))
+            edges |= {tuple(sorted((cyc[i - 1], cyc[i]))) for i in range(len(cyc))}
+        return build_complex(sorted(edges))
+
+    @st.composite
+    def rp2_refinements(draw):
+        label = draw(st.permutations(range(6)))
+        delta = build_complex([[label[v] for v in f] for f in _RP2_FACES])
+        if draw(st.booleans()):
+            delta = subdivide_facet(delta, draw(st.integers(0, 9)))
+        return delta
+
+    triangles = st.lists(
+        st.sampled_from(list(combinations(range(5), 3))), min_size=1, max_size=5, unique=True
+    ).map(build_complex)
+    points = st.integers(1, 6).map(lambda n: build_complex([[v] for v in range(n)]))
+    return {"graphs": graphs(), "2-complexes": triangles, "rp2": rp2_refinements(), "points": points}
+
+
+@pytest.mark.parametrize("kind", ["graphs", "2-complexes", "rp2", "points"])
+def test_brute_colorings_match_dense_and_expansion(kind):
+    """The Gray walk against the dense oracle and the subset expansion,
+    k = 2..5. The walk runs up to 2^18 colorings; the dense oracle only
+    where it takes at most 5 * 10^6 products (RP^2 refined once, with 18
+    ridges, is held to the expansion alone)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
+
+    @settings
+    @hypothesis.given(_coloring_cases(hypothesis.strategies)[kind])
+    def check(delta):
+        top = boundary_matrix(delta, delta.dimension).matrix
+        for k in range(2, 6):
+            colorings = k**top.rows
+            if colorings > 1 << 18:
+                break
+            brute = count_proper_colorings(delta, k, method="brute")
+            assert brute == count_proper_colorings(delta, k, method="subset_expansion"), k
+            if colorings * top.rows * top.cols <= 5 * 10**6:
+                assert brute == dense_colorings(delta, k), k
+
+    check()
+
+
+def test_brute_colorings_past_the_enum_cap_exit_3_before_walking(monkeypatch, capsys):
+    # rp2_disjoint_pair has 30 ridges: 3^30 colorings
+    checked = []
+    check = flows.check_enum_cap
+
+    def recording_check(count, *args):
+        checked.append(count)
+        return check(count, *args)
+
+    monkeypatch.setattr(flows, "check_enum_cap", recording_check)
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(rp2_disjoint_pair())))
+    assert main(["colorings", "--k", "3", "--method", "brute"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"enumeration of {3**30} vectors exceeds the cap" in err
+    assert checked == [3**30]
 
 
 def test_coloring_chromatic_polynomials():

@@ -257,6 +257,20 @@ def test_cli_sweep_csv(monkeypatch, capsys):
         assert tensions == count_nz_tensions(delta, q)
 
 
+def test_cli_sweep_checks_the_range_before_printing(monkeypatch, capsys):
+    doc = '{"facets": [[0,1],[1,2],[0,2]]}'
+    code, out, err = _run_cli(
+        ["sweep", "--q-range", "4..2"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out) == (1, "")
+    assert "empty --q-range '4..2'" in err
+    code, out, err = _run_cli(
+        ["sweep", "--q-range", "0..2"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert "modulus must be >= 1, got 0" in err
+
+
 def test_cli_sweep_petersen_up_to_6(monkeypatch, capsys):
     from simflow.flows import _tensions_by_circuits
 
