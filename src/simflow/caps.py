@@ -4,8 +4,9 @@ Subset expansions sweep all 2^n subsets of n columns: the facets, or for
 flow counts the series-reduced columns. The cap refuses more than
 SIMFLOW_SUBSET_CAP columns (default 24) unless the caller forces; a
 value that is not a non-negative integer raises SettingError. Kernel
-enumeration refuses streams longer than the enumeration cap, and the
-signed lift of a Z_2^r flow refuses a search of more nodes than that.
+enumeration refuses streams longer than the enumeration cap; the
+signed lift of a Z_2^r flow, the fallback cut search and the face list
+of a new complex refuse more items than that.
 """
 
 import os
@@ -43,10 +44,12 @@ def check_subset_cap(count, force=False, what="facets"):
         )
 
 
-def check_enum_cap(count, cap=None):
+def check_enum_cap(count, cap=None, what="vectors"):
+    """Refuse enumerating `count` items, which the refusal calls `what`,
+    when they are more than `cap` (default DEFAULT_ENUM_CAP)."""
     limit = DEFAULT_ENUM_CAP if cap is None else cap
     if count > limit:
         raise CapExceededError(
-            f"enumeration of {count} vectors exceeds the cap of {limit}",
+            f"enumeration of {count} {what} exceeds the cap of {limit}",
             needed=count,
         )

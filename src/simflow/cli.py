@@ -184,11 +184,12 @@ def _cmd_analyze(args):
     delta = _read_complex(args)
     summary = homology_summary(delta)
     bridge_list = bridges(delta)
-    conn = facet_connectivity(delta)
+    # the capped sweep first: the cut search then folds its histogram
     try:
         coarb = coarboricity(delta, force=args.force)
     except InfeasibleError:
         coarb = None
+    conn = facet_connectivity(delta)
     payload = {
         "dimension": delta.dimension,
         "facets": len(delta.facets),

@@ -4,12 +4,16 @@ operators (suspension, stellar subdivision of a facet).
 Complexes are immutable after construction. Vertices are relabeled to
 dense nonnegative ints on ingest so every derived matrix is deterministic;
 the relabeling map is kept on the complex. Facet subsets are plain int
-bitmasks over the canonical facet order.
+bitmasks over the canonical facet order. `top_columns` is the one cached
+list of top boundary columns and `column_components` the one union-find
+that splits columns into block components.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
+from .caps import check_enum_cap
 from .errors import (
     BadParamsError,
     EmptyInputError,
@@ -130,6 +134,8 @@ def build_complex(facet_lists):
     vmap = {v: i for i, v in enumerate(labels)}
     facets = tuple(sorted({tuple(vmap[v] for v in f) for f in raw}))
     dimension = len(facets[0]) - 1
+    # refuse more nonempty faces, counted with repeats, than the cap
+    check_enum_cap(len(facets) * ((1 << dimension + 1) - 1), what="faces")
     return SimplicialComplex(
         dimension, facets, vmap, _downward_closure(facets, dimension)
     )
@@ -140,6 +146,7 @@ def complete_complex(n, k):
     complex on n vertices)."""
     if k < 1 or k > n:
         raise BadParamsError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_enum_cap(comb(n, k) * ((1 << k) - 1), what="faces")
     facets = tuple(combinations(range(n), k))
     return SimplicialComplex(
         k - 1, facets, {v: v for v in range(n)}, _downward_closure(facets, k - 1)
@@ -218,11 +225,23 @@ def subdivide_facet(delta, facet_index):
     return build_complex(new_facets)
 
 
-def facet_components(delta):
-    """Partition facet indices by shared ridges (block structure of the top
-    boundary map). Lower-dimensional faces play no role here."""
-    nf = len(delta.facets)
-    parent = list(range(nf))
+def top_columns(delta):
+    """Columns of the top boundary map, one tuple per facet (cached).
+
+    Every sweep, rank fold and component split of the facets reads this
+    list; the tuples keep a cached column from being changed in place.
+    """
+    cols = delta._cache.get("top_columns")
+    if cols is None:
+        cols = tuple(zip(*boundary_matrix(delta, delta.dimension).matrix.data))
+        delta._cache["top_columns"] = cols
+    return cols
+
+
+def column_components(columns):
+    """Group column indices into block components: columns that share a
+    nonzero row, transitively. A zero column is a component of its own."""
+    parent = list(range(len(columns)))
 
     def find(a):
         while parent[a] != a:
@@ -230,20 +249,20 @@ def facet_components(delta):
             a = parent[a]
         return a
 
-    if delta.dimension == 0:
-        # the augmentation row ties every vertex-facet together
-        groups = [list(range(nf))] if nf else []
-        return [tuple(g) for g in groups]
-    by_ridge = {}
-    for i, f in enumerate(delta.facets):
-        for k in range(len(f)):
-            by_ridge.setdefault(f[:k] + f[k + 1 :], []).append(i)
-    for members in by_ridge.values():
-        for other in members[1:]:
-            ra, rb = find(members[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
+    first = {}
+    for j, col in enumerate(columns):
+        for i, v in enumerate(col):
+            if v:
+                ra, rb = find(first.setdefault(i, j)), find(j)
+                if ra != rb:
+                    parent[rb] = ra
     groups = {}
-    for i in range(nf):
-        groups.setdefault(find(i), []).append(i)
+    for j in range(len(columns)):
+        groups.setdefault(find(j), []).append(j)
     return [tuple(g) for g in sorted(groups.values())]
+
+
+def facet_components(delta):
+    """Partition facet indices by shared ridges: the block components of
+    `top_columns` (for d = 0 the augmentation row ties them all)."""
+    return column_components(top_columns(delta))

@@ -23,8 +23,8 @@ read off the flow profile, one constituent per residue class.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .caps import DEFAULT_ENUM_CAP, check_enum_cap, check_subset_cap, subset_cap
-from .complexes import boundary_matrix, facet_components
+from .caps import DEFAULT_ENUM_CAP, check_enum_cap, check_subset_cap
+from .complexes import boundary_matrix, top_columns
 from .errors import (
     BadModulusError,
     BadParamsError,
@@ -35,7 +35,7 @@ from .errors import (
     NotAFlowError,
     RelationMismatchError,
 )
-from .homology import flow_block_sizes, flow_profile, subset_profile, t_q_of
+from .homology import flow_profile, subset_profile, sweep_size, t_q_of
 from .linalg import (
     IntMatrix,
     enumerate_kernel_mod_q,
@@ -45,7 +45,6 @@ from .linalg import (
     span_rank,
 )
 from .matroid import (
-    _columns,
     bridges,
     circuit_kernel_vector,
     coarboricity,
@@ -120,28 +119,26 @@ def is_group_flow_2r(delta, gf):
 # counting
 
 
-def _auto_route(cached, block_sizes, enum_route, enum_size, enum_limit, force):
+def _auto_route(sweep, enum_route, enum_size, enum_limit):
     """The route `method="auto"` takes: "subset_expansion" or `enum_route`.
 
-    A cached profile (`cached` is true) is folded at once. Otherwise the
-    sweep visits the sum over its block components of 2^|component|
-    subsets, the sizes that `block_sizes()` gives. It is taken when the
-    subset cap admits its column count and it is no larger than the
-    enumeration, whose size `enum_size()` gives. Past that, enumeration
-    runs up to `enum_limit` items and the expansion takes the rest.
-    A subset costs some 2.5 us, a kernel vector 4.5 us and a coloring in
-    the Gray walk 0.4 us. So for flows a sweep the rule picks is never
-    slower than the enumeration it replaces, but for colorings a sweep of
-    as many subsets as there are colorings takes some 6x as long as the
-    walk.
+    `sweep` is what `homology.sweep_size` gives: 0 when a cached profile
+    can be folded at once, the subsets a fresh sweep visits, or None when
+    the subset cap refuses that sweep. A sweep is taken when it is no
+    larger than the enumeration, whose size `enum_size()` gives. Past
+    that, enumeration runs up to `enum_limit` items and the expansion
+    takes the rest. A subset costs some 2.5 us, a kernel vector 7 to
+    13 us (7.0 us on Petersen at q = 5, 13.4 us on a 25-edge graph at
+    q = 4, more with more columns) and a coloring in the Gray walk 0.4
+    us. So for flows a sweep the rule picks is never slower than the
+    enumeration it replaces, but for colorings a sweep of as many subsets
+    as there are colorings takes some 6x as long as the walk.
     """
-    if cached:
+    if sweep == 0:
         return "subset_expansion"
     size = enum_size()
-    sizes = block_sizes()
-    if sum(sizes) <= subset_cap() or force:
-        if sum(1 << s for s in sizes) <= size:
-            return "subset_expansion"
+    if sweep is not None and sweep <= size:
+        return "subset_expansion"
     return enum_route if size <= enum_limit else "subset_expansion"
 
 
@@ -175,12 +172,10 @@ def count_nz_flows(delta, q, method="auto", force=False):
     top = boundary_matrix(delta, delta.dimension).matrix
     if method == "auto":
         method = _auto_route(
-            "flow_profile" in delta._cache or "subset_profile" in delta._cache,
-            lambda: flow_block_sizes(delta),
+            sweep_size(delta, flows=True, force=force),
             "kernel_enum",
             lambda: kernel_count_mod_q(top, q),
             DEFAULT_ENUM_CAP,
-            force,
         )
     if method == "kernel_enum":
         return sum(
@@ -271,12 +266,10 @@ def count_proper_colorings(delta, k, method="auto", force=False):
     if method == "auto":
         rows = ridge_count(delta)
         method = _auto_route(
-            "subset_profile" in delta._cache,
-            lambda: [len(comp) for comp in facet_components(delta)],
+            sweep_size(delta, force=force),
             "brute",
             lambda: k**rows,
             BRUTE_COLORING_LIMIT,
-            force,
         )
     if method == "brute":
         return _brute_colorings(delta, k)
@@ -295,7 +288,7 @@ def circuits(delta, force=False):
     """
     n = len(delta.facets)
     check_subset_cap(n, force=force)
-    cols = _columns(delta)
+    cols = top_columns(delta)
     found = []
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
@@ -433,16 +426,13 @@ def _signed_lift(delta, support_mask, layer):
 
     The sign search is exponential in the support, so it refuses to visit
     more than DEFAULT_ENUM_CAP search nodes, naming bit layer `layer`."""
-    top = boundary_matrix(delta, delta.dimension).matrix
+    cols = top_columns(delta)
     sup = delta.facets_of_mask(support_mask)
     if not sup:
-        return [0] * top.cols
-    touched = sorted({i for j in sup for i in range(top.rows) if top.data[i][j]})
+        return [0] * len(cols)
+    touched = sorted({i for j in sup for i, v in enumerate(cols[j]) if v})
     row_local = {r: i for i, r in enumerate(touched)}
-    col_rows = [
-        [(row_local[i], top.data[i][j]) for i in touched if top.data[i][j]]
-        for j in sup
-    ]
+    col_rows = [[(row_local[i], cols[j][i]) for i in touched if cols[j][i]] for j in sup]
     remaining = [0] * len(touched)
     for entries in col_rows:
         for r, _ in entries:
@@ -480,7 +470,7 @@ def _signed_lift(delta, support_mask, layer):
 
     if not dfs(0):
         return None
-    out = [0] * top.cols
+    out = [0] * len(cols)
     for j, v in zip(sup, signs):
         out[j] = v
     return out
@@ -530,7 +520,7 @@ def jaeger_flow(delta, force=False):
         raise HasBridgeError(f"facets {bad} are bridges; no nowhere-zero flow")
     c = coarboricity(delta, force=force)
     cover = coforest_cover(delta, c, force=force)
-    cols = _columns(delta)
+    cols = top_columns(delta)
     n = len(delta.facets)
     full_rank = subset_profile(delta, force=force).rank_full
     words = [0] * n

@@ -17,23 +17,25 @@ invariant factors of the direct sum. The basis is grown with
 subset is kept: a rank question that names one subset folds its vectors
 into a fresh basis (`linalg.span_rank`).
 
-Flow counts fold a second profile, `flow_profile`: the same sweep over
-the series-reduced top boundary columns (`series_reduce`). A ridge in
+`subset_profile` sweeps `complexes.top_columns`. Flow counts fold
+`flow_profile`, the same sweep over the series-reduced columns
+(`series_reduce`, run once per complex). A ridge in
 exactly two facets, both with coefficient +-1, ties their flow values
 together, so the pair carries one degree of freedom. The reduction
 keeps every mod-q kernel size and every nowhere-zero count, but not the
 matroid, so colorings, tensions and the Tutte polynomials stay on
 `subset_profile`. When nothing reduces, the two profiles are one.
+`sweep_size` tells `method="auto"` what a fresh sweep would cost.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd, prod
 
-from .caps import check_subset_cap
-from .complexes import boundary_matrix, facet_components, restrict_columns
+from .caps import check_subset_cap, subset_cap
+from .complexes import boundary_matrix, column_components, facet_components, top_columns
 from .errors import BadModulusError
-from .linalg import IntMatrix, fold_vector, snf_diagonal, span_rank
+from .linalg import fold_vector, invariant_factors, snf_diagonal, span_rank
 
 
 @dataclass
@@ -46,12 +48,13 @@ class HomologySummary:
 
 
 def _skeleton_snfs(delta):
-    """Smith diagonals of the boundary maps in dimensions 0..d, cached."""
+    """Smith diagonals of the boundary maps in dimensions 0..d-1, cached;
+    the top map's diagonal depends on the facet subset."""
     snfs = delta._cache.get("skeleton_snfs")
     if snfs is None:
         snfs = {
             n: tuple(snf_diagonal(boundary_matrix(delta, n).matrix.data))
-            for n in range(delta.dimension + 1)
+            for n in range(delta.dimension)
         }
         delta._cache["skeleton_snfs"] = snfs
     return snfs
@@ -72,8 +75,9 @@ def codim1_cycle_rank(delta):
 
 def _restricted_diagonal(delta, mask):
     """Smith diagonal of the top boundary map restricted to `mask`."""
-    bm = restrict_columns(delta, mask)
-    return snf_diagonal(bm.matrix.data)
+    cols = top_columns(delta)
+    # the transpose has the same diagonal
+    return snf_diagonal([cols[j] for j in delta.facets_of_mask(mask)])
 
 
 def homology_summary(delta, mask=None):
@@ -173,20 +177,21 @@ def _join_torsion(t1, t2):
     """Invariant factors of the direct sum of two torsion groups."""
     if not (t1 and t2):
         return t1 or t2
-    factors = t1 + t2
-    rows = [[m if i == j else 0 for j in range(len(factors))] for i, m in enumerate(factors)]
-    return tuple(m for m in snf_diagonal(rows) if m > 1)
+    return tuple(m for m in invariant_factors(t1 + t2) if m > 1)
 
 
 class SubsetProfile:
-    """The histogram that counts column subsets by (size, rank, torsion
-    invariant factors): what every expansion consumes. `rank_full` is the
+    """The histogram that counts subsets of `columns` by (size, rank,
+    torsion invariant factors): what every expansion consumes. Each block
+    component in `components` is swept on its own. `rank_full` is the
     rank of all `column_count` columns together.
     """
 
-    def __init__(self, components, comp_histograms):
+    def __init__(self, columns, components):
         self.components = components
-        self.histogram = self._assemble_histogram(comp_histograms)
+        self.histogram = self._assemble_histogram(
+            _component_sweep(_component_columns(columns, comp)) for comp in components
+        )
         self.rank_full = max(rank for _, rank, _ in self.histogram)
         self.column_count = sum(len(comp) for comp in components)
 
@@ -211,30 +216,24 @@ class SubsetProfile:
         return period
 
 
-def _component_columns(top, comp):
+def _component_columns(columns, comp):
     """Dense columns of one block component over the rows it touches."""
-    touched = [i for i, row in enumerate(top.data) if any(row[j] for j in comp)]
-    return [[top.data[i][j] for i in touched] for j in comp]
+    rows = range(len(columns[comp[0]]))
+    touched = [i for i in rows if any(columns[j][i] for j in comp)]
+    return [[columns[j][i] for i in touched] for j in comp]
 
 
 def subset_profile(delta, force=False, jobs=None):
-    """Compute (cached) the SubsetProfile of a complex.
+    """Compute (cached) the SubsetProfile of a complex's facets.
 
     Refuses complexes with more facets than the subset cap unless forced.
     `jobs` is ignored; it stays because perfbench/run.py still passes it.
     """
     profile = delta._cache.get("subset_profile")
-    if profile is not None:
-        return profile
-    check_subset_cap(len(delta.facets), force=force)
-
-    top = boundary_matrix(delta, delta.dimension).matrix
-    components = facet_components(delta)
-    profile = SubsetProfile(
-        components,
-        [_component_sweep(_component_columns(top, comp)) for comp in components],
-    )
-    delta._cache["subset_profile"] = profile
+    if profile is None:
+        check_subset_cap(len(delta.facets), force=force)
+        profile = SubsetProfile(top_columns(delta), facet_components(delta))
+        delta._cache["subset_profile"] = profile
     return profile
 
 
@@ -283,42 +282,28 @@ def series_reduce(columns):
     return [[col.get(i, 0) for i in rows] for col in cols if col is not None]
 
 
-def _column_components(columns):
-    """Group column indices into block components: columns that share a
-    nonzero row, transitively. A zero column is a component of its own."""
-    parent = list(range(len(columns)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    first = {}
-    for j, col in enumerate(columns):
-        for i, v in enumerate(col):
-            if v:
-                k = first.setdefault(i, j)
-                ra, rb = find(k), find(j)
-                if ra != rb:
-                    parent[rb] = ra
-    groups = {}
-    for j in range(len(columns)):
-        groups.setdefault(find(j), []).append(j)
-    return [tuple(g) for g in sorted(groups.values())]
+def _reduced_columns(delta):
+    """The series-reduced top boundary columns and their block
+    components, computed once per complex."""
+    got = delta._cache.get("reduced_columns")
+    if got is None:
+        reduced = series_reduce(top_columns(delta))
+        got = reduced, column_components(reduced)
+        delta._cache["reduced_columns"] = got
+    return got
 
 
-def _series_blocks(delta):
-    """The series-reduced top boundary columns as an IntMatrix, and its
-    block components."""
-    top = boundary_matrix(delta, delta.dimension).matrix
-    reduced = series_reduce([top.column(j) for j in range(top.cols)])
-    return IntMatrix(zip(*reduced), cols=len(reduced)), _column_components(reduced)
-
-
-def flow_block_sizes(delta):
-    """Column counts of the block components that `flow_profile` sweeps."""
-    return [len(comp) for comp in _series_blocks(delta)[1]]
+def sweep_size(delta, flows=False, force=False):
+    """Subsets that a fresh sweep for `flow_profile` (`flows`) or for
+    `subset_profile` would visit: the sum of 2^|component| over its block
+    components. 0 when a profile it can fold is cached (for flows,
+    either one), None when the subset cap refuses the sweep."""
+    if "subset_profile" in delta._cache or flows and "flow_profile" in delta._cache:
+        return 0
+    components = _reduced_columns(delta)[1] if flows else facet_components(delta)
+    if sum(len(comp) for comp in components) > subset_cap() and not force:
+        return None
+    return sum(1 << len(comp) for comp in components)
 
 
 def flow_profile(delta, force=False):
@@ -331,20 +316,16 @@ def flow_profile(delta, force=False):
     than that one, because reduction only splits block components.
     """
     profile = delta._cache.get("flow_profile")
-    if profile is not None:
-        return profile
-    reduced, components = _series_blocks(delta)
-    if reduced.cols == len(delta.facets):
-        profile = subset_profile(delta, force=force)
-    else:
-        check_subset_cap(
-            reduced.cols,
-            force=force or "subset_profile" in delta._cache,
-            what="series-reduced columns",
-        )
-        profile = SubsetProfile(
-            components,
-            [_component_sweep(_component_columns(reduced, comp)) for comp in components],
-        )
-    delta._cache["flow_profile"] = profile
+    if profile is None:
+        reduced, components = _reduced_columns(delta)
+        if len(reduced) == len(delta.facets):
+            profile = subset_profile(delta, force=force)
+        else:
+            check_subset_cap(
+                len(reduced),
+                force=force or "subset_profile" in delta._cache,
+                what="series-reduced columns",
+            )
+            profile = SubsetProfile(reduced, components)
+        delta._cache["flow_profile"] = profile
     return profile

@@ -97,8 +97,10 @@ class SNFResult:
     V: IntMatrix
 
 
-def _chain_normalize(diag):
-    """Turn a multiset of positive diagonal entries into invariant factors."""
+def invariant_factors(diag):
+    """Turn a multiset of positive diagonal entries into invariant
+    factors: the sorted divisibility chain of the same direct sum of
+    cyclic groups."""
     d = sorted(diag)
     if not d or d[-1] == 1:
         return d
@@ -189,7 +191,7 @@ def snf_diagonal(rows):
             row[pj] = row[lastc]
             row.pop()
         rows = [r for r in rows if any(r)]
-    return _chain_normalize(diag)
+    return invariant_factors(diag)
 
 
 def _xgcd(a, b):

@@ -5,17 +5,20 @@ the subset histogram), and exact coforest covers.
 
 Every rank question about one facet set folds vectors into an echelon
 basis (`linalg.fold_vector`, `linalg.span_rank`). The rank of X folds
-its boundary columns. The corank folds X's rows of an integer kernel
-basis K of the boundary map, taken once per complex: K represents the
-dual matroid, so X is coindependent exactly when its rows of K are
-independent, and a bridge is a zero row. `RankOracle` takes one Smith
+its columns of `complexes.top_columns`. The corank folds X's rows of
+an integer kernel basis K of the boundary map, taken once per complex:
+K represents the dual matroid, so X is coindependent exactly when its
+rows of K are independent, and a bridge is a zero row. `RankOracle` takes one Smith
 diagonal per query; nothing in the library calls it, and `verify` and
 the tests hold the folds to it.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
-from .complexes import boundary_matrix, restrict_columns
+from .caps import check_enum_cap
+from .complexes import boundary_matrix, restrict_columns, top_columns
 from .errors import (
     CapExceededError,
     FacetInBaseError,
@@ -44,12 +47,6 @@ class RankOracle:
         return len(snf_diagonal(restrict_columns(self.delta, mask).matrix.data))
 
 
-def _columns(delta):
-    """Columns of the top boundary map, one list per facet."""
-    top = boundary_matrix(delta, delta.dimension).matrix
-    return [top.column(j) for j in range(top.cols)]
-
-
 def _dual_rows(delta):
     """Row f holds facet f's entries in an integer kernel basis K of the
     top boundary map (cached); every row has the nullity as its length."""
@@ -63,7 +60,7 @@ def _dual_rows(delta):
 
 def matroid_rank(delta, mask):
     """Rank of the boundary columns of `mask`."""
-    cols = _columns(delta)
+    cols = top_columns(delta)
     return span_rank([cols[f] for f in delta.facets_of_mask(mask)])
 
 
@@ -103,9 +100,10 @@ def facet_connectivity(delta, k_max=None):
     Witnesses are searched in size order, ties broken by ascending bitmask
     value. Cuts are sets whose removal raises beta_{d-1}, i.e. whose
     complement has deficient rank: the sets whose rows of K are dependent.
+    The histogram names the least cut size. Past the subset cap every
+    size from 1 up is tried, and that search refuses more masks than the
+    enumeration cap before it folds any.
     """
-    from itertools import combinations
-
     n = len(delta.facets)
     if k_max is None:
         k_max = n
@@ -123,6 +121,10 @@ def facet_connectivity(delta, k_max=None):
             return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
         sizes = [least]
     except CapExceededError:
+        # without the histogram, every mask up to the bound is a candidate
+        check_enum_cap(
+            sum(comb(n, k) for k in range(1, bound + 1)), what="candidate cuts"
+        )
         sizes = range(1, bound + 1)
 
     rows = _dual_rows(delta)

@@ -9,7 +9,7 @@ compare the histograms the two build.
 
 from collections import Counter
 
-from simflow.complexes import boundary_matrix, facet_components
+from simflow.complexes import facet_components, top_columns
 from simflow.homology import _component_columns
 from simflow.linalg import snf_diagonal
 
@@ -40,9 +40,9 @@ def _join(t1, t2):
 def oracle_profile(delta):
     """The global histogram, built by visiting every mask of every
     component."""
-    top = boundary_matrix(delta, delta.dimension).matrix
+    columns = top_columns(delta)
     sweeps = [
-        per_mask_sweep(_component_columns(top, comp)) for comp in facet_components(delta)
+        per_mask_sweep(_component_columns(columns, comp)) for comp in facet_components(delta)
     ]
     hist = Counter({(0, 0, ()): 1})
     for ranks, tors in sweeps:

@@ -2,6 +2,7 @@ import pytest
 
 from simflow import (
     BadParamsError,
+    CapExceededError,
     EmptyInputError,
     IndexOutOfRangeError,
     NotPureError,
@@ -70,6 +71,12 @@ def test_complete_complex_counts(n, k, facets, ridges):
     assert delta.dimension == k - 1
     if k >= 2:
         assert len(delta.faces(k - 2)) == ridges
+
+
+def test_complete_complex_refuses_before_listing_facets():
+    # C(40, 20) is some 1.4e11 facets
+    with pytest.raises(CapExceededError, match="faces"):
+        complete_complex(40, 20)
 
 
 def test_complete_complex_bad_params():

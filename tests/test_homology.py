@@ -21,8 +21,19 @@ from simflow.fixtures import (
     simplex_boundary,
     standard_corpus,
 )
+from simflow import homology
 from simflow.homology import codim1_cycle_rank, t_q_of
 from simflow.linalg import snf_diagonal
+
+
+def test_summary_takes_the_top_diagonal_once(monkeypatch):
+    # one Smith diagonal per lower boundary map, and one of the top map
+    calls = []
+    monkeypatch.setattr(
+        homology, "snf_diagonal", lambda rows: calls.append(1) or snf_diagonal(rows)
+    )
+    assert homology_summary(rp2()).torsion == {1: [2], 0: []}
+    assert len(calls) == 3
 
 
 def test_sphere_homology():

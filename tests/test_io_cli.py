@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,38 @@ def test_cli_cap_refusal_and_force(monkeypatch, capsys):
             capsys=capsys,
         )
         assert code == 0 and out.strip() == "6"
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_cli_analyze_past_the_subset_cap_refuses_at_once(monkeypatch, capsys, n):
+    # K_n has n(n-1)/2 facets; no cut search runs before the refusal
+    doc = serialize_complex(make_fixture("complete", n=n, k=2))
+    start = time.perf_counter()
+    code, out, err = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert f"over {n * (n - 1) // 2} facets exceeds the cap" in err
+
+
+def test_cli_refuses_a_facet_with_too_many_faces(monkeypatch, capsys):
+    code, out, err = _run_cli(
+        ["analyze"],
+        stdin_text=json.dumps({"facets": [list(range(36))]}),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 3 and out == ""
+    assert f"enumeration of {2**36 - 1} faces exceeds the cap" in err
+
+
+def test_cli_refuses_a_fixture_with_too_many_faces(monkeypatch, capsys):
+    code, out, err = _run_cli(
+        ["generate", "--fixture", "simplex_boundary", "--d", "40"],
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 3 and out == ""
+    assert f"enumeration of {42 * (2**41 - 1)} faces exceeds the cap" in err
 
 
 @pytest.mark.parametrize("value", ["lots", "-1"])

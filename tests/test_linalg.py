@@ -15,7 +15,7 @@ from simflow import (
 )
 from simflow.complexes import boundary_matrix
 from simflow.fixtures import complete, cycle, rp2, simplex_boundary
-from simflow.linalg import row_lattice_reduce, snf_diagonal
+from simflow.linalg import invariant_factors, row_lattice_reduce, snf_diagonal
 
 
 def determinant(mat):
@@ -60,6 +60,17 @@ def test_snf_diag_examples():
     assert smith_normal_form(IntMatrix([[6, 0], [0, 4]])).diagonal == (2, 12)
     assert smith_normal_form(IntMatrix([[1, 2], [3, 4]])).diagonal == (1, 2)
     assert smith_normal_form(IntMatrix.zeros(3, 4)).diagonal == ()
+
+
+def test_invariant_factors_of_a_diagonal_match_its_smith_diagonal():
+    assert invariant_factors([3, 2]) == [1, 6]
+    assert invariant_factors([4, 6, 2]) == [2, 2, 12]
+    assert invariant_factors([]) == []
+    rng = random.Random(5)
+    for _ in range(200):
+        factors = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
+        rows = [[m if i == j else 0 for j in range(len(factors))] for i, m in enumerate(factors)]
+        assert invariant_factors(factors) == snf_diagonal(rows), factors
 
 
 def test_snf_divisibility_chain_random():

@@ -1,6 +1,8 @@
 import pytest
 
+from simflow import matroid
 from simflow import (
+    CapExceededError,
     FacetInBaseError,
     IndexOutOfRangeError,
     InfeasibleError,
@@ -96,6 +98,16 @@ def test_facet_connectivity_examples():
 def test_facet_connectivity_bound_exhausted():
     got = facet_connectivity(complete(4, 2), k_max=2)
     assert not got.exact and got.value == 3
+
+
+def test_facet_connectivity_refuses_a_search_past_the_cap(monkeypatch):
+    # 45 facets are past the subset cap; trying every mask up to size 45
+    # would fold 2^45 - 1 of them
+    calls = []
+    monkeypatch.setattr(matroid, "span_rank", lambda vectors: calls.append(1))
+    with pytest.raises(CapExceededError, match="candidate cuts"):
+        facet_connectivity(complete(10, 2))
+    assert calls == []
 
 
 def test_classify_forest_cases():
