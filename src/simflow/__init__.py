@@ -48,6 +48,7 @@ from .io import parse_complex, serialize_complex
 from .linalg import (
     IntMatrix,
     SNFResult,
+    count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,
     kernel_count_mod_q,
     rational_rank,

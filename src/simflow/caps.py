@@ -6,7 +6,8 @@ SIMFLOW_SUBSET_CAP columns (default 24) unless the caller forces; a
 value that is not a non-negative integer raises SettingError. Kernel
 enumeration refuses streams longer than the enumeration cap; the
 signed lift of a Z_2^r flow, the fallback cut search and the face list
-of a new complex refuse more items than that.
+of a new complex refuse more items than that. A dense Smith form of a
+lower boundary map refuses more entries than the matrix cap.
 """
 
 import os
@@ -15,6 +16,8 @@ from .errors import CapExceededError, SettingError
 
 DEFAULT_SUBSET_CAP = 24
 DEFAULT_ENUM_CAP = 10**7
+# rows x cols; the 11-simplex's largest map (924 x 792) still answers
+DEFAULT_MATRIX_CAP = 10**6
 
 _ENV_VAR = "SIMFLOW_SUBSET_CAP"
 
@@ -52,4 +55,16 @@ def check_enum_cap(count, cap=None, what="vectors"):
         raise CapExceededError(
             f"enumeration of {count} {what} exceeds the cap of {limit}",
             needed=count,
+        )
+
+
+def check_matrix_cap(rows, cols, what):
+    """Refuse a dense Smith form of a `rows` x `cols` matrix, which the
+    refusal calls `what`, when it has more than DEFAULT_MATRIX_CAP entries."""
+    entries = rows * cols
+    if entries > DEFAULT_MATRIX_CAP:
+        raise CapExceededError(
+            f"Smith normal form of a {rows} x {cols} {what} ({entries} entries) "
+            f"exceeds the cap of {DEFAULT_MATRIX_CAP} entries",
+            needed=entries,
         )

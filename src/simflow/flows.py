@@ -5,9 +5,9 @@ construction through coforest covers.
 Counting never scans (q-1)^|F| assignments. Flows and colorings fold the
 inclusion-exclusion expansion over a cached subset histogram, or
 enumerate: the mod-q kernel of the top boundary map (size q^beta times
-the torsion weight) for flows, all k^|ridges| colorings for colorings,
-walked in Gray order so that each step recomputes only the facets on
-one ridge.
+the torsion weight) for flows, all k^|ridges| colorings for colorings.
+Both enumerations run `linalg.gray_count_nowhere_zero`, a Gray walk
+whose every step changes only the entries that one digit touches.
 Flows fold `homology.flow_profile`, the histogram of the series-reduced
 columns, and colorings `homology.subset_profile`, the histogram of the
 facets. `method="auto"` folds whenever such a histogram is cached, or
@@ -38,8 +38,10 @@ from .errors import (
 from .homology import flow_profile, subset_profile, sweep_size, t_q_of
 from .linalg import (
     IntMatrix,
+    count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,
     fold_vector,
+    gray_count_nowhere_zero,
     kernel_count_mod_q,
     row_lattice_reduce,
     span_rank,
@@ -127,12 +129,11 @@ def _auto_route(sweep, enum_route, enum_size, enum_limit):
     the subset cap refuses that sweep. A sweep is taken when it is no
     larger than the enumeration, whose size `enum_size()` gives. Past
     that, enumeration runs up to `enum_limit` items and the expansion
-    takes the rest. A subset costs some 2.5 us, a kernel vector 7 to
-    13 us (7.0 us on Petersen at q = 5, 13.4 us on a 25-edge graph at
-    q = 4, more with more columns) and a coloring in the Gray walk 0.4
-    us. So for flows a sweep the rule picks is never slower than the
-    enumeration it replaces, but for colorings a sweep of as many subsets
-    as there are colorings takes some 6x as long as the walk.
+    takes the rest. A subset costs some 2.5 us; both enumerations are
+    Gray walks, at some 0.8 us per kernel vector and 0.4 us per
+    coloring. So the rule leans towards the sweep: a sweep of as many
+    subsets as there are items takes some 3x as long as the walk for
+    flows and 6x for colorings.
     """
     if sweep == 0:
         return "subset_expansion"
@@ -178,9 +179,7 @@ def count_nz_flows(delta, q, method="auto", force=False):
             DEFAULT_ENUM_CAP,
         )
     if method == "kernel_enum":
-        return sum(
-            1 for v in enumerate_kernel_mod_q(top, q) if all(v)
-        )
+        return count_nowhere_zero_kernel_mod_q(top, q)
     if method == "subset_expansion":
         return _flow_expansion(delta, q, force=force)
     raise BadParamsError(f"unknown method {method!r}")
@@ -205,55 +204,16 @@ def _coloring_expansion(delta, k, force=False):
 def _brute_colorings(delta, k):
     """Proper colorings by visiting all k^|ridges| colorings once each.
 
-    The walk runs in reflected k-ary Gray order (Knuth, TAOCP 7.2.1.1,
-    Algorithm H), so each step moves one ridge's color by +-1. It keeps
-    every facet's boundary sum mod k and the number of sums that are
-    zero, and a step updates only the facets on the moved ridge. A
-    coloring is proper when no sum is zero. Ridges that touch the fewest
-    facets take the digits that move most often. No coloring is skipped,
-    so the cost stays k^|ridges| steps, about 0.4 us each, and the count
-    is independent of the subset histogram.
+    `linalg.gray_count_nowhere_zero` walks them with one digit of radix
+    k per ridge; the live vector is every facet's boundary sum mod k,
+    and a step adds +-(the ridge's row). A coloring is proper when no
+    sum is zero. No coloring is skipped, so the cost stays k^|ridges|
+    steps, about 0.4 us each, and the count is independent of the
+    subset histogram.
     """
     top = boundary_matrix(delta, delta.dimension).matrix
-    n = top.rows
-    check_enum_cap(k**n)
-    rows = sorted(top.data, key=lambda row: sum(1 for c in row if c % k))
-    # per ridge, (facet, change of its sum) for a step up ([1]) and down ([-1])
-    moves = []
-    for row in rows:
-        up = [(f, c % k) for f, c in enumerate(row) if c % k]
-        moves.append((None, up, [(f, k - d) for f, d in up]))
-    sums = [0] * top.cols
-    zeros = top.cols
-    count = 0 if zeros else 1
-    digit = [0] * n
-    focus = list(range(n + 1))
-    step = [1] * n
-    last = k - 1
-    while True:
-        j = focus[0]
-        if j == n:
-            return count
-        focus[0] = 0
-        o = step[j]
-        a = digit[j] + o
-        digit[j] = a
-        if a == 0 or a == last:
-            step[j] = -o
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-        for f, d in moves[j][o]:
-            old = sums[f]
-            new = old + d
-            if new >= k:
-                new -= k
-            sums[f] = new
-            if not old:
-                zeros -= 1
-            elif not new:
-                zeros += 1
-        if not zeros:
-            count += 1
+    check_enum_cap(k**top.rows)
+    return gray_count_nowhere_zero(top.cols, k, [(k, enumerate(row)) for row in top.data])
 
 
 def count_proper_colorings(delta, k, method="auto", force=False):
@@ -349,7 +309,7 @@ def _tensions_by_circuits(delta, k, force=False):
         rows.append(row)
     # unimodular row reduction keeps the solution set mod k
     system = IntMatrix(row_lattice_reduce(rows, n), cols=n)
-    return sum(1 for w in enumerate_kernel_mod_q(system, k) if all(w))
+    return count_nowhere_zero_kernel_mod_q(system, k)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd, prod
 
-from .caps import check_subset_cap, subset_cap
+from .caps import check_matrix_cap, check_subset_cap, subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
 from .errors import BadModulusError
 from .linalg import fold_vector, invariant_factors, snf_diagonal, span_rank
@@ -49,9 +49,13 @@ class HomologySummary:
 
 def _skeleton_snfs(delta):
     """Smith diagonals of the boundary maps in dimensions 0..d-1, cached;
-    the top map's diagonal depends on the facet subset."""
+    the top map's diagonal depends on the facet subset. Refuses before
+    any Smith form when one of these maps is over the matrix cap."""
     snfs = delta._cache.get("skeleton_snfs")
     if snfs is None:
+        for n in range(delta.dimension):
+            rows = len(delta.faces(n - 1)) if n else 1
+            check_matrix_cap(rows, len(delta.faces(n)), f"boundary map in dimension {n}")
         snfs = {
             n: tuple(snf_diagonal(boundary_matrix(delta, n).matrix.data))
             for n in range(delta.dimension)

@@ -12,6 +12,11 @@ V, whose columns past the rank span the kernel. `fold_vector` adds one
 vector to an echelon basis by gcd elimination and can be undone; every
 rank question that names a set of vectors (`span_rank`), the subset
 sweep and `row_lattice_reduce` are folds.
+
+`gray_count_nowhere_zero` walks a mixed-radix box in Gray order and
+counts the points where a vector it keeps in step has no zero entry;
+it counts nowhere-zero kernel vectors mod q here and proper colorings
+in `flows`.
 """
 
 from dataclasses import dataclass
@@ -329,6 +334,83 @@ def kernel_basis(mat):
     """Integer basis of the rational kernel (columns of V past the rank)."""
     res = smith_normal_form(mat)
     return [res.V.column(j) for j in range(res.rank, mat.cols)]
+
+
+def gray_count_nowhere_zero(size, modulus, digits):
+    """Count the points of a mixed-radix box at which a live vector of
+    `size` entries mod `modulus` has no zero entry.
+
+    Each digit is a (radix, step) pair: `step` lists (index, delta)
+    pairs, the change one unit of that digit makes to the live vector,
+    which is zero at the origin. The walk visits every point once in
+    reflected mixed-radix Gray order (Knuth, TAOCP 7.2.1.1, Algorithm
+    H), so each step moves one digit by +-1 and adds or subtracts its
+    step. It keeps a count of the zero entries and touches only the
+    entries the step changes. The lightest steps take the digits that
+    move most often. Nothing is pruned: the cost is one step per point.
+    """
+    steps = []
+    for radix, step in digits:
+        if radix > 1:
+            steps.append((radix - 1, [(i, d % modulus) for i, d in step if d % modulus]))
+    steps.sort(key=lambda s: len(s[1]))
+    # per digit: its largest value ([0]) and the change for a move up
+    # ([1]) and down ([-1])
+    moves = [(top, up, [(i, modulus - d) for i, d in up]) for top, up in steps]
+    n = len(moves)
+    live = [0] * size
+    zeros = size
+    count = 0 if zeros else 1
+    digit = [0] * n
+    focus = list(range(n + 1))
+    direction = [1] * n
+    while True:
+        j = focus[0]
+        if j == n:
+            return count
+        focus[0] = 0
+        move = moves[j]
+        o = direction[j]
+        a = digit[j] + o
+        digit[j] = a
+        if a == 0 or a == move[0]:
+            direction[j] = -o
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+        for i, d in move[o]:
+            old = live[i]
+            new = old + d
+            if new >= modulus:
+                new -= modulus
+            live[i] = new
+            if not old:
+                zeros -= 1
+            elif not new:
+                zeros += 1
+        if not zeros:
+            count += 1
+
+
+def count_nowhere_zero_kernel_mod_q(mat, q, cap=None):
+    """Number of kernel vectors of mat over Z_q with no zero entry.
+
+    The kernel is V . y for y in the diagonal system's solution box, as
+    in `enumerate_kernel_mod_q`. Box coordinate i, with diagonal entry
+    d (0 past the rank) and g = gcd(d, q), is a digit of radix g whose
+    unit step is (q / g) . V_i, and `gray_count_nowhere_zero` walks the
+    box. Raises CapExceededError (with the exact count) before the Smith
+    form if the kernel is larger than the enumeration cap.
+    """
+    total = kernel_count_mod_q(mat, q)
+    check_enum_cap(total, cap)
+    n = mat.cols
+    res = smith_normal_form(mat)
+    V = res.V.data
+    digits = []
+    for i in range(n):
+        g = gcd(res.diagonal[i] if i < res.rank else 0, q)
+        digits.append((g, [(k, q // g * V[k][i]) for k in range(n)]))
+    return gray_count_nowhere_zero(n, q, digits)
 
 
 def enumerate_kernel_mod_q(mat, q, cap=None):

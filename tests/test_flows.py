@@ -422,9 +422,9 @@ def _fresh(delta):
 
 @pytest.fixture
 def route_calls(monkeypatch):
-    """Counts kernel enumerations and brute-force coloring runs."""
+    """Counts kernel walks and brute-force coloring runs."""
     calls = {"enum": 0, "brute": 0}
-    enum, brute = flows.enumerate_kernel_mod_q, flows._brute_colorings
+    enum, brute = flows.count_nowhere_zero_kernel_mod_q, flows._brute_colorings
 
     def counting_enum(*args, **kwargs):
         calls["enum"] += 1
@@ -434,7 +434,7 @@ def route_calls(monkeypatch):
         calls["brute"] += 1
         return brute(*args, **kwargs)
 
-    monkeypatch.setattr(flows, "enumerate_kernel_mod_q", counting_enum)
+    monkeypatch.setattr(flows, "count_nowhere_zero_kernel_mod_q", counting_enum)
     monkeypatch.setattr(flows, "_brute_colorings", counting_brute)
     return calls
 

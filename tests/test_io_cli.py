@@ -370,6 +370,51 @@ def test_cli_refuses_a_facet_with_too_many_faces(monkeypatch, capsys):
     assert f"enumeration of {2**36 - 1} faces exceeds the cap" in err
 
 
+def test_cli_analyze_refuses_a_large_lower_skeleton_at_once(monkeypatch, capsys):
+    # the 13-simplex's boundary maps reach 3003 x 3432; no Smith form runs
+    def never(*args):
+        raise AssertionError("Smith form past the matrix cap")
+
+    monkeypatch.setattr(simflow.homology, "snf_diagonal", never)
+    start = time.perf_counter()
+    code, out, err = _run_cli(
+        ["analyze"],
+        stdin_text=json.dumps({"facets": [list(range(14))]}),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "Smith normal form of a 1001 x 2002 boundary map in dimension 4" in err
+
+
+def test_matrix_cap_admits_the_eleven_simplex():
+    from simflow.caps import check_matrix_cap
+
+    check_matrix_cap(924, 792, "map")  # the 11-simplex's largest lower map
+    check_matrix_cap(1000, 1000, "map")
+    with pytest.raises(simflow.CapExceededError) as info:
+        check_matrix_cap(1000, 1001, "map")
+    assert info.value.needed == 1001000
+
+
+def test_cli_kernel_enum_past_the_enum_cap_exit_3_before_walking(monkeypatch, capsys):
+    # K_7 has 21 edges and beta = 15: 3^15 kernel vectors mod 3
+    def never(*args):
+        raise AssertionError("walked past the cap")
+
+    monkeypatch.setattr(simflow.linalg, "smith_normal_form", never)
+    monkeypatch.setattr(simflow.linalg, "gray_count_nowhere_zero", never)
+    code, out, err = _run_cli(
+        ["flows", "--q", "3", "--method", "kernel_enum"],
+        stdin_text=serialize_complex(make_fixture("complete", n=7, k=2)),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 3 and out == ""
+    assert f"enumeration of {3**15} vectors exceeds the cap" in err
+
+
 def test_cli_refuses_a_fixture_with_too_many_faces(monkeypatch, capsys):
     code, out, err = _run_cli(
         ["generate", "--fixture", "simplex_boundary", "--d", "40"],

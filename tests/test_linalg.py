@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -8,11 +8,13 @@ from simflow import (
     BadModulusError,
     CapExceededError,
     IntMatrix,
+    count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,
     kernel_count_mod_q,
     rational_rank,
     smith_normal_form,
 )
+from simflow import linalg
 from simflow.complexes import boundary_matrix
 from simflow.fixtures import complete, cycle, rp2, simplex_boundary
 from simflow.linalg import invariant_factors, row_lattice_reduce, snf_diagonal
@@ -210,6 +212,85 @@ def test_enumerate_kernel_matches_brute_random():
 def test_enumerate_kernel_cap():
     with pytest.raises(CapExceededError) as info:
         list(enumerate_kernel_mod_q(IntMatrix.zeros(1, 10), 10, cap=1000))
+    assert info.value.needed == 10**10
+
+
+def _nowhere_zero_by_enumeration(mat, q):
+    return sum(all(v) for v in enumerate_kernel_mod_q(mat, q))
+
+
+def _scrambled_diagonal(draw, st):
+    """A matrix with a chosen Smith diagonal, scrambled by unimodular row
+    and column operations, so its invariant factors need not be units."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    diag = draw(
+        st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=min(rows, cols))
+    )
+    M = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(diag):
+        M[i][i] = d
+    for _ in range(draw(st.integers(0, 6))):
+        if rows > 1:
+            i, k = draw(st.sampled_from([(i, k) for i in range(rows) for k in range(rows) if i != k]))
+            c = draw(st.integers(-2, 2))
+            M[i] = [a + c * b for a, b in zip(M[i], M[k])]
+        if cols > 1:
+            j, k = draw(st.sampled_from([(j, k) for j in range(cols) for k in range(cols) if j != k]))
+            c = draw(st.integers(-2, 2))
+            for row in M:
+                row[j] += c * row[k]
+    return IntMatrix(M, cols=cols), diag
+
+
+def test_nowhere_zero_kernel_count_matches_enumeration():
+    """The Gray walk against filtering every enumerated kernel vector, on
+    matrices with non-unit invariant factors and q = 2..7. The cases that
+    count are those where q shares a factor with the torsion without
+    dividing it, next to some other digit: only there does the torsion
+    step (q / g) . V_i differ from V_i in effect."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    settings = hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    partial = []
+
+    @settings
+    @hypothesis.given(st.composite(_scrambled_diagonal)(st), st.integers(2, 7))
+    def check(case, q):
+        mat, diag = case
+        radices = [gcd(d, q) for d in diag] + [q] * (mat.cols - len(diag))
+        if any(1 < g < q for g in radices) and sum(g > 1 for g in radices) > 1:
+            partial.append(q)
+        assert count_nowhere_zero_kernel_mod_q(mat, q) == _nowhere_zero_by_enumeration(mat, q)
+
+    check()
+    assert len(partial) >= 10
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [IntMatrix.zeros(2, 3), IntMatrix.zeros(3, 0), IntMatrix([], cols=3), IntMatrix([[0, 2, 0], [0, 3, 0]])],
+    ids=["zero", "no-columns", "no-rows", "zero-columns"],
+)
+def test_nowhere_zero_kernel_count_degenerate(mat):
+    for q in range(1, 7):
+        assert count_nowhere_zero_kernel_mod_q(mat, q) == _nowhere_zero_by_enumeration(mat, q), q
+
+
+def test_nowhere_zero_kernel_count_rp2():
+    top = boundary_matrix(rp2(), 2).matrix
+    got = {q: count_nowhere_zero_kernel_mod_q(top, q) for q in range(2, 7)}
+    assert got == {q: _nowhere_zero_by_enumeration(top, q) for q in range(2, 7)}
+    assert got[2] == 1 and got[3] == 0
+
+
+def test_nowhere_zero_kernel_count_refuses_before_the_smith_form(monkeypatch):
+    def never(*args):
+        raise AssertionError("walked past the cap")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", never)
+    with pytest.raises(CapExceededError) as info:
+        count_nowhere_zero_kernel_mod_q(IntMatrix.zeros(1, 10), 10, cap=1000)
     assert info.value.needed == 10**10
 
 
