@@ -8,6 +8,16 @@ write results to stdout, so they compose by piping:
 Exit codes: 0 success / all checks pass, 1 usage (including a malformed
 SIMFLOW_SUBSET_CAP), 2 domain error (including a file that cannot be
 read or written), 3 cap refusal, 4 broken internal invariant.
+
+Each command is declared once, by `@_command` on its handler: its name,
+its help, and its arguments in the order `--help` prints them. That
+fills `COMMANDS`, the one table that `build_parser` walks and `main`
+dispatches through. A call builds only the subparser that its first
+argument names: building all thirteen takes longer than a typical
+request on a small complex, and no command reads another's arguments.
+Any other first argument (none, -h, an unknown name) builds them all,
+so the top-level help and usage errors list every command. `--help`
+prints this docstring up to this paragraph.
 """
 
 import argparse
@@ -18,7 +28,6 @@ from .complexes import subdivide_facet, suspension
 from .errors import (
     BadModulusError,
     CapExceededError,
-    DomainError,
     InfeasibleError,
     InternalError,
     ParseError,
@@ -51,104 +60,53 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_input(sub):
-    sub.add_argument(
-        "input",
-        nargs="?",
-        help="complex document file (default: stdin)",
-    )
+# `simflow --help` describes the command line, not how the parser is built
+_DESCRIPTION = __doc__ and __doc__.partition("\n\nEach command is declared")[0]
+
+COMMANDS = {}
 
 
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--force", action="store_true", help="override the subset cap")
+def _command(name, summary, *arguments):
+    """Declare the decorated handler as command `name`, with the one-line
+    help `summary`. Each argument is an `_arg` (flags, keywords) pair for
+    `add_argument`. The handler returns None on success, or an exit
+    code."""
+
+    def declare(handler):
+        COMMANDS[name] = (summary, handler, arguments)
+        return handler
+
+    return declare
 
 
-def build_parser():
-    parser = _Parser(prog="simflow", description=__doc__)
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_INPUT = _arg("input", nargs="?", help="complex document file (default: stdin)")
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_FORCE = _arg("--force", action="store_true", help="override the subset cap")
+_OUTPUT = _arg("-o", "--output")
+# what most commands take after their own arguments
+_STANDARD = (_INPUT, _JSON, _FORCE)
+
+
+def build_parser(command=None):
+    """The `simflow` parser, with only `command`'s subparser when it
+    names one in `COMMANDS` and every subparser otherwise."""
+    parser = _Parser(prog="simflow", description=_DESCRIPTION)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("generate", help="emit a fixture document")
-    gen.add_argument("--fixture", required=True, choices=sorted(FIXTURE_PARAMS))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("-o", "--output")
-
-    ana = subs.add_parser("analyze", help="homology, bridges, connectivity, coarboricity")
-    _add_input(ana)
-    _add_common(ana)
-
-    flo = subs.add_parser("flows", help="count nowhere-zero q-flows")
-    flo.add_argument("--q", type=int, required=True)
-    flo.add_argument(
-        "--method",
-        choices=["auto", "kernel_enum", "subset_expansion"],
-        default="auto",
-    )
-    _add_input(flo)
-    _add_common(flo)
-
-    col = subs.add_parser("colorings", help="count proper k-colorings")
-    col.add_argument("--k", type=int, required=True)
-    col.add_argument(
-        "--method", choices=["auto", "brute", "subset_expansion"], default="auto"
-    )
-    _add_input(col)
-    _add_common(col)
-
-    ten = subs.add_parser("tensions", help="count nowhere-zero k-tensions")
-    ten.add_argument("--k", type=int, required=True)
-    _add_input(ten)
-    _add_common(ten)
-
-    pol = subs.add_parser("poly", help="TKR / q-TKR / matroid Tutte / Bott polynomials")
-    pol.add_argument("--kind", choices=["tkr", "qtkr", "tutte", "bott"], required=True)
-    pol.add_argument("--q", type=int)
-    pol.add_argument(
-        "--convention", choices=["literal", "complemented"], default="literal"
-    )
-    _add_input(pol)
-    _add_common(pol)
-
-    qua = subs.add_parser("quasi", help="flow quasipolynomial")
-    _add_input(qua)
-    _add_common(qua)
-
-    con = subs.add_parser("construct", help="build an explicit flow")
-    con.add_argument("--jaeger", action="store_true", required=True)
-    _add_input(con)
-    _add_common(con)
-
-    mnq = subs.add_parser("min-q", help="least modulus with a nowhere-zero flow")
-    mnq.add_argument("--max", type=int, required=True)
-    _add_input(mnq)
-    _add_common(mnq)
-
-    sus = subs.add_parser("suspend", help="suspension of the input complex")
-    _add_input(sus)
-    sus.add_argument("-o", "--output")
-
-    sub_ = subs.add_parser("subdivide", help="stellar subdivision of one facet")
-    sub_.add_argument("--facet", type=int, required=True)
-    _add_input(sub_)
-    sub_.add_argument("-o", "--output")
-
-    ver = subs.add_parser("verify", help="run the paper verification suite")
-    ver.add_argument("--suite", choices=["paper"], required=True)
-
-    swp = subs.add_parser("sweep", help="CSV of counts over a modulus range")
-    swp.add_argument("--q-range", required=True, help="A..B inclusive")
-    swp.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    _add_input(swp)
-    _add_common(swp)
-
+    for name in [command] if command in COMMANDS else COMMANDS:
+        summary, _, arguments = COMMANDS[name]
+        sub = subs.add_parser(name, help=summary)
+        for flags, kwargs in arguments:
+            sub.add_argument(*flags, **kwargs)
     return parser
 
 
 def _read_complex(args):
     try:
-        if getattr(args, "input", None):
+        if args.input:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
         else:
@@ -169,17 +127,31 @@ def _emit_document(text, output):
         print(text)
 
 
+def _emit(args, payload, text, sort_keys=False):
+    """Print `payload` as JSON under --json, else `text`."""
+    print(json.dumps(payload, sort_keys=sort_keys) if args.json else text)
+
+
+@_command(
+    "generate",
+    "emit a fixture document",
+    _arg("--fixture", required=True, choices=sorted(FIXTURE_PARAMS)),
+    _arg("--n", type=int),
+    _arg("--k", type=int),
+    _arg("--d", type=int),
+    _OUTPUT,
+)
 def _cmd_generate(args):
     params = {"n": args.n, "k": args.k, "d": args.d}
     wanted = FIXTURE_PARAMS[args.fixture]
-    delta = make_fixture(args.fixture, **{p: params.get(p) for p in ("n", "k", "d")})
+    delta = make_fixture(args.fixture, **params)
     label = args.fixture
     if wanted:
         label += "(" + ",".join(str(params[p]) for p in wanted) + ")"
     _emit_document(serialize_complex(delta, name=label), args.output)
-    return 0
 
 
+@_command("analyze", "homology, bridges, connectivity, coarboricity", *_STANDARD)
 def _cmd_analyze(args):
     delta = _read_complex(args)
     summary = homology_summary(delta)
@@ -204,56 +176,67 @@ def _cmd_analyze(args):
         },
         "coarboricity": coarb,
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"dimension: {delta.dimension}")
-        print(f"facets: {len(delta.facets)}")
-        print(f"vertices: {delta.vertex_count}")
-        for n, b in sorted(summary.betti.items()):
-            print(f"betti[{n}]: {b}")
-        for n, t in sorted(summary.torsion.items()):
-            if t:
-                print(f"torsion[{n}]: {t}")
-        print(f"bridges: {bridge_list}")
-        suffix = "" if conn.exact else f" (no cut of size <= {conn.value - 1} found)"
-        print(f"connectivity: {conn.value}{suffix}")
-        print(f"coarboricity: {'infinite' if coarb is None else coarb}")
-    return 0
+    suffix = "" if conn.exact else f" (no cut of size <= {conn.value - 1} found)"
+    lines = [
+        f"dimension: {delta.dimension}",
+        f"facets: {len(delta.facets)}",
+        f"vertices: {delta.vertex_count}",
+        *(f"betti[{n}]: {b}" for n, b in sorted(summary.betti.items())),
+        *(f"torsion[{n}]: {t}" for n, t in sorted(summary.torsion.items()) if t),
+        f"bridges: {bridge_list}",
+        f"connectivity: {conn.value}{suffix}",
+        f"coarboricity: {'infinite' if coarb is None else coarb}",
+    ]
+    _emit(args, payload, "\n".join(lines), sort_keys=True)
 
 
+@_command(
+    "flows",
+    "count nowhere-zero q-flows",
+    _arg("--q", type=int, required=True),
+    _arg(
+        "--method", choices=["auto", "kernel_enum", "subset_expansion"], default="auto"
+    ),
+    *_STANDARD,
+)
 def _cmd_flows(args):
     delta = _read_complex(args)
     count = count_nz_flows(delta, args.q, method=args.method, force=args.force)
-    if args.json:
-        print(json.dumps({"q": args.q, "method": args.method, "flows": count}))
-    else:
-        print(count)
-    return 0
+    _emit(args, {"q": args.q, "method": args.method, "flows": count}, count)
 
 
+@_command(
+    "colorings",
+    "count proper k-colorings",
+    _arg("--k", type=int, required=True),
+    _arg("--method", choices=["auto", "brute", "subset_expansion"], default="auto"),
+    *_STANDARD,
+)
 def _cmd_colorings(args):
     delta = _read_complex(args)
-    count = count_proper_colorings(
-        delta, args.k, method=args.method, force=args.force
-    )
-    if args.json:
-        print(json.dumps({"k": args.k, "colorings": count}))
-    else:
-        print(count)
-    return 0
+    count = count_proper_colorings(delta, args.k, method=args.method, force=args.force)
+    _emit(args, {"k": args.k, "colorings": count}, count)
 
 
+@_command(
+    "tensions",
+    "count nowhere-zero k-tensions",
+    _arg("--k", type=int, required=True),
+    *_STANDARD,
+)
 def _cmd_tensions(args):
-    delta = _read_complex(args)
-    count = count_nz_tensions(delta, args.k, force=args.force)
-    if args.json:
-        print(json.dumps({"k": args.k, "tensions": count}))
-    else:
-        print(count)
-    return 0
+    count = count_nz_tensions(_read_complex(args), args.k, force=args.force)
+    _emit(args, {"k": args.k, "tensions": count}, count)
 
 
+@_command(
+    "poly",
+    "TKR / q-TKR / matroid Tutte / Bott polynomials",
+    _arg("--kind", choices=["tkr", "qtkr", "tutte", "bott"], required=True),
+    _arg("--q", type=int),
+    _arg("--convention", choices=["literal", "complemented"], default="literal"),
+    *_STANDARD,
+)
 def _cmd_poly(args):
     delta = _read_complex(args)
     if args.kind == "tkr":
@@ -261,95 +244,90 @@ def _cmd_poly(args):
     elif args.kind == "qtkr":
         if args.q is None:
             raise _UsageError("poly --kind qtkr requires --q")
-        text = format_bivariate(
-            q_tkr_polynomial(delta, args.q, force=args.force)
-        )
+        text = format_bivariate(q_tkr_polynomial(delta, args.q, force=args.force))
     elif args.kind == "tutte":
         text = format_bivariate(matroid_tutte(delta, force=args.force))
     else:
         coeffs = bott_r_polynomial(delta, args.convention, force=args.force)
         text = format_univariate(coeffs, var="L")
-    if args.json:
-        print(json.dumps({"kind": args.kind, "polynomial": text}))
-    else:
-        print(text)
-    return 0
+    _emit(args, {"kind": args.kind, "polynomial": text}, text)
 
 
+@_command("quasi", "flow quasipolynomial", *_STANDARD)
 def _cmd_quasi(args):
-    delta = _read_complex(args)
-    quasi = flow_quasipolynomial(delta, force=args.force)
+    quasi = flow_quasipolynomial(_read_complex(args), force=args.force)
     rendered = [format_univariate(c, var="q") for c in quasi.constituents]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "period": quasi.period,
-                    "degree": quasi.degree,
-                    "constituents": rendered,
-                }
-            )
-        )
-    else:
-        print(f"period {quasi.period}, constituents \"{'; '.join(rendered)}\"")
-    return 0
+    payload = {"period": quasi.period, "degree": quasi.degree, "constituents": rendered}
+    text = f"period {quasi.period}, constituents \"{'; '.join(rendered)}\""
+    _emit(args, payload, text)
 
 
+@_command(
+    "construct",
+    "build an explicit flow",
+    _arg("--jaeger", action="store_true", required=True),
+    *_STANDARD,
+)
 def _cmd_construct(args):
-    delta = _read_complex(args)
-    flow = jaeger_flow(delta, force=args.force)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "modulus": flow.q,
-                    "values": list(flow.values),
-                    "nowhere_zero": flow.nowhere_zero,
-                }
-            )
-        )
-    else:
-        print(f"modulus: {flow.q}")
-        print("values: " + ",".join(str(v) for v in flow.values))
-    return 0
+    flow = jaeger_flow(_read_complex(args), force=args.force)
+    values = list(flow.values)
+    payload = {"modulus": flow.q, "values": values, "nowhere_zero": flow.nowhere_zero}
+    _emit(args, payload, f"modulus: {flow.q}\nvalues: " + ",".join(map(str, values)))
 
 
+@_command(
+    "min-q",
+    "least modulus with a nowhere-zero flow",
+    _arg("--max", type=int, required=True),
+    *_STANDARD,
+)
 def _cmd_min_q(args):
-    delta = _read_complex(args)
-    found = min_flow_number(delta, args.max, force=args.force)
-    if args.json:
-        print(json.dumps({"max": args.max, "min_q": found}))
-    else:
-        print("none" if found is None else found)
-    return 0
+    found = min_flow_number(_read_complex(args), args.max, force=args.force)
+    _emit(args, {"max": args.max, "min_q": found}, "none" if found is None else found)
 
 
+@_command("suspend", "suspension of the input complex", _INPUT, _OUTPUT)
 def _cmd_suspend(args):
-    delta = _read_complex(args)
-    suspended, _ = suspension(delta)
+    suspended, _ = suspension(_read_complex(args))
     _emit_document(serialize_complex(suspended), args.output)
-    return 0
 
 
+@_command(
+    "subdivide",
+    "stellar subdivision of one facet",
+    _arg("--facet", type=int, required=True),
+    _INPUT,
+    _OUTPUT,
+)
 def _cmd_subdivide(args):
-    delta = _read_complex(args)
-    refined = subdivide_facet(delta, args.facet)
+    refined = subdivide_facet(_read_complex(args), args.facet)
     _emit_document(serialize_complex(refined), args.output)
-    return 0
 
 
+@_command(
+    "verify",
+    "run the paper verification suite",
+    _arg("--suite", choices=["paper"], required=True),
+)
 def _cmd_verify(args):
     results = run_paper_suite()
     width = max(len(r.name) for r in results)
-    all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        all_ok = all_ok and r.passed
         print(f"[{r.criterion:2d}] {r.name:<{width}}  {status}  {r.detail}")
+    all_ok = all(r.passed for r in results)
     print("result:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 2
 
 
+@_command(
+    "sweep",
+    "CSV of counts over a modulus range",
+    _arg("--q-range", required=True, help="A..B inclusive"),
+    _arg("--csv", action="store_true", help="CSV output (the default)"),
+    _INPUT,
+    _FORCE,
+)
 def _cmd_sweep(args):
     delta = _read_complex(args)
     try:
@@ -361,53 +339,37 @@ def _cmd_sweep(args):
         raise _UsageError(f"empty --q-range {args.q_range!r}; expected A <= B")
     if low < 1:
         raise BadModulusError(f"modulus must be >= 1, got {low}")
+    # every row before the header, so a refusal leaves stdout empty
+    rows = [
+        (
+            q,
+            count_nz_flows(delta, q, force=args.force),
+            count_proper_colorings(delta, q, force=args.force),
+            count_nz_tensions(delta, q, force=args.force),
+        )
+        for q in range(low, high + 1)
+    ]
     print("q,flows,colorings,tensions")
-    for q in range(low, high + 1):
-        flows = count_nz_flows(delta, q, force=args.force)
-        colorings = count_proper_colorings(delta, q, force=args.force)
-        tensions = count_nz_tensions(delta, q, force=args.force)
-        print(f"{q},{flows},{colorings},{tensions}")
-    return 0
-
-
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "analyze": _cmd_analyze,
-    "flows": _cmd_flows,
-    "colorings": _cmd_colorings,
-    "tensions": _cmd_tensions,
-    "poly": _cmd_poly,
-    "quasi": _cmd_quasi,
-    "construct": _cmd_construct,
-    "min-q": _cmd_min_q,
-    "suspend": _cmd_suspend,
-    "subdivide": _cmd_subdivide,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
+    for row in rows:
+        print(",".join(map(str, row)))
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return COMMANDS[args.command][1](args) or 0
     except (_UsageError, SettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except SimflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SimflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

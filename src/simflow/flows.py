@@ -17,7 +17,9 @@ unreduced kernel: it is the oracle the folds are held to. Tension
 counts come from the facet histogram through the chromatic relation;
 `_tensions_by_circuits` filters the circuit system directly and is the
 oracle that `verify` compares them with. The flow quasipolynomial is
-read off the flow profile, one constituent per residue class.
+read off the flow profile, one constituent per residue class, and so is
+the count of nowhere-zero Z_2^r flows: the r-th power of each subset's
+mod-2 flow count, folded by inclusion-exclusion.
 """
 
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from .homology import flow_profile, subset_profile, sweep_size, t_q_of
 from .linalg import (
     IntMatrix,
     count_nowhere_zero_kernel_mod_q,
-    enumerate_kernel_mod_q,
+    enumerate_kernel_mod_q,  # not called here; perfbench/spans.py traces this name
     fold_vector,
     gray_count_nowhere_zero,
     kernel_count_mod_q,
@@ -344,40 +346,25 @@ def flow_quasipolynomial(delta, force=False):
 # Z_2^r flows and lifting
 
 
-def count_nz_group_flows_2r(delta, r, cap=None):
+def count_nz_group_flows_2r(delta, r, force=False):
     """Number of Z_2^r flows whose facet words are all nonzero: r-tuples
-    of mod-2 kernel vectors jointly covering every facet."""
+    of mod-2 flows that jointly cover every facet.
+
+    A fold of the flow profile. The mod-2 flows supported inside a
+    column subset X form a group of order 2^(|X| - rank X) * t_2(X), and
+    the r-tuples of them its r-th power, so inclusion-exclusion over X
+    counts the tuples that cover every column. Series reduction keeps
+    the count: a reduced pair carries the same bit in every layer.
+    """
     if r < 1:
         raise BadParamsError(f"exponent must be >= 1, got {r}")
-    top = boundary_matrix(delta, delta.dimension).matrix
-    kernel_size = kernel_count_mod_q(top, 2)
-    check_enum_cap(kernel_size**r, cap)
-    supports = []
-    for v in enumerate_kernel_mod_q(top, 2, cap=cap):
-        mask = 0
-        for i, x in enumerate(v):
-            if x:
-                mask |= 1 << i
-        supports.append(mask)
-    full = delta.full_mask
-    union_all = 0
-    for s in supports:
-        union_all |= s
-    memo = {}
-
-    def walk(depth, covered):
-        if covered | union_all != full:
-            return 0
-        if depth == r:
-            return 1 if covered == full else 0
-        key = (depth, covered)
-        got = memo.get(key)
-        if got is None:
-            got = sum(walk(depth + 1, covered | s) for s in supports)
-            memo[key] = got
-        return got
-
-    return walk(0, 0)
+    profile = flow_profile(delta, force=force)
+    n = profile.column_count
+    total = 0
+    for (size, rank, tors), count in profile.histogram.items():
+        term = count * (2 ** (size - rank) * t_q_of(tors, 2)) ** r
+        total += term if (n - size) % 2 == 0 else -term
+    return total
 
 
 def _signed_lift(delta, support_mask, layer):

@@ -30,6 +30,7 @@ from simflow.complexes import subdivide_facet
 from simflow.fixtures import _RP2_FACES, complete, cycle, petersen, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
 from simflow.flows import _tensions_by_circuits, circuits, is_modular_flow
 from simflow.homology import subset_profile
+from simflow.linalg import enumerate_kernel_mod_q
 from simflow.verify import PETERSEN_FLOWS_AT_5
 
 
@@ -298,6 +299,70 @@ def test_group_flows_cycle():
         if len(delta.facets) > 10:
             continue
         assert count_nz_group_flows_2r(delta, 1) == count_nz_flows(delta, 2)
+
+
+def group_flows_by_enumeration(delta, r):
+    """Nowhere-zero Z_2^r flows by listing every mod-2 kernel vector and
+    walking (depth, covered facets) over r-tuples of their supports: the
+    reference for the fold."""
+    top = boundary_matrix(delta, delta.dimension).matrix
+    supports = [
+        sum(1 << i for i, x in enumerate(v) if x) for v in enumerate_kernel_mod_q(top, 2)
+    ]
+    full = delta.full_mask
+    union_all = 0
+    for s in supports:
+        union_all |= s
+    memo = {}
+
+    def walk(depth, covered):
+        if covered | union_all != full:
+            return 0
+        if depth == r:
+            return 1 if covered == full else 0
+        key = (depth, covered)
+        if key not in memo:
+            memo[key] = sum(walk(depth + 1, covered | s) for s in supports)
+        return memo[key]
+
+    return walk(0, 0)
+
+
+def test_group_flows_fold_matches_enumeration_on_the_corpus():
+    for _, delta in standard_corpus():
+        if len(delta.facets) > 15:
+            continue
+        for r in (1, 2, 3):
+            want = group_flows_by_enumeration(delta, r)
+            assert count_nz_group_flows_2r(delta, r) == want, (delta, r)
+
+
+@pytest.mark.parametrize("kind", ["graphs", "2-complexes", "rp2", "points"])
+def test_group_flows_fold_matches_enumeration(kind):
+    """The fold of the flow profile against the enumeration, r = 1..3, on
+    random complexes: the graphs and RP^2 refinements all have fewer
+    series-reduced columns than facets."""
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
+
+    @settings
+    @hypothesis.given(_coloring_cases(hypothesis.strategies)[kind])
+    def check(delta):
+        for r in (1, 2, 3):
+            assert count_nz_group_flows_2r(delta, r) == group_flows_by_enumeration(delta, r), r
+
+    check()
+
+
+def test_group_flows_refuse_past_the_subset_cap(monkeypatch):
+    # a fresh Petersen graph: 15 columns, none of which series-reduce
+    delta = build_complex([list(f) for f in petersen().facets])
+    monkeypatch.setenv("SIMFLOW_SUBSET_CAP", "14")
+    with pytest.raises(CapExceededError):
+        count_nz_group_flows_2r(delta, 3)
+    assert count_nz_group_flows_2r(delta, 3, force=True) == group_flows_by_enumeration(delta, 3)
+    with pytest.raises(BadParamsError):
+        count_nz_group_flows_2r(delta, 0)
 
 
 def test_lift_single_layer():

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import simflow
 from simflow import (
+    CapExceededError,
     NotPureError,
     ParseError,
     build_complex,
@@ -20,7 +22,7 @@ from simflow import (
     parse_complex,
     serialize_complex,
 )
-from simflow.cli import main
+from simflow.cli import COMMANDS, _UsageError, build_parser, main
 from simflow.fixtures import FIXTURE_PARAMS, make_fixture, petersen, rp2
 from simflow.io import parse_document
 
@@ -543,3 +545,101 @@ def test_cli_verify_paper_suite(monkeypatch, capsys):
     assert len(lines) == 11
     assert all("PASS" in line for line in lines[:-1])
     assert lines[-1] == "result: PASS"
+
+
+def test_cli_sweep_refusal_leaves_stdout_empty(monkeypatch, capsys):
+    # K_8: 28 edges, over the subset cap, so the tensions fold refuses
+    doc = serialize_complex(make_fixture("complete", n=8, k=2))
+    code, out, err = _run_cli(
+        ["sweep", "--q-range", "2..3"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: ")
+    # a refusal after the first modulus answered leaves no row behind
+    def refuse_past_2(delta, k, force=False):
+        if k > 2:
+            raise CapExceededError("refused")
+        return count_nz_tensions(delta, k, force=force)
+
+    monkeypatch.setattr(simflow.cli, "count_nz_tensions", refuse_past_2)
+    code, out, _ = _run_cli(
+        ["sweep", "--q-range", "2..3"],
+        stdin_text='{"facets": [[0,1],[1,2],[0,2]]}',
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out) == (3, "")
+
+
+def test_cli_sweep_has_no_json_option(monkeypatch, capsys):
+    code, out, err = _run_cli(
+        ["sweep", "--q-range", "2..3", "--json"],
+        stdin_text='{"facets": [[0,1],[1,2],[0,2]]}',
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: unrecognized arguments: --json\n"
+
+
+def _help_text(parser, name):
+    """What `simflow <name> --help` prints through `parser`."""
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exit_info, redirect_stdout(out):
+        parser.parse_args([name, "--help"])
+    assert exit_info.value.code == 0
+    return out.getvalue()
+
+
+def test_one_command_parser_prints_the_same_help():
+    full = build_parser()
+    assert list(COMMANDS) == [
+        "generate", "analyze", "flows", "colorings", "tensions", "poly", "quasi",
+        "construct", "min-q", "suspend", "subdivide", "verify", "sweep",
+    ]
+    for name in COMMANDS:
+        text = _help_text(build_parser(name), name)
+        assert text.startswith(f"usage: simflow {name} [-h]")
+        assert text == _help_text(full, name), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flows"],
+        ["flows", "--q"],
+        ["flows", "--q", "x"],
+        ["flows", "--q", "3", "--method", "bad"],
+        ["flows", "--q", "3", "--jobs", "2"],
+        ["flows", "--q", "3", "a.json", "b.json"],
+        ["colorings", "--k", "3", "--method", "kernel_enum"],
+        ["tensions"],
+        ["poly", "--kind", "bad"],
+        ["poly", "--kind", "bott", "--convention", "x"],
+        ["generate", "--fixture", "nope"],
+        ["generate", "--fixture", "cycle", "--n", "x"],
+        ["verify", "--suite", "x"],
+        ["construct"],
+        ["subdivide", "--facet", "0", "--json"],
+        ["sweep", "--q-range", "2..3", "--json"],
+    ],
+)
+def test_one_command_parser_raises_the_same_usage_errors(argv):
+    messages = []
+    for parser in (build_parser(argv[0]), build_parser()):
+        with pytest.raises(_UsageError) as exc_info:
+            parser.parse_args(argv)
+        messages.append(str(exc_info.value))
+    assert messages[0] == messages[1]
+
+
+def test_one_command_parser_holds_one_subparser():
+    parser = build_parser("flows")
+    assert parser.format_usage() == "usage: simflow [-h] {flows} ...\n"
+    with pytest.raises(_UsageError, match=r"invalid choice: 'analyze' \(choose from 'flows'\)"):
+        parser.parse_args(["analyze"])
+    # anything but a command name builds every subparser
+    full = build_parser().format_usage()
+    assert "{generate,analyze,flows," in full
+    for command in ("-h", "nope"):
+        assert build_parser(command).format_usage() == full
