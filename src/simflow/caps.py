@@ -5,9 +5,10 @@ flow counts the series-reduced columns. The cap refuses more than
 SIMFLOW_SUBSET_CAP columns (default 24) unless the caller forces; a
 value that is not a non-negative integer raises SettingError. Kernel
 enumeration refuses streams longer than the enumeration cap; the
-signed lift of a Z_2^r flow, the fallback cut search and the face list
-of a new complex refuse more items than that. A dense Smith form of a
-lower boundary map refuses more entries than the matrix cap.
+signed lift of a Z_2^r flow, the coforest cover, the fallback cut
+search and the face list of a new complex refuse more items than that.
+A dense Smith form of a lower boundary map refuses more entries than
+the matrix cap.
 """
 
 import os

@@ -131,7 +131,9 @@ def _auto_route(sweep, enum_route, enum_size, enum_limit):
     the subset cap refuses that sweep. A sweep is taken when it is no
     larger than the enumeration, whose size `enum_size()` gives. Past
     that, enumeration runs up to `enum_limit` items and the expansion
-    takes the rest. A subset costs some 2.5 us; both enumerations are
+    takes the rest. `sweep` is an upper bound on the subsets visited: a
+    component swept on its dual side closes subtrees sooner. A subset
+    costs some 2.5 us on the primal side; both enumerations are
     Gray walks, at some 0.8 us per kernel vector and 0.4 us per
     coloring. So the rule leans towards the sweep: a sweep of as many
     subsets as there are items takes some 3x as long as the walk for

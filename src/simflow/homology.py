@@ -9,7 +9,11 @@ lattice spanned by the restricted columns of the top boundary map. The
 sweep walks the subsets of each block component of that map depth first
 and grows an integer echelon basis one column at a time. It takes a Smith
 diagonal only of a basis with a pivot other than +-1, and counts a subtree
-in closed form once its lattice is saturated and of full rank. The
+in closed form once its lattice is saturated and of full rank. A component
+of n columns and rank r whose column lattice is saturated and whose
+nullity n - r is below r is swept on its dual side instead: the rows of an
+integer kernel basis, which reach full rank after n - r of them, with each
+key mapped to that of the complement (`_lower_rank_sweep`). The
 per-component histograms keyed by (subset size, rank, torsion invariant
 factors) are convolved into one, the torsion of a union taken as the
 invariant factors of the direct sum. The basis is grown with
@@ -35,7 +39,14 @@ from math import comb, gcd, prod
 from .caps import check_matrix_cap, check_subset_cap, subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
 from .errors import BadModulusError
-from .linalg import fold_vector, invariant_factors, snf_diagonal, span_rank
+from .linalg import (
+    IntMatrix,
+    fold_vector,
+    invariant_factors,
+    smith_normal_form,
+    snf_diagonal,
+    span_rank,
+)
 
 
 @dataclass
@@ -184,17 +195,44 @@ def _join_torsion(t1, t2):
     return tuple(m for m in invariant_factors(t1 + t2) if m > 1)
 
 
+def _lower_rank_sweep(cols):
+    """`_component_sweep(cols)`, swept on whichever side has the lower
+    rank.
+
+    One Smith form of the n columns gives their rank r and a kernel basis
+    K (the columns of V past the rank), an n x (n - r) integer matrix
+    whose rows represent the dual matroid. When n - r < r and every
+    invariant factor is 1 (the column lattice is saturated), the n rows
+    of K are swept instead, and each dual key (s, r*, t) of a row set Y
+    is the primal key (n - s, r* - s + r, t) of its complement X:
+    rank(X) = r - |Y| + rank(K_Y) by matroid duality, and since
+    Z^m / A Z^n is free, the torsion of Z^m / A Z^X is that of
+    A Z^n / A Z^X = Z^Y / K_Y Z^(n-r), read off the Smith diagonal of
+    K_Y. The dual sweep closes a subtree at rank n - r instead of r.
+    """
+    n = len(cols)
+    snf = smith_normal_form(IntMatrix(list(zip(*cols)), cols=n))
+    r = snf.rank
+    if n - r >= r or any(m != 1 for m in snf.diagonal):
+        return _component_sweep(cols)
+    dual = _component_sweep([row[r:] for row in snf.V.data])
+    return Counter({(n - s, rank - s + r, tors): c for (s, rank, tors), c in dual.items()})
+
+
 class SubsetProfile:
     """The histogram that counts subsets of `columns` by (size, rank,
     torsion invariant factors): what every expansion consumes. Each block
-    component in `components` is swept on its own. `rank_full` is the
-    rank of all `column_count` columns together.
+    component in `components` is swept on its own, on its lower-rank
+    side: its columns, or, when its column lattice is saturated and its
+    nullity is below its rank, the rows of an integer kernel basis
+    (`_lower_rank_sweep`). `rank_full` is the rank of all `column_count`
+    columns together.
     """
 
     def __init__(self, columns, components):
         self.components = components
         self.histogram = self._assemble_histogram(
-            _component_sweep(_component_columns(columns, comp)) for comp in components
+            _lower_rank_sweep(_component_columns(columns, comp)) for comp in components
         )
         self.rank_full = max(rank for _, rank, _ in self.histogram)
         self.column_count = sum(len(comp) for comp in components)
@@ -299,9 +337,15 @@ def _reduced_columns(delta):
 
 def sweep_size(delta, flows=False, force=False):
     """Subsets that a fresh sweep for `flow_profile` (`flows`) or for
-    `subset_profile` would visit: the sum of 2^|component| over its block
-    components. 0 when a profile it can fold is cached (for flows,
-    either one), None when the subset cap refuses the sweep."""
+    `subset_profile` would visit at most: the sum of 2^|component| over
+    its block components. 0 when a profile it can fold is cached (for
+    flows, either one), None when the subset cap refuses the sweep.
+
+    A component swept on its dual side closes its subtrees after n - r
+    rows and may visit far fewer subsets, so this is an upper bound. No
+    `auto` route moved with the dual sweep; pricing routes by measured
+    unit costs (about 2.5 us per subset, on the primal side) is a
+    separate change."""
     if "subset_profile" in delta._cache or flows and "flow_profile" in delta._cache:
         return 0
     components = _reduced_columns(delta)[1] if flows else facet_components(delta)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .caps import check_enum_cap
+from .caps import DEFAULT_ENUM_CAP, check_enum_cap
 from .complexes import boundary_matrix, restrict_columns, top_columns
 from .errors import (
     CapExceededError,
@@ -236,7 +236,9 @@ def coforest_cover(delta, c, force=False):
     facet's row in and undoing the fold on backtrack. Facets are assigned
     in index order; parts are tried least-filled first (ties by part
     index) with the dual-Edmonds bound and a part-capacity bound as
-    pruning. Raises Infeasible when no c-part cover exists.
+    pruning. Raises Infeasible when no c-part cover exists. The search is
+    exponential in the facets, so it refuses to visit more than
+    DEFAULT_ENUM_CAP search nodes.
     """
     n = len(delta.facets)
     rows = _dual_rows(delta)
@@ -255,8 +257,15 @@ def coforest_cover(delta, c, force=False):
     parts = [0] * c
     tables = [[None] * max_part for _ in range(c)]
     logs = [[] for _ in range(c)]
+    nodes = 0
 
     def assign(facet):
+        nonlocal nodes
+        nodes += 1
+        if nodes > DEFAULT_ENUM_CAP:
+            raise CapExceededError(
+                f"cover by {c} coforests visits more than {DEFAULT_ENUM_CAP} search nodes"
+            )
         if facet == n:
             return True
         remaining = n - facet

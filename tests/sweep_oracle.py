@@ -4,11 +4,15 @@ This is the sweep simflow used before the incremental lattice sweep in
 `homology._component_sweep`. It rebuilds the restricted matrix and runs
 `snf_diagonal` from scratch for every mask, so it shares nothing with the
 incremental basis, the saturation test or the subtree pruning; the tests
-compare the histograms the two build.
+compare the histograms the two build. `watch_sides` records which side
+of each block component the sweep took.
 """
 
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
+from simflow import homology
 from simflow.complexes import facet_components, top_columns
 from simflow.homology import _component_columns
 from simflow.linalg import snf_diagonal
@@ -56,3 +60,25 @@ def oracle_profile(delta):
                 merged[(s1 + s2, r1 + r2, _join(t1, t2))] += c1 * c2
         hist = merged
     return hist
+
+
+@contextmanager
+def watch_sides():
+    """Record, for each `_lower_rank_sweep` call, whether it swept the
+    columns it was given ("primal") or other vectors ("dual")."""
+    sides = []
+    given = []
+    lower, sweep = homology._lower_rank_sweep, homology._component_sweep
+
+    def watched_lower(cols):
+        given.append(cols)
+        return lower(cols)
+
+    def watched_sweep(vectors):
+        sides.append("primal" if vectors is given[-1] else "dual")
+        return sweep(vectors)
+
+    with mock.patch.object(homology, "_lower_rank_sweep", watched_lower), mock.patch.object(
+        homology, "_component_sweep", watched_sweep
+    ):
+        yield sides

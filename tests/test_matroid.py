@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from simflow import matroid
@@ -16,7 +18,9 @@ from simflow import (
     is_bridge,
     matroid_corank,
     matroid_rank,
+    serialize_complex,
 )
+from simflow.cli import main
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.flows import circuits, jaeger_flow
 from simflow.homology import codim1_cycle_rank
@@ -376,3 +380,16 @@ def test_rank_is_monotone_and_bounded():
                 if not mask >> f & 1:
                     bigger = oracle.rank(mask | 1 << f)
                     assert r <= bigger <= r + 1
+
+
+def test_coforest_cover_is_capped(monkeypatch, capsys):
+    """The cover of a triangle by three coforests assigns three facets:
+    four search nodes."""
+    monkeypatch.setattr(matroid, "DEFAULT_ENUM_CAP", 3)
+    with pytest.raises(CapExceededError, match="cover by 3 coforests visits more than 3"):
+        coforest_cover(cycle(3), 3)
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(cycle(3))))
+    assert main(["construct", "--jaeger"]) == 3
+    assert "cover by 3 coforests" in capsys.readouterr().err
+    monkeypatch.setattr(matroid, "DEFAULT_ENUM_CAP", 4)
+    assert len(coforest_cover(cycle(3), 3).parts) == 3

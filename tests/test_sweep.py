@@ -1,16 +1,30 @@
 """The incremental subset sweep against the per-mask reference sweep in
-sweep_oracle.py, on random pure complexes and on torsion-bearing ones."""
+sweep_oracle.py, on random pure complexes and on torsion-bearing ones,
+on both sides a component can be swept on: its columns (primal) or the
+rows of an integer kernel basis (dual)."""
 
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from simflow.complexes import build_complex, restrict_columns, subdivide_facet
-from simflow.fixtures import _RP2_FACES
-from simflow.homology import _component_sweep, subset_profile
+from simflow import homology
+from simflow.complexes import (
+    build_complex,
+    facet_components,
+    restrict_columns,
+    subdivide_facet,
+    top_columns,
+)
+from simflow.fixtures import _RP2_FACES, complete, rp2
+from simflow.homology import (
+    _component_columns,
+    _component_sweep,
+    _lower_rank_sweep,
+    subset_profile,
+)
 from simflow.linalg import snf_diagonal
-from sweep_oracle import oracle_profile, per_mask_sweep
+from sweep_oracle import oracle_profile, per_mask_sweep, watch_sides
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -18,6 +32,23 @@ st = hypothesis.strategies
 SETTINGS = hypothesis.settings(
     max_examples=60, deadline=None, database=None, derandomize=True
 )
+
+
+def _per_mask_histogram(cols):
+    ranks, torsions = per_mask_sweep(cols)
+    return Counter(
+        (mask.bit_count(), ranks[mask], torsions.get(mask, ())) for mask in range(len(ranks))
+    )
+
+
+def _component_side(delta):
+    """The one block component's columns, its swept histogram and the
+    side it was swept on."""
+    (comp,) = facet_components(delta)
+    cols = _component_columns(top_columns(delta), comp)
+    with watch_sides() as sides:
+        histogram = homology._lower_rank_sweep(cols)
+    return cols, histogram, sides
 
 
 def _assert_matches_oracle(delta):
@@ -85,22 +116,96 @@ def torsion_complexes(draw):
 )
 def test_component_sweep_on_integer_columns(cols):
     """Entries beyond +-1 drive the gcd steps and the non-unit pivots that
-    boundary maps of small complexes rarely reach."""
-    want_ranks, want_torsions = per_mask_sweep(cols)
-    assert _component_sweep(cols) == Counter(
-        (mask.bit_count(), want_ranks[mask], want_torsions.get(mask, ()))
-        for mask in range(len(want_ranks))
-    )
+    boundary maps of small complexes rarely reach; on the dual side they
+    give subsets torsion inside a saturated lattice."""
+    want = _per_mask_histogram(cols)
+    assert _component_sweep(cols) == want
+    assert _lower_rank_sweep(cols) == want
 
 
-@SETTINGS
-@hypothesis.given(pure_complexes())
-def test_sweep_matches_per_mask_oracle(delta):
-    _assert_matches_oracle(delta)
+def _sides_of_oracle_run(strategy, settings, check):
+    """Run `check` on every complex `strategy` draws and return the sides
+    their components were swept on."""
+    seen = set()
+
+    @settings
+    @hypothesis.given(strategy)
+    def run(delta):
+        with watch_sides() as sides:
+            check(delta)
+        seen.update(sides)
+
+    run()
+    return seen
 
 
-@hypothesis.settings(SETTINGS, max_examples=15)
-@hypothesis.given(torsion_complexes())
-def test_sweep_matches_per_mask_oracle_with_torsion(delta):
+def test_sweep_matches_per_mask_oracle():
+    sides = _sides_of_oracle_run(pure_complexes(), SETTINGS, _assert_matches_oracle)
+    assert sides == {"primal", "dual"}
+
+
+def _assert_torsion_matches_oracle(delta):
     assert subset_profile(delta).torsion_period() > 1
     _assert_matches_oracle(delta)
+
+
+def test_sweep_matches_per_mask_oracle_with_torsion():
+    sides = _sides_of_oracle_run(
+        torsion_complexes(),
+        hypothesis.settings(SETTINGS, max_examples=15),
+        _assert_torsion_matches_oracle,
+    )
+    assert sides == {"primal", "dual"}
+
+
+def test_rp2_stays_primal():
+    """RP^2's ten columns are independent (n - r = 0), but their full
+    lattice has Z_2 torsion, which an empty kernel basis cannot carry."""
+    cols, histogram, sides = _component_side(rp2())
+    assert sides == ["primal"]
+    assert histogram == _per_mask_histogram(cols)
+    assert histogram[10, 10, (2,)] == 1
+
+
+def test_saturated_rp2_extension_goes_dual_with_torsion():
+    """One more triangle makes the full lattice saturated (11 columns of
+    rank 10), while subsets that miss it keep RP^2's Z_2."""
+    delta = build_complex(list(_RP2_FACES) + [(0, 1, 2)])
+    assert snf_diagonal(top_columns(delta)) == [1] * 10
+    cols, histogram, sides = _component_side(delta)
+    assert sides == ["dual"]
+    assert histogram == _per_mask_histogram(cols)
+    assert any(tors == (2,) for _, _, tors in histogram)
+
+
+def test_independent_saturated_columns_sweep_an_empty_kernel_basis():
+    """A path's edges are independent and unimodular: n = r, so the dual
+    side sweeps rows of length zero."""
+    cols, histogram, sides = _component_side(build_complex([(0, 1), (1, 2), (2, 3), (3, 4)]))
+    assert sides == ["dual"]
+    assert histogram == _per_mask_histogram(cols)
+    assert histogram == Counter({(s, s, ()): c for s, c in enumerate([1, 4, 6, 4, 1])})
+
+
+def test_tie_stays_primal():
+    """K_4: 6 edges of rank 3, so n - r = r."""
+    cols, histogram, sides = _component_side(complete(4, 2))
+    assert sides == ["primal"]
+    assert histogram == _per_mask_histogram(cols)
+
+
+def test_dual_sweep_folds_at_most_two_vectors_per_facet(monkeypatch):
+    """The suspension of a hexagon is a 2-sphere of 12 triangles and rank
+    11. Its kernel basis has one column, so the dual sweep closes each
+    subtree after one row: 12 folds, where the column sweep folds 4,094."""
+    calls = []
+    fold = homology.fold_vector
+    monkeypatch.setattr(
+        homology, "fold_vector", lambda *args: calls.append(1) or fold(*args)
+    )
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    sphere = build_complex([edge + (apex,) for edge in hexagon for apex in (6, 7)])
+    n = len(sphere.facets)
+    assert n == 12
+    assert subset_profile(sphere).histogram == oracle_profile(sphere)
+    assert len(calls) <= 2 * n

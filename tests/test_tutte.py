@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from simflow import (
@@ -11,11 +13,14 @@ from simflow import (
     count_nz_flows,
     matroid_tutte,
     q_tkr_polynomial,
+    serialize_complex,
     subset_profile,
     tkr_polynomial,
 )
+from simflow.cli import main
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.poly import BivariatePolynomial, format_bivariate, format_univariate
+from sweep_oracle import watch_sides
 
 
 def test_tkr_single_simplex_is_x():
@@ -187,3 +192,24 @@ def test_bivariate_polynomial_basics():
     assert poly.evaluate(7, 0) == 7
     assert format_univariate([-6, 11, -6, 1], var="q") == "q^3 - 6q^2 + 11q - 6"
     assert format_univariate([], var="q") == "0"
+
+
+def test_petersen_tutte_matches_networkx(monkeypatch, capsys):
+    """Past 10 facets: Petersen's 15 edges are swept on the dual side (a
+    kernel basis of 6 columns against rank 9), and `poly --kind tutte`
+    must print networkx's deletion-contraction Tutte polynomial."""
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    delta = petersen()
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(delta)))
+    with watch_sides() as sides:
+        assert main(["poly", "--kind", "tutte"]) == 0
+    assert sides == ["dual"]
+    out = capsys.readouterr().out
+
+    x, y = sympy.symbols("x y")
+    graph = nx.Graph(list(delta.facets))
+    want = sympy.Poly(nx.tutte_polynomial(graph), x, y).as_dict()
+    assert out.strip() == format_bivariate(
+        BivariatePolynomial({key: int(c) for key, c in want.items()})
+    )
