@@ -3,7 +3,10 @@
 Subset expansions sweep all 2^n subsets of n columns: the facets, or for
 flow counts the series-reduced columns. The cap refuses more than
 SIMFLOW_SUBSET_CAP columns (default 24) unless the caller forces; a
-value that is not a non-negative integer raises SettingError. Kernel
+value that is not a non-negative integer raises SettingError.
+`homology._sweep_columns` is its one caller: every sweep, the sweep
+size that `method="auto"` compares and the circuit scan are admitted
+there. Kernel
 enumeration refuses streams longer than the enumeration cap; the
 signed lift of a Z_2^r flow, the coforest cover, the fallback cut
 search and the face list of a new complex refuse more items than that.
@@ -48,13 +51,12 @@ def check_subset_cap(count, force=False, what="facets"):
         )
 
 
-def check_enum_cap(count, cap=None, what="vectors"):
+def check_enum_cap(count, what="vectors"):
     """Refuse enumerating `count` items, which the refusal calls `what`,
-    when they are more than `cap` (default DEFAULT_ENUM_CAP)."""
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if count > limit:
+    when they are more than DEFAULT_ENUM_CAP."""
+    if count > DEFAULT_ENUM_CAP:
         raise CapExceededError(
-            f"enumeration of {count} {what} exceeds the cap of {limit}",
+            f"enumeration of {count} {what} exceeds the cap of {DEFAULT_ENUM_CAP}",
             needed=count,
         )
 

@@ -51,10 +51,6 @@ class SimplicialComplex:
         self._cache = {}
 
     @property
-    def facet_count(self):
-        return len(self.facets)
-
-    @property
     def vertex_count(self):
         return len(self._faces[0]) if self.dimension >= 0 else 0
 

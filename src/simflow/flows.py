@@ -8,11 +8,12 @@ enumerate: the mod-q kernel of the top boundary map (size q^beta times
 the torsion weight) for flows, all k^|ridges| colorings for colorings.
 Both enumerations run `linalg.gray_count_nowhere_zero`, a Gray walk
 whose every step changes only the entries that one digit touches.
-Flows fold `homology.flow_profile`, the histogram of the series-reduced
-columns, and colorings `homology.subset_profile`, the histogram of the
-facets. `method="auto"` folds whenever such a histogram is cached, or
-the subset cap admits the columns it would sweep and its sweep is no
-larger than the enumeration. `method="kernel_enum"` enumerates the
+Flows fold `homology.flow_profile`: whichever histogram is cached, else
+that of the series-reduced columns. Colorings fold
+`homology.subset_profile`, the histogram of the facets.
+`method="auto"` folds whenever such a histogram is cached, or the
+subset cap admits the columns it would sweep and its sweep is no larger
+than the enumeration. `method="kernel_enum"` enumerates the
 unreduced kernel: it is the oracle the folds are held to. Tension
 counts come from the facet histogram through the chromatic relation;
 `_tensions_by_circuits` filters the circuit system directly and is the
@@ -25,7 +26,7 @@ mod-2 flow count, folded by inclusion-exclusion.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .caps import DEFAULT_ENUM_CAP, check_enum_cap, check_subset_cap
+from .caps import DEFAULT_ENUM_CAP, check_enum_cap
 from .complexes import boundary_matrix, top_columns
 from .errors import (
     BadModulusError,
@@ -37,7 +38,7 @@ from .errors import (
     NotAFlowError,
     RelationMismatchError,
 )
-from .homology import flow_profile, subset_profile, sweep_size, t_q_of
+from .homology import _sweep_columns, flow_profile, subset_profile, sweep_size, t_q_of
 from .linalg import (
     IntMatrix,
     count_nowhere_zero_kernel_mod_q,
@@ -167,8 +168,8 @@ def _flow_expansion(delta, q, force=False):
 
 def count_nz_flows(delta, q, method="auto", force=False):
     """Number of nowhere-zero q-flows, by kernel enumeration of the top
-    boundary map or by the subset inclusion-exclusion expansion over its
-    series-reduced columns (both exact)."""
+    boundary map or by the subset inclusion-exclusion expansion over the
+    flow profile (both exact)."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
     n = len(delta.facets)
@@ -246,21 +247,24 @@ def circuits(delta, force=False):
     """All circuits (minimal rationally dependent facet sets) as bitmasks,
     in ascending order.
 
-    Masks are scanned by size, so a dependent mask that contains no
-    circuit found so far is minimal. Dependence folds the mask's boundary
-    columns into one echelon basis.
+    A circuit lies inside one block component (the matroid is their
+    direct sum), so each component's masks are scanned on their own, as
+    the sweep admits them. Masks are scanned by size, so a dependent mask
+    that contains no circuit found so far is minimal. Dependence folds
+    the mask's boundary columns into one echelon basis.
     """
-    n = len(delta.facets)
-    check_subset_cap(n, force=force)
-    cols = top_columns(delta)
+    cols, components = _sweep_columns(delta, force=force)
     found = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            mask = sum(1 << j for j in combo)
-            if any(c & mask == c for c in found):
-                continue
-            if span_rank([cols[j] for j in combo]) < size:
-                found.append(mask)
+    for comp in components:
+        local = []
+        for size in range(1, len(comp) + 1):
+            for combo in combinations(comp, size):
+                mask = sum(1 << j for j in combo)
+                if any(c & mask == c for c in local):
+                    continue
+                if span_rank([cols[j] for j in combo]) < size:
+                    local.append(mask)
+        found += local
     return sorted(found)
 
 
@@ -322,7 +326,7 @@ def _tensions_by_circuits(delta, k, force=False):
 
 def flow_quasipolynomial(delta, force=False):
     """The flow count as a quasipolynomial in q, read off the flow
-    profile (the histogram of the series-reduced columns).
+    profile (that of the facets or of the series-reduced columns).
 
     The period is the lcm of every torsion invariant factor over all
     column subsets, the same factors that the facet subsets carry. Each

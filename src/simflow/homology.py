@@ -21,24 +21,28 @@ invariant factors of the direct sum. The basis is grown with
 subset is kept: a rank question that names one subset folds its vectors
 into a fresh basis (`linalg.span_rank`).
 
-`subset_profile` sweeps `complexes.top_columns`. Flow counts fold
-`flow_profile`, the same sweep over the series-reduced columns
-(`series_reduce`, run once per complex). A ridge in
-exactly two facets, both with coefficient +-1, ties their flow values
-together, so the pair carries one degree of freedom. The reduction
-keeps every mod-q kernel size and every nowhere-zero count, but not the
-matroid, so colorings, tensions and the Tutte polynomials stay on
-`subset_profile`. When nothing reduces, the two profiles are one.
-`sweep_size` tells `method="auto"` what a fresh sweep would cost.
+`_sweep_columns` is the one admission rule: it names the columns a
+sweep visits and refuses more of them than the subset cap. They are the
+facets (`complexes.top_columns`) for `subset_profile`, and for
+`flow_profile` the series-reduced columns (`series_reduce`, run once
+per complex) when some column reduces. `sweep_size`, which tells
+`method="auto"` what a fresh sweep would cost, and `flows.circuits` ask
+it too. A ridge in exactly two facets, both with coefficient +-1, ties
+their flow values together, so the pair carries one degree of freedom.
+The reduction keeps every mod-q kernel size and every nowhere-zero
+count, but not the matroid, so colorings, tensions and the Tutte
+polynomials stay on `subset_profile`. Flow counts fold whichever
+profile is cached, since both give every mod-q kernel size; the
+reduced columns are swept only when neither is.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd, prod
 
-from .caps import check_matrix_cap, check_subset_cap, subset_cap
+from .caps import check_matrix_cap, check_subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
-from .errors import BadModulusError
+from .errors import BadModulusError, CapExceededError
 from .linalg import (
     IntMatrix,
     fold_vector,
@@ -58,25 +62,24 @@ class HomologySummary:
     torsion: dict
 
 
-def _skeleton_snfs(delta):
-    """Smith diagonals of the boundary maps in dimensions 0..d-1, cached;
-    the top map's diagonal depends on the facet subset. Refuses before
-    any Smith form when one of these maps is over the matrix cap."""
-    snfs = delta._cache.get("skeleton_snfs")
-    if snfs is None:
-        for n in range(delta.dimension):
-            rows = len(delta.faces(n - 1)) if n else 1
-            check_matrix_cap(rows, len(delta.faces(n)), f"boundary map in dimension {n}")
-        snfs = {
-            n: tuple(snf_diagonal(boundary_matrix(delta, n).matrix.data))
-            for n in range(delta.dimension)
-        }
-        delta._cache["skeleton_snfs"] = snfs
+def _skeleton_snfs(delta, dims):
+    """Smith diagonals of the boundary maps in dimensions `dims`, each
+    below the top (whose diagonal depends on the facet subset), cached
+    one per dimension. Refuses before any Smith form when one of the
+    maps still to be eliminated is over the matrix cap."""
+    snfs = delta._cache.setdefault("skeleton_snfs", {})
+    todo = [n for n in dims if n not in snfs]
+    for n in todo:
+        rows = len(delta.faces(n - 1)) if n else 1
+        check_matrix_cap(rows, len(delta.faces(n)), f"boundary map in dimension {n}")
+    for n in todo:
+        snfs[n] = tuple(snf_diagonal(boundary_matrix(delta, n).matrix.data))
     return snfs
 
 
 def codim1_cycle_rank(delta):
-    """Nullity of the boundary map one dimension below the top.
+    """Nullity of the boundary map one dimension below the top, the only
+    map of the lower skeleton it eliminates.
 
     For d = 0 the chain complex bottoms out at the augmentation target Z,
     whose (zero) boundary map has nullity 1.
@@ -84,8 +87,7 @@ def codim1_cycle_rank(delta):
     d = delta.dimension
     if d == 0:
         return 1
-    snfs = _skeleton_snfs(delta)
-    return len(delta.faces(d - 1)) - len(snfs[d - 1])
+    return len(delta.faces(d - 1)) - len(_skeleton_snfs(delta, [d - 1])[d - 1])
 
 
 def _restricted_diagonal(delta, mask):
@@ -100,7 +102,7 @@ def homology_summary(delta, mask=None):
     d = delta.dimension
     if mask is None:
         mask = delta.full_mask
-    snfs = _skeleton_snfs(delta)
+    snfs = _skeleton_snfs(delta, range(d))
     top_diag = _restricted_diagonal(delta, mask)
     top_rank = len(top_diag)
     size = mask.bit_count()
@@ -265,6 +267,25 @@ def _component_columns(columns, comp):
     return [[columns[j][i] for i in touched] for j in comp]
 
 
+def _sweep_columns(delta, flows=False, force=False):
+    """The columns a fresh sweep for `flow_profile` (`flows`) or for
+    `subset_profile` visits, with their block components: the
+    series-reduced columns (reduced once per complex) when flows are
+    asked for and some column reduces, else the facets. Every sweep is
+    admitted here: more of these columns than the subset cap raise
+    CapExceededError unless forced."""
+    if flows:
+        reduced = delta._cache.get("reduced_columns")
+        if reduced is None:
+            columns = series_reduce(top_columns(delta))
+            reduced = delta._cache["reduced_columns"] = columns, column_components(columns)
+        if len(reduced[0]) < len(delta.facets):
+            check_subset_cap(len(reduced[0]), force=force, what="series-reduced columns")
+            return reduced
+    check_subset_cap(len(delta.facets), force=force)
+    return top_columns(delta), facet_components(delta)
+
+
 def subset_profile(delta, force=False, jobs=None):
     """Compute (cached) the SubsetProfile of a complex's facets.
 
@@ -273,8 +294,7 @@ def subset_profile(delta, force=False, jobs=None):
     """
     profile = delta._cache.get("subset_profile")
     if profile is None:
-        check_subset_cap(len(delta.facets), force=force)
-        profile = SubsetProfile(top_columns(delta), facet_components(delta))
+        profile = SubsetProfile(*_sweep_columns(delta, force=force))
         delta._cache["subset_profile"] = profile
     return profile
 
@@ -324,56 +344,35 @@ def series_reduce(columns):
     return [[col.get(i, 0) for i in rows] for col in cols if col is not None]
 
 
-def _reduced_columns(delta):
-    """The series-reduced top boundary columns and their block
-    components, computed once per complex."""
-    got = delta._cache.get("reduced_columns")
-    if got is None:
-        reduced = series_reduce(top_columns(delta))
-        got = reduced, column_components(reduced)
-        delta._cache["reduced_columns"] = got
-    return got
-
-
 def sweep_size(delta, flows=False, force=False):
     """Subsets that a fresh sweep for `flow_profile` (`flows`) or for
     `subset_profile` would visit at most: the sum of 2^|component| over
-    its block components. 0 when a profile it can fold is cached (for
-    flows, either one), None when the subset cap refuses the sweep.
-
-    A component swept on its dual side closes its subtrees after n - r
-    rows and may visit far fewer subsets, so this is an upper bound. No
-    `auto` route moved with the dual sweep; pricing routes by measured
-    unit costs (about 2.5 us per subset, on the primal side) is a
-    separate change."""
+    the block components of `_sweep_columns`. 0 when a profile it can
+    fold is cached (for flows, either one), None when the subset cap
+    refuses the sweep. A component swept on its dual side closes its
+    subtrees after n - r rows and may visit far fewer subsets, so this
+    is an upper bound."""
     if "subset_profile" in delta._cache or flows and "flow_profile" in delta._cache:
         return 0
-    components = _reduced_columns(delta)[1] if flows else facet_components(delta)
-    if sum(len(comp) for comp in components) > subset_cap() and not force:
+    try:
+        components = _sweep_columns(delta, flows=flows, force=force)[1]
+    except CapExceededError:
         return None
     return sum(1 << len(comp) for comp in components)
 
 
 def flow_profile(delta, force=False):
-    """Compute (cached) the SubsetProfile that flow counts fold: the
-    subset profile of the series-reduced top boundary columns.
+    """The SubsetProfile that flow counts fold: any cached profile of the
+    top boundary columns, else a fresh sweep of `_sweep_columns(delta,
+    flows=True)`, cached as the subset profile when nothing reduces.
 
-    When no column reduces this is `subset_profile(delta)` itself. It
-    refuses more reduced columns than the subset cap unless forced or a
-    subset profile is already cached: the reduced sweep is never larger
-    than that one, because reduction only splits block components.
+    Both histograms give every mod-q kernel size, so flow counts fold
+    either one exactly: series reduction keeps each kernel's size and
+    nowhere-zero count, and only merges facets whose flow values are tied.
     """
-    profile = delta._cache.get("flow_profile")
+    profile = delta._cache.get("flow_profile") or delta._cache.get("subset_profile")
     if profile is None:
-        reduced, components = _reduced_columns(delta)
-        if len(reduced) == len(delta.facets):
-            profile = subset_profile(delta, force=force)
-        else:
-            check_subset_cap(
-                len(reduced),
-                force=force or "subset_profile" in delta._cache,
-                what="series-reduced columns",
-            )
-            profile = SubsetProfile(reduced, components)
-        delta._cache["flow_profile"] = profile
+        columns, components = _sweep_columns(delta, flows=True, force=force)
+        key = "subset_profile" if columns is top_columns(delta) else "flow_profile"
+        profile = delta._cache[key] = SubsetProfile(columns, components)
     return profile

@@ -53,9 +53,6 @@ class IntMatrix:
             m.data[i][i] = 1
         return m
 
-    def copy(self):
-        return IntMatrix(self.data, cols=self.cols)
-
     def transpose(self):
         return IntMatrix(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
@@ -391,7 +388,7 @@ def gray_count_nowhere_zero(size, modulus, digits):
             count += 1
 
 
-def count_nowhere_zero_kernel_mod_q(mat, q, cap=None):
+def count_nowhere_zero_kernel_mod_q(mat, q):
     """Number of kernel vectors of mat over Z_q with no zero entry.
 
     The kernel is V . y for y in the diagonal system's solution box, as
@@ -402,7 +399,7 @@ def count_nowhere_zero_kernel_mod_q(mat, q, cap=None):
     form if the kernel is larger than the enumeration cap.
     """
     total = kernel_count_mod_q(mat, q)
-    check_enum_cap(total, cap)
+    check_enum_cap(total)
     n = mat.cols
     res = smith_normal_form(mat)
     V = res.V.data
@@ -413,7 +410,7 @@ def count_nowhere_zero_kernel_mod_q(mat, q, cap=None):
     return gray_count_nowhere_zero(n, q, digits)
 
 
-def enumerate_kernel_mod_q(mat, q, cap=None):
+def enumerate_kernel_mod_q(mat, q):
     """Yield each kernel vector of mat over Z_q exactly once.
 
     Solutions are V . y for y ranging over the diagonal system's solution
@@ -422,7 +419,7 @@ def enumerate_kernel_mod_q(mat, q, cap=None):
     than the enumeration cap.
     """
     total = kernel_count_mod_q(mat, q)
-    check_enum_cap(total, cap)
+    check_enum_cap(total)
     n = mat.cols
     if n == 0:
         yield ()

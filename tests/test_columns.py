@@ -26,14 +26,17 @@ SETTINGS = hypothesis.settings(
 
 
 @st.composite
-def complexes(draw):
+def complexes(draw, max_vertices=6, max_facets=8):
     """Points, graphs or 2-complexes: up to three pieces on disjoint
-    vertex sets, each a random set of facets on at most six vertices."""
+    vertex sets, each a random set of at most `max_facets` facets on at
+    most `max_vertices` vertices."""
     d = draw(st.integers(0, 2))
     facets = []
     for piece in range(draw(st.integers(1, 3))):
-        pool = list(combinations(range(draw(st.integers(d + 1, 6))), d + 1))
-        chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+        pool = list(combinations(range(draw(st.integers(d + 1, max_vertices))), d + 1))
+        chosen = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=max_facets, unique=True)
+        )
         facets += [[v + 10 * piece for v in f] for f in chosen]
     return build_complex(facets)
 

@@ -26,11 +26,11 @@ from simflow import (
     serialize_complex,
 )
 from simflow.cli import main
-from simflow.complexes import subdivide_facet
+from simflow.complexes import facet_components, subdivide_facet, top_columns
 from simflow.fixtures import _RP2_FACES, complete, cycle, petersen, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
 from simflow.flows import _tensions_by_circuits, circuits, is_modular_flow
 from simflow.homology import subset_profile
-from simflow.linalg import enumerate_kernel_mod_q
+from simflow.linalg import enumerate_kernel_mod_q, span_rank
 from simflow.verify import PETERSEN_FLOWS_AT_5
 
 
@@ -140,9 +140,17 @@ def test_brute_colorings_match_dense_and_expansion(kind):
     """The Gray walk against the dense oracle and the subset expansion,
     k = 2..5. The walk runs up to 2^18 colorings; the dense oracle only
     where it takes at most 5 * 10^6 products (RP^2 refined once, with 18
-    ridges, is held to the expansion alone)."""
+    ridges, is held to the expansion alone). No shrinking: each shrink
+    step walks up to 2^18 colorings, so a broken route would take minutes
+    to report."""
     hypothesis = pytest.importorskip("hypothesis")
-    settings = hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    settings = hypothesis.settings(
+        max_examples=15,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        phases=[p for p in hypothesis.Phase if p is not hypothesis.Phase.shrink],
+    )
 
     @settings
     @hypothesis.given(_coloring_cases(hypothesis.strategies)[kind])
@@ -243,6 +251,38 @@ def test_circuit_enumeration():
     assert circuits(cycle(3)) == [0b111]
     assert circuits(simplex_boundary(2)) == [0b1111]
     assert len(circuits(complete(4, 2))) == 7  # 4 triangles and 3 quadrilaterals
+
+
+def _circuits_of_all_masks(delta):
+    """Circuits by scanning every facet mask by size, across blocks."""
+    cols = top_columns(delta)
+    found = []
+    for size in range(1, len(cols) + 1):
+        for combo in combinations(range(len(cols)), size):
+            mask = sum(1 << j for j in combo)
+            if not any(c & mask == c for c in found) and span_rank([cols[j] for j in combo]) < size:
+                found.append(mask)
+    return sorted(found)
+
+
+def test_circuits_scan_each_block_on_its_own(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_columns import complexes
+
+    scanned = []
+    monkeypatch.setattr(flows, "span_rank", lambda vectors: scanned.append(vectors) or span_rank(vectors))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(complexes(max_facets=4))
+    def check(delta):
+        want = _circuits_of_all_masks(delta)
+        scanned.clear()
+        assert circuits(delta) == want
+        cols = top_columns(delta)
+        block = {id(cols[j]): b for b, comp in enumerate(facet_components(delta)) for j in comp}
+        assert scanned and all(len({block[id(v)] for v in vectors}) == 1 for vectors in scanned)
+
+    check()
 
 
 def test_quasipolynomial_rp2():

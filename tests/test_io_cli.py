@@ -23,7 +23,8 @@ from simflow import (
     serialize_complex,
 )
 from simflow.cli import COMMANDS, _UsageError, build_parser, main
-from simflow.fixtures import FIXTURE_PARAMS, make_fixture, petersen, rp2
+from simflow.fixtures import FIXTURE_PARAMS, make_fixture, petersen, rp2, simplex_boundary
+from simflow.flows import ModularFlow, is_modular_flow
 from simflow.io import parse_document
 
 
@@ -388,6 +389,22 @@ def test_cli_analyze_refuses_a_large_lower_skeleton_at_once(monkeypatch, capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert "Smith normal form of a 1001 x 2002 boundary map in dimension 4" in err
+
+
+def test_cli_jaeger_reads_only_the_codimension_one_map(monkeypatch, capsys):
+    # the 12-sphere's maps below dimension 11 reach 1001 x 2002, over the
+    # matrix cap; the forest test needs only the 364 x 91 one
+    sphere = simplex_boundary(12)
+    code, out, err = _run_cli(
+        ["construct", "--jaeger", "--json"],
+        stdin_text=serialize_complex(sphere),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["modulus"] == 16384 and payload["nowhere_zero"]
+    assert is_modular_flow(sphere, ModularFlow(q=16384, values=tuple(payload["values"])))
 
 
 def test_matrix_cap_admits_the_eleven_simplex():
