@@ -498,8 +498,10 @@ def jaeger_flow(delta, force=False):
                 words[i] |= 1 << k
     gf = GroupFlow2r(r=c, words=tuple(words))
     flow = lift_z2r_flow(delta, gf)
+    # of the fundamental circuits summed into layer k, a facet f of part k
+    # lies only in its own, so word f is nonzero, and so is its lift
     if not flow.nowhere_zero:
-        raise LiftFailedError("pipeline produced a flow with a zero entry")
+        raise InternalError("pipeline produced a flow with a zero entry")
     return flow
 
 

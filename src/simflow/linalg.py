@@ -6,12 +6,14 @@ minimal-absolute-value pivoting (no modular shortcuts, no floats).
 Matrices in this problem are small (tens of rows/columns), so dense
 row-major storage wins over anything clever.
 
-Two routines reduce integer vectors. `snf_diagonal` gives the invariant
-factors of a matrix; `smith_normal_form` also keeps the column transform
-V, whose columns past the rank span the kernel. `fold_vector` adds one
-vector to an echelon basis by gcd elimination and can be undone; every
-rank question that names a set of vectors (`span_rank`), the subset
-sweep and `row_lattice_reduce` are folds.
+Two eliminations reduce integer vectors. One Smith elimination
+(`_eliminate`) lies under both Smith forms: `snf_diagonal` keeps only
+the invariant factors, and `smith_normal_form` also applies every
+column operation to the transform V, whose columns past the rank span
+the kernel. `fold_vector` adds one vector to an echelon basis by gcd
+elimination and can be undone; every rank question that names a set of
+vectors (`span_rank`), the subset sweep and `row_lattice_reduce` are
+folds.
 
 `gray_count_nowhere_zero` walks a mixed-radix box in Gray order and
 counts the points where a vector it keeps in step has no zero entry;
@@ -91,8 +93,12 @@ class IntMatrix:
 
 @dataclass
 class SNFResult:
-    """diagonal d1 | d2 | ... | dr (positive), rank r, and a unimodular V
-    such that A V has the diagonal's rank nonzero columns first, then zeros."""
+    """Smith form of a matrix A: the invariant factors d1 | d2 | ... | dr
+    (positive) as `diagonal`, the rank r, and a unimodular column
+    transform V. Column k < r of A V is d_k times a primitive vector; the
+    columns of V past r are an integer basis of the kernel, so A V is
+    zero there. V is one such transform among many: read only what every
+    one of them shares (the rank, the diagonal and the kernel lattice)."""
 
     diagonal: tuple
     rank: int
@@ -121,20 +127,29 @@ def invariant_factors(diag):
     return d
 
 
-def snf_diagonal(rows):
-    """Invariant factors of the matrix given as a list of row lists.
+def _eliminate(rows, transform):
+    """Smith diagonal of the matrix given as a list of row lists, which is
+    left as it was (the elimination works on copies of its nonzero rows),
+    with every column operation also applied to the rows of `transform`.
 
-    Works on copies of the nonzero rows, so `rows` is left as it was. No
-    transform bookkeeping: columns and rows are physically discarded as
-    pivots are extracted.
+    Each step takes a nonzero entry of least magnitude as the pivot,
+    clears its column with row operations and its row with column
+    operations, moving to any smaller remainder. Before a pivot other
+    than +-1 is retired it must divide every entry left; a row where it
+    does not is added to the pivot row, and the step goes on. So every
+    later entry is a multiple of each retired pivot, and the pivots come
+    out as the divisibility chain. A retired pivot's row is dropped and
+    its column swapped with the last live one and dropped. In
+    `transform` that column is swapped the same way but kept, so the
+    rows of `transform` end with the r columns the pivots retired, the
+    last retired first, after the columns that span the kernel.
     """
+    pivots = []
     rows = [list(r) for r in rows if any(r)]
-    diag = []
     while rows:
         ncols = len(rows[0])
         # locate a minimal-magnitude nonzero pivot
         best = 0
-        pi = pj = -1
         for i, row in enumerate(rows):
             for j in range(ncols):
                 v = row[j]
@@ -146,9 +161,8 @@ def snf_diagonal(rows):
                             break
             if best == 1:
                 break
-        if best == 0:
-            break
-        # reduce until pivot row and column are clear
+        # reduce until the pivot row and column are clear and the pivot
+        # divides what is left
         while True:
             prow = rows[pi]
             p = prow[pj]
@@ -176,14 +190,26 @@ def snf_diagonal(rows):
                     q = v // p
                     if q:
                         prow[j] = v - q * p
+                        for t in transform:
+                            t[j] -= q * t[pj]
                     if prow[j]:
                         pj = j
                         moved = True
                         break
             if moved:
                 continue
+            # row and column are clear; add to the pivot row a row holding
+            # an entry the pivot does not divide
+            if p != 1 and p != -1:
+                for i, row in enumerate(rows):
+                    if i != pi and any(v % p for v in row):
+                        rows[pi] = [a + b for a, b in zip(prow, row)]
+                        moved = True
+                        break
+                if moved:
+                    continue
             break
-        diag.append(p if p > 0 else -p)
+        pivots.append(p if p > 0 else -p)
         # drop pivot row; swap pivot column with the last and drop it
         last = len(rows) - 1
         rows[pi] = rows[last]
@@ -192,125 +218,34 @@ def snf_diagonal(rows):
         for row in rows:
             row[pj] = row[lastc]
             row.pop()
+        for t in transform:
+            t[pj], t[lastc] = t[lastc], t[pj]
         rows = [r for r in rows if any(r)]
-    return invariant_factors(diag)
+    return pivots
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+def snf_diagonal(rows):
+    """Invariant factors of the matrix given as a list of row lists, in
+    divisibility order; `rows` is left as it was and no transform is
+    kept."""
+    return _eliminate(rows, [])
 
 
 def smith_normal_form(mat):
-    """Smith normal form of an IntMatrix.
+    """Smith normal form of an IntMatrix, leaving `mat` as it was.
 
     Returns SNFResult with the column transform V: a unimodular matrix
-    such that mat @ V is zero past the first `rank` columns. The row
-    transform is not kept.
+    whose first `rank` columns are the ones the pivots retired, in
+    divisibility order, and whose remaining columns are an integer basis
+    of the kernel, so mat @ V is zero past the first `rank` columns. The
+    row transform is not kept.
     """
-    M = [list(row) for row in mat.data]
-    m, n = mat.rows, mat.cols
-    V = IntMatrix.identity(n)
-
-    def swap_rows(a, b):
-        M[a], M[b] = M[b], M[a]
-
-    def swap_cols(a, b):
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-        for row in V.data:
-            row[a], row[b] = row[b], row[a]
-
-    def row_sub(i, k, q):
-        Mk = M[k]
-        M[i] = [a - q * b for a, b in zip(M[i], Mk)]
-
-    def col_sub(j, k, q):
-        for row in M:
-            row[j] -= q * row[k]
-        for row in V.data:
-            row[j] -= q * row[k]
-
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        best = 0
-        pi = pj = -1
-        for i in range(t, m):
-            Mi = M[i]
-            for j in range(t, n):
-                v = Mi[j]
-                if v:
-                    a = v if v > 0 else -v
-                    if best == 0 or a < best:
-                        best, pi, pj = a, i, j
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if best == 0:
-            break
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            p = M[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                v = M[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        row_sub(i, t, q)
-                    if M[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                v = M[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        col_sub(j, t, q)
-                    if M[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            break
-        if M[t][t] < 0:
-            M[t] = [-a for a in M[t]]
-        t += 1
-
-    rank = t
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                a, b = M[i][i], M[j][j]
-                if b % a == 0:
-                    continue
-                changed = True
-                g, s, tt = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                M[i][i], M[j][j] = g, a * bg
-                for row in V.data:
-                    vi, vj = row[i], row[j]
-                    row[i] = vi + vj
-                    row[j] = -tt * bg * vi + s * ag * vj
-
-    diagonal = tuple(M[i][i] for i in range(rank))
-    return SNFResult(diagonal=diagonal, rank=rank, V=V)
+    V = IntMatrix.identity(mat.cols)
+    diagonal = _eliminate(mat.data, V.data)
+    free = mat.cols - len(diagonal)
+    for row in V.data:
+        row[:] = row[free:][::-1] + row[:free]
+    return SNFResult(diagonal=tuple(diagonal), rank=len(diagonal), V=V)
 
 
 def rational_rank(mat):

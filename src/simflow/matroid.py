@@ -9,8 +9,8 @@ its columns of `complexes.top_columns`. The corank folds X's rows of
 an integer kernel basis K of the boundary map, taken once per complex:
 K represents the dual matroid, so X is coindependent exactly when its
 rows of K are independent, and a bridge is a zero row. `RankOracle` takes one Smith
-diagonal per query; nothing in the library calls it, and `verify` and
-the tests hold the folds to it.
+diagonal per query; only `verify` calls it (criterion 10), as the
+oracle that it and the tests hold the folds to.
 """
 
 from dataclasses import dataclass

@@ -3,6 +3,8 @@ integer equality. Each test prints a single pass/fail line; the same
 checks back the `verify --suite paper` command.
 """
 
+import importlib.util
+
 from simflow import verify
 
 
@@ -35,6 +37,9 @@ def test_criterion_05_specialization_identities():
     # many ridges for brute colorings at some q
     assert "compared: 50 of 50 flow counts" in result.detail
     assert "32 of 50 coloring counts" in result.detail
+    # Petersen, the one graph past 10 facets, against networkx when installed
+    oracle = all(importlib.util.find_spec(m) for m in ("networkx", "sympy"))
+    assert f"networkx's on {int(oracle)} graph(s) past 10 facets" in result.detail
 
 
 def test_criterion_06_group_flow_counts():

@@ -472,6 +472,21 @@ def test_cli_broken_invariant_exits_4(monkeypatch, capsys):
     assert err.startswith("internal error: ") and "Traceback" not in err
 
 
+def test_cli_jaeger_lift_with_a_zero_entry_exits_4(monkeypatch, capsys):
+    # every word of the Z_2^c flow is nonzero, so a zero in its lift is a bug
+    from simflow import flows
+
+    monkeypatch.setattr(
+        flows, "lift_z2r_flow", lambda delta, gf: ModularFlow(q=2, values=(0, 0, 0))
+    )
+    doc = serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
+    code, out, err = _run_cli(
+        ["construct", "--jaeger"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
 def test_cli_file_input(tmp_path, monkeypatch, capsys):
     path = tmp_path / "c3.json"
     path.write_text(serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]])))

@@ -58,10 +58,32 @@ def brute_kernel(mat, q):
     return vectors
 
 
+def _check_transform(mat, res):
+    """V is unimodular, mat @ V is zero past the rank, and column k of
+    mat @ V is diagonal[k] times a primitive vector (it is U^-1 D)."""
+    assert abs(determinant(res.V)) == 1
+    reduced = mat @ res.V
+    for j in range(res.rank, mat.cols):
+        assert not any(reduced.column(j))
+    for k, d in enumerate(res.diagonal):
+        assert gcd(*reduced.column(k)) == d, (k, d)
+
+
 def test_snf_diag_examples():
     assert smith_normal_form(IntMatrix([[6, 0], [0, 4]])).diagonal == (2, 12)
     assert smith_normal_form(IntMatrix([[1, 2], [3, 4]])).diagonal == (1, 2)
     assert smith_normal_form(IntMatrix.zeros(3, 4)).diagonal == ()
+    # diagonals out of the divisibility chain, and a negative pivot
+    for data, want in [
+        ([[4, 0], [0, 6]], (2, 12)),
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], (1, 1, 30)),
+        ([[-4, 0, 0], [0, 6, 0]], (2, 12)),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+    ]:
+        mat = IntMatrix(data)
+        res = smith_normal_form(mat)
+        assert res.diagonal == want and snf_diagonal(data) == list(want), data
+        _check_transform(mat, res)
 
 
 def test_invariant_factors_of_a_diagonal_match_its_smith_diagonal():
@@ -104,7 +126,9 @@ def test_snf_matches_sympy_invariant_factors():
         before = [list(r) for r in data]
         assert snf_diagonal(data) == want, data
         assert data == before  # the rows are read, not reduced in place
-        assert list(smith_normal_form(IntMatrix(data)).diagonal) == want, data
+        mat = IntMatrix(data)
+        assert list(smith_normal_form(mat).diagonal) == want, data
+        assert mat.data == before  # smith_normal_form works on a copy too
 
 
 def test_snf_transforms_random():
@@ -114,11 +138,8 @@ def test_snf_transforms_random():
         cols = rng.randint(1, 6)
         mat = IntMatrix([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
         res = smith_normal_form(mat)
-        assert abs(determinant(res.V)) == 1
-        reduced = mat @ res.V
-        for j in range(res.rank, cols):
-            assert not any(reduced.column(j))
-        assert tuple(snf_diagonal(reduced.data)) == res.diagonal
+        _check_transform(mat, res)
+        assert tuple(snf_diagonal((mat @ res.V).data)) == res.diagonal
 
 
 def test_row_lattice_reduce_random():

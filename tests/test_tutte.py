@@ -74,6 +74,25 @@ def test_specialization_suite_fails_on_a_corrupted_histogram(monkeypatch):
     assert result.detail.startswith("cycle(4): TKR != Tutte from per-subset ranks")
 
 
+def test_specialization_suite_holds_large_graphs_to_networkx(monkeypatch):
+    """Past 10 facets a graph's TKR is held to networkx's Tutte
+    polynomial, so a corrupted histogram of the 11-cycle fails there."""
+    pytest.importorskip("networkx")
+    pytest.importorskip("sympy")
+    from simflow import verify
+
+    delta = cycle(11)
+    monkeypatch.setattr(verify, "standard_corpus", lambda: [("cycle(11)", delta)])
+    result = verify.check_specialization_identities()
+    assert result.passed and "networkx's on 1 graph(s) past 10 facets" in result.detail
+    profile = subset_profile(delta)
+    profile.histogram[10, 10, ()] -= 1
+    profile.histogram[10, 9, ()] += 1
+    result = verify.check_specialization_identities()
+    assert not result.passed
+    assert result.detail.startswith("cycle(11): TKR != networkx Tutte polynomial")
+
+
 def test_tutte_symmetry_of_k4():
     poly = tkr_polynomial(complete(4, 2))
     assert poly == poly.swap_variables()
