@@ -6,8 +6,8 @@ Counting never scans (q-1)^|F| assignments. Flows and colorings fold the
 inclusion-exclusion expansion over a cached subset histogram, or
 enumerate: the mod-q kernel of the top boundary map (size q^beta times
 the torsion weight) for flows, all k^|ridges| colorings for colorings.
-Both enumerations run `linalg.gray_count_nowhere_zero`, a Gray walk
-whose every step changes only the entries that one digit touches.
+Both enumerations run `linalg.count_nowhere_zero_box`, a depth-first
+search that drops each partial assignment which zeroes a closed entry.
 Flows fold `homology.flow_profile`: whichever histogram is cached, else
 that of the series-reduced columns. Colorings fold
 `homology.subset_profile`, the histogram of the facets.
@@ -41,10 +41,10 @@ from .errors import (
 from .homology import _sweep_columns, flow_profile, subset_profile, sweep_size, t_q_of
 from .linalg import (
     IntMatrix,
+    count_nowhere_zero_box,
     count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,  # not called here; perfbench/spans.py traces this name
     fold_vector,
-    gray_count_nowhere_zero,
     kernel_count_mod_q,
     row_lattice_reduce,
     span_rank,
@@ -132,13 +132,12 @@ def _auto_route(sweep, enum_route, enum_size, enum_limit):
     the subset cap refuses that sweep. A sweep is taken when it is no
     larger than the enumeration, whose size `enum_size()` gives. Past
     that, enumeration runs up to `enum_limit` items and the expansion
-    takes the rest. `sweep` is an upper bound on the subsets visited: a
-    component swept on its dual side closes subtrees sooner. A subset
-    costs some 2.5 us on the primal side; both enumerations are
-    Gray walks, at some 0.8 us per kernel vector and 0.4 us per
-    coloring. So the rule leans towards the sweep: a sweep of as many
-    subsets as there are items takes some 3x as long as the walk for
-    flows and 6x for colorings.
+    takes the rest. Both sizes are upper bounds. A component swept on
+    its dual side closes subtrees sooner, and the enumeration's pruned
+    search visits at most one node per item, often far fewer. A subset
+    costs some 2.5 us on the primal side and a search node about 1 us.
+    The rule prices every item as visited, so it leans towards the
+    sweep.
     """
     if sweep == 0:
         return "subset_expansion"
@@ -190,9 +189,9 @@ def count_nz_flows(delta, q, method="auto", force=False):
     raise BadParamsError(f"unknown method {method!r}")
 
 
-# `auto` walks at most this many colorings (some 40 ms at 0.4 us each)
-# and sweeps past it; `method="brute"` walks up to the enumeration cap.
-# The expansion is exact either way.
+# `auto` searches at most this many colorings (one search node per
+# coloring at worst) and sweeps past it; `method="brute"` searches up to
+# the enumeration cap. The expansion is exact either way.
 BRUTE_COLORING_LIMIT = 10**5
 
 
@@ -207,18 +206,19 @@ def _coloring_expansion(delta, k, force=False):
 
 
 def _brute_colorings(delta, k):
-    """Proper colorings by visiting all k^|ridges| colorings once each.
+    """Proper colorings by searching the k^|ridges| colorings.
 
-    `linalg.gray_count_nowhere_zero` walks them with one digit of radix
-    k per ridge; the live vector is every facet's boundary sum mod k,
-    and a step adds +-(the ridge's row). A coloring is proper when no
-    sum is zero. No coloring is skipped, so the cost stays k^|ridges|
-    steps, about 0.4 us each, and the count is independent of the
-    subset histogram.
+    `linalg.count_nowhere_zero_box` searches them with one digit of
+    radix k per ridge; the live vector is every facet's boundary sum
+    mod k, and a unit of a digit adds the ridge's row. A coloring is
+    proper when no sum is zero. Once the last ridge of a facet is
+    colored, every color that zeroes its sum is skipped with all the
+    colorings below it, so the cost is the search nodes, not
+    k^|ridges|; the count is independent of the subset histogram.
     """
     top = boundary_matrix(delta, delta.dimension).matrix
     check_enum_cap(k**top.rows)
-    return gray_count_nowhere_zero(top.cols, k, [(k, enumerate(row)) for row in top.data])
+    return count_nowhere_zero_box(top.cols, k, [(k, enumerate(row)) for row in top.data])
 
 
 def count_proper_colorings(delta, k, method="auto", force=False):
@@ -460,9 +460,40 @@ def lift_z2r_flow(delta, gf):
     return flow
 
 
+def _mod2_coloops(cols):
+    """Columns in no mod-2 flow: the coloops of the GF(2) column matroid.
+
+    Each column, as the bitmask of its odd entries, is eliminated against
+    the pivots of the columns before it, carrying the mask of the columns
+    it absorbs. A column that clears is a mod-2 flow on that mask, and
+    these flows span all of them, so a column lies in some mod-2 flow
+    exactly when it lies in one of their masks.
+    """
+    pivots = {}
+    covered = 0
+    for j, col in enumerate(cols):
+        bits = sum(1 << i for i, v in enumerate(col) if v % 2)
+        mask = 1 << j
+        while bits:
+            lead = bits.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = bits, mask
+                break
+            pivot_bits, pivot_mask = pivots[lead]
+            bits ^= pivot_bits
+            mask ^= pivot_mask
+        else:
+            covered |= mask
+    return [j for j in range(len(cols)) if not covered >> j & 1]
+
+
 def jaeger_flow(delta, force=False):
     """Explicit nowhere-zero 2^c flow on a bridgeless complex, where c is
     the coarboricity.
+
+    A facet in no mod-2 flow lies in no bit layer, so it is refused as a
+    bridge is. It is a coloop of the GF(2) column matroid that need not
+    be a rational bridge: a triangle added to RP^2 along its odd loop.
 
     Pipeline: dual Edmonds bound -> exact coforest cover -> per part, the
     mod-2 sum of fundamental circuits of its facets against a maximal
@@ -471,9 +502,15 @@ def jaeger_flow(delta, force=False):
     bad = bridges(delta)
     if bad:
         raise HasBridgeError(f"facets {bad} are bridges; no nowhere-zero flow")
+    cols = top_columns(delta)
+    bad = _mod2_coloops(cols)
+    if bad:
+        raise HasBridgeError(
+            f"facets {bad} lie in no mod-2 flow; the 2^c-flow construction "
+            "needs every facet in some mod-2 flow"
+        )
     c = coarboricity(delta, force=force)
     cover = coforest_cover(delta, c, force=force)
-    cols = top_columns(delta)
     n = len(delta.facets)
     full_rank = subset_profile(delta, force=force).rank_full
     words = [0] * n

@@ -15,10 +15,11 @@ elimination and can be undone; every rank question that names a set of
 vectors (`span_rank`), the subset sweep and `row_lattice_reduce` are
 folds.
 
-`gray_count_nowhere_zero` walks a mixed-radix box in Gray order and
-counts the points where a vector it keeps in step has no zero entry;
-it counts nowhere-zero kernel vectors mod q here and proper colorings
-in `flows`.
+`count_nowhere_zero_box` counts the points of a mixed-radix box where a
+vector kept in step has no zero entry, by a depth-first search that
+skips every value that would zero an entry no later digit touches; it
+counts nowhere-zero kernel vectors mod q here and proper colorings in
+`flows`.
 """
 
 from dataclasses import dataclass
@@ -268,59 +269,100 @@ def kernel_basis(mat):
     return [res.V.column(j) for j in range(res.rank, mat.cols)]
 
 
-def gray_count_nowhere_zero(size, modulus, digits):
+def count_nowhere_zero_box(size, modulus, digits):
     """Count the points of a mixed-radix box at which a live vector of
     `size` entries mod `modulus` has no zero entry.
 
     Each digit is a (radix, step) pair: `step` lists (index, delta)
-    pairs, the change one unit of that digit makes to the live vector,
-    which is zero at the origin. The walk visits every point once in
-    reflected mixed-radix Gray order (Knuth, TAOCP 7.2.1.1, Algorithm
-    H), so each step moves one digit by +-1 and adds or subtracts its
-    step. It keeps a count of the zero entries and touches only the
-    entries the step changes. The lightest steps take the digits that
-    move most often. Nothing is pruned: the cost is one step per point.
+    pairs, each index at most once, the change one unit of that digit
+    makes to the live vector, which is zero at the origin. A digit of
+    radix 1, or whose step is zero mod `modulus`, never moves the
+    vector: it multiplies the count by its radix and is dropped. An
+    entry no digit touches stays zero, so then the count is 0.
+
+    The rest is a depth-first search over the digits, ordered so that
+    entries close early: an entry closes at the last digit that touches
+    it, and each step takes next the digit that closes most entries,
+    then the one that opens fewest. A value that would leave a closing
+    entry zero is skipped with its whole subtree. When every closing
+    coefficient is a unit and the radix is the modulus, the skipped
+    values are the set {-live . d^-1}, and at the last digit the count
+    is the radix less its size, with no further search. A digit that
+    closes every entry it touches leaves the rest of the search alone,
+    so its subtree is searched once and counted once per allowed value.
+    The cost is the search nodes, at most one per point of the box.
     """
+    scale = 1
     steps = []
     for radix, step in digits:
-        if radix > 1:
-            steps.append((radix - 1, [(i, d % modulus) for i, d in step if d % modulus]))
-    steps.sort(key=lambda s: len(s[1]))
-    # per digit: its largest value ([0]) and the change for a move up
-    # ([1]) and down ([-1])
-    moves = [(top, up, [(i, modulus - d) for i, d in up]) for top, up in steps]
-    n = len(moves)
+        vec = [(i, d % modulus) for i, d in step if d % modulus]
+        if radix > 1 and vec:
+            steps.append((radix, vec))
+        else:
+            scale *= radix
+    remaining = [0] * size  # digits not yet placed that touch each entry
+    for _, vec in steps:
+        for i, _ in vec:
+            remaining[i] += 1
+    if 0 in remaining:
+        return 0
+    opened = [False] * size
+    plan = []
+    while steps:
+        best = None
+        for j, (_, vec) in enumerate(steps):
+            key = (
+                -sum(remaining[i] == 1 for i, _ in vec),
+                sum(not opened[i] for i, _ in vec),
+            )
+            if best is None or key < best:
+                best, pick = key, j
+        radix, vec = steps.pop(pick)
+        closing, moving = [], []
+        for i, d in vec:
+            remaining[i] -= 1
+            opened[i] = True
+            (moving if remaining[i] else closing).append((i, d))
+        unit = radix == modulus and all(gcd(d, modulus) == 1 for _, d in closing)
+        if unit:
+            # value a zeroes entry i exactly when a == live[i] * (-1/d)
+            closing = [(i, -pow(d, -1, modulus) % modulus) for i, d in closing]
+        plan.append((radix, closing, moving, unit))
     live = [0] * size
-    zeros = size
-    count = 0 if zeros else 1
-    digit = [0] * n
-    focus = list(range(n + 1))
-    direction = [1] * n
-    while True:
-        j = focus[0]
-        if j == n:
-            return count
-        focus[0] = 0
-        move = moves[j]
-        o = direction[j]
-        a = digit[j] + o
-        digit[j] = a
-        if a == 0 or a == move[0]:
-            direction[j] = -o
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-        for i, d in move[o]:
-            old = live[i]
-            new = old + d
-            if new >= modulus:
-                new -= modulus
-            live[i] = new
-            if not old:
-                zeros -= 1
-            elif not new:
-                zeros += 1
-        if not zeros:
-            count += 1
+    last = len(plan) - 1
+
+    def search(t):
+        radix, closing, moving, unit = plan[t]
+        if unit:
+            skipped = set()
+            for i, c in closing:
+                skipped.add(live[i] * c % modulus)
+            if t == last:
+                return radix - len(skipped)
+            values = [a for a in range(radix) if a not in skipped]
+        else:
+            values = []
+            for a in range(radix):
+                for i, d in closing:
+                    if not (live[i] + a * d) % modulus:
+                        break
+                else:
+                    values.append(a)
+            if t == last:
+                return len(values)
+        if not moving:
+            return len(values) * search(t + 1) if values else 0
+        saved = [(i, d, live[i]) for i, d in moving]
+        total = 0
+        for a in values:
+            for i, d, b in saved:
+                live[i] = (b + a * d) % modulus
+            total += search(t + 1)
+        for i, _, b in saved:
+            live[i] = b
+        return total
+
+    return scale * search(0) if plan else scale
 
 
 def count_nowhere_zero_kernel_mod_q(mat, q):
@@ -329,9 +371,11 @@ def count_nowhere_zero_kernel_mod_q(mat, q):
     The kernel is V . y for y in the diagonal system's solution box, as
     in `enumerate_kernel_mod_q`. Box coordinate i, with diagonal entry
     d (0 past the rank) and g = gcd(d, q), is a digit of radix g whose
-    unit step is (q / g) . V_i, and `gray_count_nowhere_zero` walks the
-    box. Raises CapExceededError (with the exact count) before the Smith
-    form if the kernel is larger than the enumeration cap.
+    unit step is (q / g) . V_i, and `count_nowhere_zero_box` searches
+    the box, pruning each partial vector with a zero entry that no later
+    digit touches. The cost is its search nodes, at most one per kernel
+    vector. Raises CapExceededError (with the exact count) before the
+    Smith form if the kernel is larger than the enumeration cap.
     """
     total = kernel_count_mod_q(mat, q)
     check_enum_cap(total)
@@ -342,7 +386,7 @@ def count_nowhere_zero_kernel_mod_q(mat, q):
     for i in range(n):
         g = gcd(res.diagonal[i] if i < res.rank else 0, q)
         digits.append((g, [(k, q // g * V[k][i]) for k in range(n)]))
-    return gray_count_nowhere_zero(n, q, digits)
+    return count_nowhere_zero_box(n, q, digits)
 
 
 def enumerate_kernel_mod_q(mat, q):

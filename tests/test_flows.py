@@ -45,7 +45,7 @@ def brute_count_flows(delta, q):
 
 def dense_colorings(delta, k):
     """Proper colorings by computing every facet's boundary sum afresh for
-    each of the k^|ridges| colorings: the reference for the Gray walk."""
+    each of the k^|ridges| colorings: the reference for the brute search."""
     top = boundary_matrix(delta, delta.dimension).matrix
     cols = [top.column(j) for j in range(top.cols)]
     count = 0
@@ -137,12 +137,12 @@ def _coloring_cases(st):
 
 @pytest.mark.parametrize("kind", ["graphs", "2-complexes", "rp2", "points"])
 def test_brute_colorings_match_dense_and_expansion(kind):
-    """The Gray walk against the dense oracle and the subset expansion,
-    k = 2..5. The walk runs up to 2^18 colorings; the dense oracle only
-    where it takes at most 5 * 10^6 products (RP^2 refined once, with 18
-    ridges, is held to the expansion alone). No shrinking: each shrink
-    step walks up to 2^18 colorings, so a broken route would take minutes
-    to report."""
+    """The brute search against the dense oracle and the subset
+    expansion, k = 2..5. The search runs up to 2^18 colorings; the dense
+    oracle only where it takes at most 5 * 10^6 products (RP^2 refined
+    once, with 18 ridges, is held to the expansion alone). No shrinking:
+    each shrink step reruns the dense oracle and the expansion, so a
+    broken route would take minutes to report."""
     hypothesis = pytest.importorskip("hypothesis")
     settings = hypothesis.settings(
         max_examples=15,
@@ -184,6 +184,13 @@ def test_brute_colorings_past_the_enum_cap_exit_3_before_walking(monkeypatch, ca
     assert out == ""
     assert f"enumeration of {3**30} vectors exceeds the cap" in err
     assert checked == [3**30]
+
+
+def test_brute_colorings_of_long_cycles():
+    # 2^21 and 2^22 colorings, under the enumeration cap: an odd cycle
+    # has no proper 2-coloring and an even one has two
+    assert count_proper_colorings(cycle(21), 2, method="brute") == 0
+    assert count_proper_colorings(cycle(22), 2, method="brute") == 2
 
 
 def test_coloring_chromatic_polynomials():

@@ -21,11 +21,13 @@ from simflow import (
     homology_summary,
     parse_complex,
     serialize_complex,
+    subdivide_facet,
 )
 from simflow.cli import COMMANDS, _UsageError, build_parser, main
 from simflow.fixtures import FIXTURE_PARAMS, make_fixture, petersen, rp2, simplex_boundary
 from simflow.flows import ModularFlow, is_modular_flow
 from simflow.io import parse_document
+from simflow.matroid import bridges
 
 
 def test_parse_simple_document():
@@ -217,6 +219,25 @@ def test_cli_construct_jaeger(monkeypatch, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["modulus"] == 8 and payload["nowhere_zero"]
+
+
+def test_cli_jaeger_names_a_facet_in_no_mod_2_flow(monkeypatch, capsys):
+    # RP^2 refined once, plus a triangle on three of its edges: no facet
+    # is a bridge, but the triangle's boundary is the odd loop of RP^2,
+    # so the triangle lies in no mod-2 flow and in no bit layer
+    refined = subdivide_facet(rp2(), 0)
+    delta = build_complex([list(f) for f in refined.facets] + [[0, 1, 2]])
+    assert len(delta.facets) == 13 and not bridges(delta)
+    triangle = delta.facets.index((0, 1, 2))
+    code, out, err = _run_cli(
+        ["construct", "--jaeger"],
+        stdin_text=serialize_complex(delta),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2 and out == ""
+    assert f"facets [{triangle}] lie in no mod-2 flow" in err
+    assert "needs every facet in some mod-2 flow" in err
 
 
 def test_cli_min_q(monkeypatch, capsys):
@@ -423,7 +444,7 @@ def test_cli_kernel_enum_past_the_enum_cap_exit_3_before_walking(monkeypatch, ca
         raise AssertionError("walked past the cap")
 
     monkeypatch.setattr(simflow.linalg, "smith_normal_form", never)
-    monkeypatch.setattr(simflow.linalg, "gray_count_nowhere_zero", never)
+    monkeypatch.setattr(simflow.linalg, "count_nowhere_zero_box", never)
     code, out, err = _run_cli(
         ["flows", "--q", "3", "--method", "kernel_enum"],
         stdin_text=serialize_complex(make_fixture("complete", n=7, k=2)),

@@ -19,6 +19,8 @@ from simflow.complexes import boundary_matrix
 from simflow.fixtures import complete, cycle, rp2, simplex_boundary
 from simflow.linalg import invariant_factors, row_lattice_reduce, snf_diagonal
 
+from box_oracle import gray_count_nowhere_zero
+
 
 def determinant(mat):
     """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -264,8 +266,80 @@ def _scrambled_diagonal(draw, st):
     return IntMatrix(M, cols=cols), diag
 
 
+def _box(draw, st):
+    """A mixed-radix box of at most 4096 points: (size, modulus, digits,
+    features). Coloring-shaped digits have +-1 steps on a few entries
+    and mostly radix q (a shorter radix does not reach every residue).
+    Kernel-shaped digits have a radix g dividing q (g < q is a non-unit
+    radix) and a dense step scaled by q / g. Some digits have radix 1 or
+    a step that is zero mod q, and some entries no digit touches."""
+    q = draw(st.integers(2, 7))
+    size = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["coloring", "kernel"]))
+    digits = []
+    features = set()
+    points = 1
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["live"] * 4 + ["radix 1", "zero step"]))
+        if shape == "coloring":
+            radix = draw(st.sampled_from([q] * 3 + list(range(2, q))))
+            if radix < q:
+                features.add("short radix")
+            touched = draw(st.lists(st.integers(0, size - 1), max_size=3, unique=True)) if size else []
+            step = [(i, draw(st.sampled_from([1, -1]))) for i in touched]
+        else:
+            radix = draw(st.sampled_from([g for g in range(1, q + 1) if q % g == 0]))
+            step = [(i, q // radix * draw(st.integers(-q, q))) for i in range(size)]
+            if 1 < radix < q:
+                features.add("non-unit radix")
+        if kind == "radix 1":
+            radix = 1
+        elif kind == "zero step":
+            step = [(i, q * draw(st.integers(-2, 2))) for i, _ in step]
+        if points * radix > 4096:
+            break
+        points *= radix
+        features.add(kind)
+        digits.append((radix, step))
+    touched = {i for radix, step in digits if radix > 1 for i, d in step if d % q}
+    if len(touched) < size:
+        features.add("untouched entry")
+    if size == 0:
+        features.add("size 0")
+    return size, q, digits, features | {shape}
+
+
+def test_box_count_matches_the_gray_walk():
+    """The pruned box count against the unpruned Gray walk of
+    tests/box_oracle.py, on random boxes with moduli 2..7."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    settings = hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    seen = []
+    nonzero = []
+
+    @settings
+    @hypothesis.given(st.composite(_box)(st))
+    def check(case):
+        size, q, digits, features = case
+        want = gray_count_nowhere_zero(size, q, digits)
+        assert linalg.count_nowhere_zero_box(size, q, digits) == want
+        seen.extend(features)
+        if want and len(digits) > 1:
+            nonzero.append(features)
+
+    check()
+    for feature in (
+        "coloring", "kernel", "non-unit radix", "short radix", "radix 1", "zero step",
+        "untouched entry", "size 0",
+    ):
+        assert seen.count(feature) >= 5, feature
+    assert sum("coloring" in f for f in nonzero) >= 20
+    assert sum("kernel" in f for f in nonzero) >= 20
+
+
 def test_nowhere_zero_kernel_count_matches_enumeration():
-    """The Gray walk against filtering every enumerated kernel vector, on
+    """The box count against filtering every enumerated kernel vector, on
     matrices with non-unit invariant factors and q = 2..7. The cases that
     count are those where q shares a factor with the torsion without
     dividing it, next to some other digit: only there does the torsion
