@@ -460,40 +460,17 @@ def lift_z2r_flow(delta, gf):
     return flow
 
 
-def _mod2_coloops(cols):
-    """Columns in no mod-2 flow: the coloops of the GF(2) column matroid.
-
-    Each column, as the bitmask of its odd entries, is eliminated against
-    the pivots of the columns before it, carrying the mask of the columns
-    it absorbs. A column that clears is a mod-2 flow on that mask, and
-    these flows span all of them, so a column lies in some mod-2 flow
-    exactly when it lies in one of their masks.
-    """
-    pivots = {}
-    covered = 0
-    for j, col in enumerate(cols):
-        bits = sum(1 << i for i, v in enumerate(col) if v % 2)
-        mask = 1 << j
-        while bits:
-            lead = bits.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = bits, mask
-                break
-            pivot_bits, pivot_mask = pivots[lead]
-            bits ^= pivot_bits
-            mask ^= pivot_mask
-        else:
-            covered |= mask
-    return [j for j in range(len(cols)) if not covered >> j & 1]
-
-
 def jaeger_flow(delta, force=False):
     """Explicit nowhere-zero 2^c flow on a bridgeless complex, where c is
     the coarboricity.
 
-    A facet in no mod-2 flow lies in no bit layer, so it is refused as a
-    bridge is. It is a coloop of the GF(2) column matroid that need not
-    be a rational bridge: a triangle added to RP^2 along its odd loop.
+    Each bit layer is the mod-2 sum of the supports of rational circuits,
+    which is a mod-2 flow only when those supports are; a circuit with an
+    even entry breaks it. So a layer that is not a mod-2 flow is refused
+    as a bridge is, naming its part. Bridgeless complexes can fail this
+    way: a triangle added to RP^2 along its odd loop lies in no mod-2
+    flow, and with a cone on the same loop every circuit through an RP^2
+    facet takes the added triangle, or the cone, with an even entry.
 
     Pipeline: dual Edmonds bound -> exact coforest cover -> per part, the
     mod-2 sum of fundamental circuits of its facets against a maximal
@@ -503,12 +480,7 @@ def jaeger_flow(delta, force=False):
     if bad:
         raise HasBridgeError(f"facets {bad} are bridges; no nowhere-zero flow")
     cols = top_columns(delta)
-    bad = _mod2_coloops(cols)
-    if bad:
-        raise HasBridgeError(
-            f"facets {bad} lie in no mod-2 flow; the 2^c-flow construction "
-            "needs every facet in some mod-2 flow"
-        )
+    odd = [sum(1 << i for i, v in enumerate(col) if v % 2) for col in cols]
     c = coarboricity(delta, force=force)
     cover = coforest_cover(delta, c, force=force)
     n = len(delta.facets)
@@ -530,9 +502,18 @@ def jaeger_flow(delta, force=False):
             low = m & -m
             layer ^= fundamental_circuit(delta, base, low.bit_length() - 1)
             m ^= low
+        boundary = 0
         for i in range(n):
             if layer >> i & 1:
                 words[i] |= 1 << k
+                boundary ^= odd[i]
+        if boundary:
+            part_facets = [f for f in range(n) if part >> f & 1]
+            raise HasBridgeError(
+                f"bit layer {k} (part facets {part_facets}) is not a mod-2 flow; "
+                "the 2^c-flow construction needs the supports of each part's "
+                "fundamental circuits to sum to a mod-2 flow"
+            )
     gf = GroupFlow2r(r=c, words=tuple(words))
     flow = lift_z2r_flow(delta, gf)
     # of the fundamental circuits summed into layer k, a facet f of part k

@@ -284,10 +284,8 @@ def count_nowhere_zero_box(size, modulus, digits):
     entries close early: an entry closes at the last digit that touches
     it, and each step takes next the digit that closes most entries,
     then the one that opens fewest. A value that would leave a closing
-    entry zero is skipped with its whole subtree. When every closing
-    coefficient is a unit and the radix is the modulus, the skipped
-    values are the set {-live . d^-1}, and at the last digit the count
-    is the radix less its size, with no further search. A digit that
+    entry zero is skipped with its whole subtree, and at the last digit
+    the values left are counted with no further search. A digit that
     closes every entry it touches leaves the rest of the search alone,
     so its subtree is searched once and counted once per allowed value.
     The cost is the search nodes, at most one per point of the box.
@@ -323,33 +321,21 @@ def count_nowhere_zero_box(size, modulus, digits):
             remaining[i] -= 1
             opened[i] = True
             (moving if remaining[i] else closing).append((i, d))
-        unit = radix == modulus and all(gcd(d, modulus) == 1 for _, d in closing)
-        if unit:
-            # value a zeroes entry i exactly when a == live[i] * (-1/d)
-            closing = [(i, -pow(d, -1, modulus) % modulus) for i, d in closing]
-        plan.append((radix, closing, moving, unit))
+        plan.append((radix, closing, moving))
     live = [0] * size
     last = len(plan) - 1
 
     def search(t):
-        radix, closing, moving, unit = plan[t]
-        if unit:
-            skipped = set()
-            for i, c in closing:
-                skipped.add(live[i] * c % modulus)
-            if t == last:
-                return radix - len(skipped)
-            values = [a for a in range(radix) if a not in skipped]
-        else:
-            values = []
-            for a in range(radix):
-                for i, d in closing:
-                    if not (live[i] + a * d) % modulus:
-                        break
-                else:
-                    values.append(a)
-            if t == last:
-                return len(values)
+        radix, closing, moving = plan[t]
+        values = []
+        for a in range(radix):
+            for i, d in closing:
+                if not (live[i] + a * d) % modulus:
+                    break
+            else:
+                values.append(a)
+        if t == last:
+            return len(values)
         if not moving:
             return len(values) * search(t + 1) if values else 0
         saved = [(i, d, live[i]) for i, d in moving]

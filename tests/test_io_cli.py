@@ -221,14 +221,8 @@ def test_cli_construct_jaeger(monkeypatch, capsys):
     assert payload["modulus"] == 8 and payload["nowhere_zero"]
 
 
-def test_cli_jaeger_names_a_facet_in_no_mod_2_flow(monkeypatch, capsys):
-    # RP^2 refined once, plus a triangle on three of its edges: no facet
-    # is a bridge, but the triangle's boundary is the odd loop of RP^2,
-    # so the triangle lies in no mod-2 flow and in no bit layer
-    refined = subdivide_facet(rp2(), 0)
-    delta = build_complex([list(f) for f in refined.facets] + [[0, 1, 2]])
-    assert len(delta.facets) == 13 and not bridges(delta)
-    triangle = delta.facets.index((0, 1, 2))
+def _jaeger_refusal(delta, monkeypatch, capsys):
+    assert not bridges(delta)
     code, out, err = _run_cli(
         ["construct", "--jaeger"],
         stdin_text=serialize_complex(delta),
@@ -236,8 +230,34 @@ def test_cli_jaeger_names_a_facet_in_no_mod_2_flow(monkeypatch, capsys):
         capsys=capsys,
     )
     assert code == 2 and out == ""
-    assert f"facets [{triangle}] lie in no mod-2 flow" in err
-    assert "needs every facet in some mod-2 flow" in err
+    assert "is not a mod-2 flow" in err
+    assert "needs the supports of each part's fundamental circuits" in err
+    return err
+
+
+def test_cli_jaeger_refuses_a_facet_in_no_mod_2_flow(monkeypatch, capsys):
+    # RP^2 refined once, plus a triangle on three of its edges: no facet
+    # is a bridge, but the triangle's boundary is the odd loop of RP^2,
+    # so the triangle lies in no mod-2 flow and its layer is not one
+    refined = subdivide_facet(rp2(), 0)
+    delta = build_complex([list(f) for f in refined.facets] + [[0, 1, 2]])
+    assert len(delta.facets) == 13
+    triangle = delta.facets.index((0, 1, 2))
+    err = _jaeger_refusal(delta, monkeypatch, capsys)
+    part = err.split("part facets [", 1)[1].split("]", 1)[0]
+    assert str(triangle) in part.split(", ")
+
+
+def test_cli_jaeger_refuses_an_even_fundamental_circuit(monkeypatch, capsys):
+    # the same complex with a cone on the odd loop: every facet lies in a
+    # mod-2 flow (RP^2, or the triangle with the cone), but each rational
+    # circuit through an RP^2 facet takes the triangle or the cone twice
+    refined = subdivide_facet(rp2(), 0)
+    apex = 1 + max(v for f in refined.facets for v in f)
+    cone = [[0, 1, apex], [1, 2, apex], [0, 2, apex]]
+    delta = build_complex([list(f) for f in refined.facets] + [[0, 1, 2]] + cone)
+    assert len(delta.facets) == 16
+    _jaeger_refusal(delta, monkeypatch, capsys)
 
 
 def test_cli_min_q(monkeypatch, capsys):
