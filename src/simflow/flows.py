@@ -12,8 +12,12 @@ Flows fold `homology.flow_profile`: whichever histogram is cached, else
 that of the series-reduced columns. Colorings fold
 `homology.subset_profile`, the histogram of the facets.
 `method="auto"` folds whenever such a histogram is cached, or the
-subset cap admits the columns it would sweep and its sweep is no larger
-than the enumeration. `method="kernel_enum"` enumerates the
+subset cap admits the columns it would sweep and the sweep, priced at
+`SUBSET_US` per subset, costs no more than the enumeration, priced at
+`ENUM_SETUP_US` plus `KERNEL_VECTOR_US` per kernel vector or
+`COLORING_US` per coloring. The kernel size and the kernel search read
+the one Smith form of the top boundary map per complex
+(`homology.top_smith_form`). `method="kernel_enum"` enumerates the
 unreduced kernel: it is the oracle the folds are held to. Tension
 counts come from the facet histogram through the chromatic relation;
 `_tensions_by_circuits` filters the circuit system directly and is the
@@ -38,14 +42,21 @@ from .errors import (
     NotAFlowError,
     RelationMismatchError,
 )
-from .homology import _sweep_columns, flow_profile, subset_profile, sweep_size, t_q_of
+from .homology import (
+    _sweep_columns,
+    flow_profile,
+    subset_profile,
+    sweep_size,
+    t_q_of,
+    top_smith_form,
+)
 from .linalg import (
     IntMatrix,
     count_nowhere_zero_box,
     count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,  # not called here; perfbench/spans.py traces this name
     fold_vector,
-    kernel_count_mod_q,
+    kernel_count_mod_q,  # not called here; perfbench/spans.py traces this name
     row_lattice_reduce,
     span_rank,
 )
@@ -124,25 +135,53 @@ def is_group_flow_2r(delta, gf):
 # counting
 
 
-def _auto_route(sweep, enum_route, enum_size, enum_limit):
+# Unit costs, in µs, that `method="auto"` prices its routes by: each
+# route timed whole on fresh complexes and divided by its size bound
+# (medians of 3-7 runs, 2 CPUs, Python 3.11.7; the fixture corpus and
+# the seed-3 benchmark inputs).
+# A swept subset, on sweeps of 1,024 or more: 0.8-0.9 on K_5^3,
+# 1.1-1.3 on Petersen, 1.2-1.8 on the `sweep` and `enum` graphs, 2.3-3.1
+# on RP^2 and the torsion inputs; 0.02-0.25 where a component is swept
+# on its dual side.
+SUBSET_US = 1.5
+# A kernel vector, on kernels of 4,096 or more: 0.05-0.11 on Petersen
+# and the `sweep` and `enum` graphs at q = 4, 5 and 7, 0.11-0.23 on the
+# 12-edge `enum` graphs at q = 7, at most 0.06 on the wedges of spheres.
+KERNEL_VECTOR_US = 0.1
+# A coloring, on boxes of 4,096 or more: 0.02 on Petersen at k = 3,
+# 0.03-0.12 on the other graphs and K_5^3, 0.30-0.38 on the boundaries
+# of the tetrahedron and the 4-simplex, where fewer facets close early.
+# Priced at the top of that range.
+COLORING_US = 0.4
+# What an enumeration costs before its first item, the Smith form of
+# the top map included: 0.05-0.08 ms on a triangle, the tetrahedron
+# boundary and the 4-facet `small` 2-complex, 0.15-0.28 ms on RP^2, the
+# `small` torsion and 2-complex inputs, against 0.07-0.23 ms for
+# sweeping their 2 or 4 reduced subsets.
+ENUM_SETUP_US = 150
+
+
+def _auto_route(sweep, enum_route, enum_size, item_us, enum_limit):
     """The route `method="auto"` takes: "subset_expansion" or `enum_route`.
 
     `sweep` is what `homology.sweep_size` gives: 0 when a cached profile
     can be folded at once, the subsets a fresh sweep visits, or None when
-    the subset cap refuses that sweep. A sweep is taken when it is no
-    larger than the enumeration, whose size `enum_size()` gives. Past
-    that, enumeration runs up to `enum_limit` items and the expansion
-    takes the rest. Both sizes are upper bounds. A component swept on
-    its dual side closes subtrees sooner, and the enumeration's pruned
-    search visits at most one node per item, often far fewer. A subset
-    costs some 2.5 us on the primal side and a search node about 1 us.
-    The rule prices every item as visited, so it leans towards the
-    sweep.
+    the subset cap refuses that sweep. The sweep is taken when it costs
+    no more than the enumeration, whose size `enum_size()` gives: a
+    sweep costs `SUBSET_US` per subset, an enumeration `ENUM_SETUP_US`
+    plus `item_us` per item; a sweep that costs no more than the setup
+    alone is taken without sizing the enumeration. Past that,
+    enumeration runs up to `enum_limit` items and the expansion takes
+    the rest. Both sizes are upper bounds: a component swept on its
+    dual side closes subtrees sooner, and the pruned search visits at
+    most one node per item, often far fewer. The unit costs are whole
+    runs divided by these bounds, so they price that pruning as the
+    measured inputs saw it.
     """
-    if sweep == 0:
+    if sweep is not None and SUBSET_US * sweep <= ENUM_SETUP_US:
         return "subset_expansion"
     size = enum_size()
-    if sweep is not None and sweep <= size:
+    if sweep is not None and SUBSET_US * sweep <= ENUM_SETUP_US + item_us * size:
         return "subset_expansion"
     return enum_route if size <= enum_limit else "subset_expansion"
 
@@ -168,22 +207,24 @@ def _flow_expansion(delta, q, force=False):
 def count_nz_flows(delta, q, method="auto", force=False):
     """Number of nowhere-zero q-flows, by kernel enumeration of the top
     boundary map or by the subset inclusion-exclusion expansion over the
-    flow profile (both exact)."""
+    flow profile (both exact). The enumeration reads the kernel off the
+    complex's one Smith form of that map."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
     n = len(delta.facets)
     if q == 1:
         return 1 if n == 0 else 0
-    top = boundary_matrix(delta, delta.dimension).matrix
     if method == "auto":
         method = _auto_route(
             sweep_size(delta, flows=True, force=force),
             "kernel_enum",
-            lambda: kernel_count_mod_q(top, q),
+            lambda: top_smith_form(delta).kernel_count(q),
+            KERNEL_VECTOR_US,
             DEFAULT_ENUM_CAP,
         )
     if method == "kernel_enum":
-        return count_nowhere_zero_kernel_mod_q(top, q)
+        top = boundary_matrix(delta, delta.dimension).matrix
+        return count_nowhere_zero_kernel_mod_q(top, q, top_smith_form(delta))
     if method == "subset_expansion":
         return _flow_expansion(delta, q, force=force)
     raise BadParamsError(f"unknown method {method!r}")
@@ -234,6 +275,7 @@ def count_proper_colorings(delta, k, method="auto", force=False):
             sweep_size(delta, force=force),
             "brute",
             lambda: k**rows,
+            COLORING_US,
             BRUTE_COLORING_LIMIT,
         )
     if method == "brute":
@@ -524,10 +566,25 @@ def jaeger_flow(delta, force=False):
 
 
 def min_flow_number(delta, q_max, force=False):
-    """Least modulus in 2..q_max with a nowhere-zero flow, else None."""
+    """Least modulus in 2..q_max with a nowhere-zero flow, else None.
+
+    Once a flow profile is cached, the search stops at 1 + P (D + 1),
+    with P the period and D the degree of the flow quasipolynomial. The
+    count at q is constituent q mod P, a polynomial of degree at most D
+    that is either zero or has at most D roots, and 2..1 + P (D + 1)
+    holds D + 1 moduli of every residue class, so a class with a flow
+    shows one by then.
+    """
     if q_max < 2:
         raise BadParamsError(f"q_max must be >= 2, got {q_max}")
-    for q in range(2, q_max + 1):
+    stop = None
+    q = 2
+    while q <= (q_max if stop is None else stop):
         if count_nz_flows(delta, q, force=force) > 0:
             return q
+        if stop is None and sweep_size(delta, flows=True) == 0:
+            profile = flow_profile(delta)
+            degree = profile.column_count - profile.rank_full
+            stop = min(q_max, 1 + profile.torsion_period() * (degree + 1))
+        q += 1
     return None

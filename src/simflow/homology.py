@@ -19,7 +19,9 @@ factors) are convolved into one, the torsion of a union taken as the
 invariant factors of the direct sum. The basis is grown with
 `linalg.fold_vector`, the one integer echelon routine. Nothing per
 subset is kept: a rank question that names one subset folds its vectors
-into a fresh basis (`linalg.span_rank`).
+into a fresh basis (`linalg.span_rank`). The Smith form of the whole top
+map is taken once per complex (`top_smith_form`), and the sweep of a
+complex that is one block component reads it to choose its side.
 
 `_sweep_columns` is the one admission rule: it names the columns a
 sweep visits and refuses more of them than the subset cap. They are the
@@ -77,6 +79,19 @@ def _skeleton_snfs(delta, dims):
     return snfs
 
 
+def top_smith_form(delta):
+    """Smith normal form of the top boundary map, taken once per complex
+    and cached. `method="auto"` reads mod-q kernel sizes off its
+    diagonal, the kernel search and `matroid._dual_rows` read its
+    transform V, `homology_summary` its diagonal for the full facet set,
+    and the sweep of a complex that is one block component reads both."""
+    snf = delta._cache.get("top_snf")
+    if snf is None:
+        top = boundary_matrix(delta, delta.dimension).matrix
+        snf = delta._cache["top_snf"] = smith_normal_form(top)
+    return snf
+
+
 def codim1_cycle_rank(delta):
     """Nullity of the boundary map one dimension below the top, the only
     map of the lower skeleton it eliminates.
@@ -103,7 +118,10 @@ def homology_summary(delta, mask=None):
     if mask is None:
         mask = delta.full_mask
     snfs = _skeleton_snfs(delta, range(d))
-    top_diag = _restricted_diagonal(delta, mask)
+    if mask == delta.full_mask:
+        top_diag = top_smith_form(delta).diagonal
+    else:
+        top_diag = _restricted_diagonal(delta, mask)
     top_rank = len(top_diag)
     size = mask.bit_count()
 
@@ -197,7 +215,7 @@ def _join_torsion(t1, t2):
     return tuple(m for m in invariant_factors(t1 + t2) if m > 1)
 
 
-def _lower_rank_sweep(cols):
+def _lower_rank_sweep(cols, snf=None):
     """`_component_sweep(cols)`, swept on whichever side has the lower
     rank.
 
@@ -211,9 +229,11 @@ def _lower_rank_sweep(cols):
     Z^m / A Z^n is free, the torsion of Z^m / A Z^X is that of
     A Z^n / A Z^X = Z^Y / K_Y Z^(n-r), read off the Smith diagonal of
     K_Y. The dual sweep closes a subtree at rank n - r instead of r.
+    `snf` is that Smith form when the caller holds one.
     """
     n = len(cols)
-    snf = smith_normal_form(IntMatrix(list(zip(*cols)), cols=n))
+    if snf is None:
+        snf = smith_normal_form(IntMatrix(list(zip(*cols)), cols=n))
     r = snf.rank
     if n - r >= r or any(m != 1 for m in snf.diagonal):
         return _component_sweep(cols)
@@ -228,13 +248,15 @@ class SubsetProfile:
     side: its columns, or, when its column lattice is saturated and its
     nullity is below its rank, the rows of an integer kernel basis
     (`_lower_rank_sweep`). `rank_full` is the rank of all `column_count`
-    columns together.
+    columns together. `snf` is the Smith form of the matrix whose columns
+    are `columns`, passed only when that matrix is one component: its
+    sweep then reuses it.
     """
 
-    def __init__(self, columns, components):
+    def __init__(self, columns, components, snf=None):
         self.components = components
         self.histogram = self._assemble_histogram(
-            _lower_rank_sweep(_component_columns(columns, comp)) for comp in components
+            _lower_rank_sweep(_component_columns(columns, comp), snf) for comp in components
         )
         self.rank_full = max(rank for _, rank, _ in self.histogram)
         self.column_count = sum(len(comp) for comp in components)
@@ -294,9 +316,17 @@ def subset_profile(delta, force=False, jobs=None):
     """
     profile = delta._cache.get("subset_profile")
     if profile is None:
-        profile = SubsetProfile(*_sweep_columns(delta, force=force))
-        delta._cache["subset_profile"] = profile
+        columns, components = _sweep_columns(delta, force=force)
+        profile = delta._cache["subset_profile"] = _facet_profile(delta, columns, components)
     return profile
+
+
+def _facet_profile(delta, columns, components):
+    """The SubsetProfile of the facets. When they are one component, its
+    sweep reuses the top Smith form: that component is the whole top map,
+    every row of which is nonzero."""
+    snf = top_smith_form(delta) if len(components) == 1 else None
+    return SubsetProfile(columns, components, snf)
 
 
 def series_reduce(columns):
@@ -373,6 +403,8 @@ def flow_profile(delta, force=False):
     profile = delta._cache.get("flow_profile") or delta._cache.get("subset_profile")
     if profile is None:
         columns, components = _sweep_columns(delta, flows=True, force=force)
-        key = "subset_profile" if columns is top_columns(delta) else "flow_profile"
-        profile = delta._cache[key] = SubsetProfile(columns, components)
+        if columns is top_columns(delta):
+            profile = delta._cache["subset_profile"] = _facet_profile(delta, columns, components)
+        else:
+            profile = delta._cache["flow_profile"] = SubsetProfile(columns, components)
     return profile

@@ -105,6 +105,10 @@ class SNFResult:
     rank: int
     V: IntMatrix
 
+    def kernel_count(self, q):
+        """Number of kernel vectors of the matrix over Z_q."""
+        return _kernel_size(self.diagonal, self.V.cols, q)
+
 
 def invariant_factors(diag):
     """Turn a multiset of positive diagonal entries into invariant
@@ -254,13 +258,17 @@ def rational_rank(mat):
     return len(snf_diagonal(mat.data))
 
 
+def _kernel_size(diagonal, cols, q):
+    """Kernel vectors mod q of a matrix with `cols` columns and Smith
+    diagonal `diagonal`: q per column past the rank, gcd(d, q) per d."""
+    return q ** (cols - len(diagonal)) * prod(gcd(d, q) for d in diagonal)
+
+
 def kernel_count_mod_q(mat, q):
     """Exact number of v in (Z_q)^cols with mat . v == 0 (mod q)."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
-    diag = snf_diagonal(mat.data)
-    free = mat.cols - len(diag)
-    return q**free * prod(gcd(d, q) for d in diag)
+    return _kernel_size(snf_diagonal(mat.data), mat.cols, q)
 
 
 def kernel_basis(mat):
@@ -351,7 +359,7 @@ def count_nowhere_zero_box(size, modulus, digits):
     return scale * search(0) if plan else scale
 
 
-def count_nowhere_zero_kernel_mod_q(mat, q):
+def count_nowhere_zero_kernel_mod_q(mat, q, snf=None):
     """Number of kernel vectors of mat over Z_q with no zero entry.
 
     The kernel is V . y for y in the diagonal system's solution box, as
@@ -360,13 +368,14 @@ def count_nowhere_zero_kernel_mod_q(mat, q):
     unit step is (q / g) . V_i, and `count_nowhere_zero_box` searches
     the box, pruning each partial vector with a zero entry that no later
     digit touches. The cost is its search nodes, at most one per kernel
-    vector. Raises CapExceededError (with the exact count) before the
-    Smith form if the kernel is larger than the enumeration cap.
+    vector. `snf` is mat's Smith form when the caller holds one. Raises
+    CapExceededError (with the exact count) before the search if the
+    kernel is larger than the enumeration cap; without `snf`, before the
+    Smith form too.
     """
-    total = kernel_count_mod_q(mat, q)
-    check_enum_cap(total)
+    check_enum_cap(kernel_count_mod_q(mat, q) if snf is None else snf.kernel_count(q))
+    res = smith_normal_form(mat) if snf is None else snf
     n = mat.cols
-    res = smith_normal_form(mat)
     V = res.V.data
     digits = []
     for i in range(n):

@@ -6,9 +6,10 @@ the subset histogram), and exact coforest covers.
 Every rank question about one facet set folds vectors into an echelon
 basis (`linalg.fold_vector`, `linalg.span_rank`). The rank of X folds
 its columns of `complexes.top_columns`. The corank folds X's rows of
-an integer kernel basis K of the boundary map, taken once per complex:
-K represents the dual matroid, so X is coindependent exactly when its
-rows of K are independent, and a bridge is a zero row. `RankOracle` takes one Smith
+an integer kernel basis K of the boundary map, read off the one Smith
+form of that map per complex (`homology.top_smith_form`): K represents
+the dual matroid, so X is coindependent exactly when its rows of K are
+independent, and a bridge is a zero row. `RankOracle` takes one Smith
 diagonal per query; only `verify` calls it (criterion 10), as the
 oracle that it and the tests hold the folds to.
 """
@@ -18,7 +19,7 @@ from itertools import combinations
 from math import comb
 
 from .caps import DEFAULT_ENUM_CAP, check_enum_cap
-from .complexes import boundary_matrix, restrict_columns, top_columns
+from .complexes import restrict_columns, top_columns
 from .errors import (
     CapExceededError,
     FacetInBaseError,
@@ -27,7 +28,7 @@ from .errors import (
     InternalError,
     NotABaseError,
 )
-from .homology import codim1_cycle_rank, subset_profile
+from .homology import codim1_cycle_rank, subset_profile, top_smith_form
 from .linalg import fold_vector, kernel_basis, snf_diagonal, span_rank
 
 
@@ -49,12 +50,13 @@ class RankOracle:
 
 def _dual_rows(delta):
     """Row f holds facet f's entries in an integer kernel basis K of the
-    top boundary map (cached); every row has the nullity as its length."""
+    top boundary map (cached): row f of the transform V of
+    `homology.top_smith_form`, past the rank. Every row has the nullity
+    as its length."""
     rows = delta._cache.get("dual_rows")
     if rows is None:
-        basis = kernel_basis(boundary_matrix(delta, delta.dimension).matrix)
-        rows = [[vec[f] for vec in basis] for f in range(len(delta.facets))]
-        delta._cache["dual_rows"] = rows
+        snf = top_smith_form(delta)
+        rows = delta._cache["dual_rows"] = [row[snf.rank :] for row in snf.V.data]
     return rows
 
 

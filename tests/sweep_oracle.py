@@ -70,9 +70,9 @@ def watch_sides():
     given = []
     lower, sweep = homology._lower_rank_sweep, homology._component_sweep
 
-    def watched_lower(cols):
+    def watched_lower(cols, *shared):
         given.append(cols)
-        return lower(cols)
+        return lower(cols, *shared)
 
     def watched_sweep(vectors):
         sides.append("primal" if vectors is given[-1] else "dual")

@@ -1,4 +1,5 @@
 import io
+import time
 from itertools import combinations, product
 from math import prod
 
@@ -29,8 +30,9 @@ from simflow.cli import main
 from simflow.complexes import facet_components, subdivide_facet, top_columns
 from simflow.fixtures import _RP2_FACES, complete, cycle, petersen, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
 from simflow.flows import _tensions_by_circuits, circuits, is_modular_flow
-from simflow.homology import subset_profile
-from simflow.linalg import enumerate_kernel_mod_q, span_rank
+from simflow.homology import homology_summary, subset_profile, sweep_size
+from simflow.linalg import enumerate_kernel_mod_q, kernel_count_mod_q, span_rank
+from simflow.matroid import bridges
 from simflow.verify import PETERSEN_FLOWS_AT_5
 
 
@@ -492,6 +494,36 @@ def test_min_flow_number_examples():
         min_flow_number(cycle(3), 1)
 
 
+# K_4 with a pendant edge: every flow vanishes on the bridge
+K4_PENDANT = [[a, b] for a, b in combinations(range(4), 2)] + [[3, 4]]
+
+
+def test_min_flow_number_matches_the_plain_loop():
+    bridged = [
+        K4_PENDANT,
+        [[0, 1], [1, 2]],
+        [[0, 1, 2], [1, 2, 3]],
+        [[0, 1, 2], [0, 2, 3], [0, 1, 3], [1, 2, 3], [3, 4, 5]],
+    ]
+    cases = [delta for _, delta in standard_corpus()] + [build_complex(f) for f in bridged]
+    for delta in cases:
+        counts = {q: count_nz_flows(_fresh(delta), q) for q in range(2, 13)}
+        warm = _fresh(delta)
+        for q_max in range(2, 13):
+            plain = next((q for q in range(2, q_max + 1) if counts[q]), None)
+            assert min_flow_number(_fresh(delta), q_max) == plain, (delta, q_max)
+            assert min_flow_number(warm, q_max) == plain, (delta, q_max)
+
+
+def test_min_q_without_a_flow_stops_at_the_bound(monkeypatch, capsys):
+    # degree 3 and period 1: no flow up to q = 5 means none at all
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(build_complex(K4_PENDANT))))
+    start = time.perf_counter()
+    assert main(["min-q", "--max", "1000000000"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.strip() == "none"
+
+
 def test_petersen_regression():
     assert count_nz_flows(petersen(), 5, method="kernel_enum") == PETERSEN_FLOWS_AT_5
     assert count_nz_flows(petersen(), 5, method="subset_expansion") == PETERSEN_FLOWS_AT_5
@@ -551,24 +583,50 @@ def route_calls(monkeypatch):
     return calls
 
 
-def test_auto_sweeps_when_the_sweep_is_no_larger(route_calls):
-    # two disjoint K_4, no series ridge: 2 * 2^6 = 128 subsets, kernel q^6
+def test_auto_prices_the_sweep_against_the_enumeration(route_calls):
+    # two disjoint K_4, no series ridge: 2 * 2^6 = 128 subsets at 1.5 us,
+    # against 150 us plus 0.1 us per kernel vector, q^6 of them
     edges = [[a + s, b + s] for s in (0, 4) for a, b in combinations(range(4), 2)]
     delta = build_complex(edges)
-    assert count_nz_flows(delta, 2) == 0  # 64 kernel vectors: enumerate
+    assert count_nz_flows(delta, 2) == 0  # 156 us for 64 vectors: enumerate
     assert route_calls["enum"] == 1
-    got = {q: count_nz_flows(delta, q) for q in (3, 4, 5)}
+    assert "subset_profile" not in delta._cache
+    got = {q: count_nz_flows(delta, q) for q in (3, 4, 5)}  # 223 us at q = 3: sweep
     assert route_calls["enum"] == 1
     for q, count in got.items():
         assert count == count_nz_flows(build_complex(edges), q, method="kernel_enum")
-    # K_4: 2^6 subsets against k^4 colorings
+    # K_4: 2^6 subsets (96 us) against 150 us plus 0.4 us per coloring:
+    # even the 16 2-colorings are dearer
     k4 = _fresh(complete(4, 2))
     assert count_proper_colorings(k4, 2) == 0
+    assert count_proper_colorings(k4, 4) == 24
+    assert route_calls["brute"] == 0
+    assert count_proper_colorings(_fresh(k4), 2, method="brute") == 0
+    assert count_proper_colorings(_fresh(k4), 4, method="brute") == 24
+
+
+def test_auto_searches_petersen_3_colorings(route_calls):
+    # 2^15 subsets (49 ms at 1.5 us) against 3^10 colorings (24 ms at
+    # 0.4 us); the search visits a few hundred nodes
+    delta = _fresh(petersen())
+    assert count_proper_colorings(delta, 3) == 120
     assert route_calls["brute"] == 1
-    assert count_proper_colorings(k4, 3) == 0
-    assert route_calls["brute"] == 1
-    assert count_proper_colorings(_fresh(k4), 3, method="brute") == 0
-    assert count_proper_colorings(_fresh(k4), 4) == 24
+    assert "subset_profile" not in delta._cache
+    assert count_proper_colorings(_fresh(delta), 3, method="subset_expansion") == 120
+
+
+def test_auto_sweeps_a_large_kernel(route_calls):
+    # the `sweep` benchmark graph: 13 edges, two series pairs, beta = 6;
+    # 2^11 reduced subsets (3.1 ms) against 7^6 kernel vectors (11.9 ms)
+    edges = [[0, 1], [0, 2], [0, 6], [1, 5], [1, 7], [1, 6], [2, 4],
+             [2, 3], [5, 4], [5, 3], [5, 7], [5, 6], [3, 6]]
+    delta = build_complex(edges)
+    assert sweep_size(delta, flows=True) == 1 << 11
+    assert kernel_count_mod_q(boundary_matrix(delta, 1).matrix, 7) == 7**6
+    got = count_nz_flows(delta, 7)
+    assert route_calls["enum"] == 0
+    assert "flow_profile" in delta._cache
+    assert got == count_nz_flows(build_complex(edges), 7, method="kernel_enum") > 0
 
 
 def test_auto_folds_a_cached_profile(route_calls):
@@ -583,18 +641,53 @@ def test_auto_folds_a_cached_profile(route_calls):
     assert count_proper_colorings(_fresh(delta), 3, method="brute") == 120
 
 
-def test_series_reduction_spares_the_enumeration(route_calls, monkeypatch, capsys):
+def test_series_reduction_prices_the_reduced_sweep(route_calls, monkeypatch, capsys):
     # K_6 less two edges, every vertex in at least three of its 13 edges,
     # with 12 edges subdivided: 25 edges, over the subset cap, and 13
-    # series-reduced columns, whose 2^13 subsets beat 4^8 kernel vectors
+    # series-reduced columns, whose 2^13 subsets (12.3 ms at 1.5 us) cost
+    # more than 4^8 kernel vectors (6.7 ms) and less than 5^8 (39 ms)
     base = [[a, b] for a, b in combinations(range(6), 2) if (a, b) not in ((0, 1), (2, 3))]
     graph = [e for i, (a, b) in enumerate(base[:12]) for e in ([a, 6 + i], [6 + i, b])]
     graph += base[12:]
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(build_complex(graph))))
     assert main(["flows", "--q", "4"]) == 0
-    assert route_calls["enum"] == 0
+    assert route_calls["enum"] == 1
     want = count_nz_flows(build_complex(base), 4, method="subset_expansion")
     assert capsys.readouterr().out.strip() == str(want)
+    delta = build_complex(graph)
+    got = count_nz_flows(delta, 5)
+    assert route_calls["enum"] == 1
+    assert "flow_profile" in delta._cache
+    assert got == count_nz_flows(build_complex(base), 5, method="kernel_enum")
+
+
+def test_one_smith_form_of_the_top_map_per_complex(monkeypatch):
+    """`auto`'s kernel sizes, the kernel search, the sweep of a lone
+    block component, `homology_summary` and `bridges` all read one
+    Smith form of the top boundary map."""
+    from simflow import homology, linalg
+
+    top_forms = []
+
+    def counting(module):
+        form = module.smith_normal_form
+
+        def wrapper(mat):
+            top_forms.append(mat == top)
+            return form(mat)
+
+        monkeypatch.setattr(module, "smith_normal_form", wrapper)
+
+    counting(homology)
+    counting(linalg)
+    # Petersen enumerates kernels up to its 5-flows; K_4 sweeps at q = 2
+    for delta, least in ((_fresh(petersen()), 5), (_fresh(complete(4, 2)), 4)):
+        top = boundary_matrix(delta, delta.dimension).matrix
+        top_forms.clear()
+        assert min_flow_number(delta, 6) == least
+        assert homology_summary(delta).betti[1] == top.cols - top.rows + 1
+        assert bridges(delta) == []
+        assert top_forms.count(True) == 1
 
 
 def _moebius_ladder(n):

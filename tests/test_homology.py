@@ -23,17 +23,23 @@ from simflow.fixtures import (
 )
 from simflow import homology
 from simflow.homology import codim1_cycle_rank, t_q_of
-from simflow.linalg import snf_diagonal
+from simflow.linalg import smith_normal_form, snf_diagonal
 
 
 def test_summary_takes_the_top_diagonal_once(monkeypatch):
-    # one Smith diagonal per lower boundary map, and one of the top map
+    # one Smith diagonal per lower boundary map, and the complex's one
+    # Smith form of the top map
     calls = []
     monkeypatch.setattr(
-        homology, "snf_diagonal", lambda rows: calls.append(1) or snf_diagonal(rows)
+        homology, "snf_diagonal", lambda rows: calls.append("diagonal") or snf_diagonal(rows)
     )
-    assert homology_summary(rp2()).torsion == {1: [2], 0: []}
-    assert len(calls) == 3
+    monkeypatch.setattr(
+        homology, "smith_normal_form", lambda mat: calls.append("form") or smith_normal_form(mat)
+    )
+    delta = rp2()
+    assert homology_summary(delta).torsion == {1: [2], 0: []}
+    assert homology_summary(delta).betti == {2: 0, 1: 0, 0: 0}
+    assert sorted(calls) == ["diagonal", "diagonal", "form"]
 
 
 def test_sphere_homology():

@@ -24,7 +24,7 @@ from simflow.cli import main
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.flows import circuits, jaeger_flow
 from simflow.homology import codim1_cycle_rank
-from simflow.linalg import kernel_basis, snf_diagonal, span_rank
+from simflow.linalg import smith_normal_form, snf_diagonal, span_rank
 from simflow.matroid import RankOracle, _dual_rows, bridges
 
 
@@ -276,8 +276,9 @@ def test_coarboricity_agrees_with_literal_corank_sweep():
 
 
 def test_bridges_take_one_kernel_basis(monkeypatch):
-    """`bridges` reads the zero rows of one kernel basis: no Smith
-    diagonal and no sweep."""
+    """`bridges` reads the zero rows of one kernel basis, the columns of
+    V past the rank in the complex's one Smith form of the top map: no
+    Smith diagonal and no sweep."""
     from simflow import homology, matroid
 
     calls = []
@@ -289,13 +290,13 @@ def test_bridges_take_one_kernel_basis(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(matroid, "kernel_basis", counting("kernel_basis", kernel_basis))
+    monkeypatch.setattr(homology, "smith_normal_form", counting("smith_normal_form", smith_normal_form))
     for module in (matroid, homology):
         monkeypatch.setattr(module, "snf_diagonal", counting("snf_diagonal", snf_diagonal))
     delta = petersen()
     assert bridges(delta) == []
     assert bridges(delta) == []
-    assert calls == ["kernel_basis"]
+    assert calls == ["smith_normal_form"]
     assert "subset_profile" not in delta._cache
 
 
