@@ -156,7 +156,7 @@ def _cmd_analyze(args):
     delta = _read_complex(args)
     summary = homology_summary(delta)
     bridge_list = bridges(delta)
-    # the capped sweep first: the cut search then folds its histogram
+    # the capped sweep first: the cut search then folds its blocks
     try:
         coarb = coarboricity(delta, force=args.force)
     except InfeasibleError:

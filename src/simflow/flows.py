@@ -3,23 +3,23 @@ quasipolynomial, Z_2^r group flows, and the explicit 2^c-flow
 construction through coforest covers.
 
 Counting never scans (q-1)^|F| assignments. Flows and colorings fold the
-inclusion-exclusion expansion over a cached subset histogram, or
+inclusion-exclusion expansion over a cached subset profile, or
 enumerate: the mod-q kernel of the top boundary map (size q^beta times
 the torsion weight) for flows, all k^|ridges| colorings for colorings.
 Both enumerations run `linalg.count_nowhere_zero_box`, a depth-first
 search that drops each partial assignment which zeroes a closed entry.
-Flows fold `homology.flow_profile`: whichever histogram is cached, else
+Flows fold `homology.flow_profile`: whichever profile is cached, else
 that of the series-reduced columns. Colorings fold
-`homology.subset_profile`, the histogram of the facets.
-`method="auto"` folds whenever such a histogram is cached, or the
-subset cap admits the columns it would sweep and the sweep, priced at
-`SUBSET_US` per subset, costs no more than the enumeration, priced at
-`ENUM_SETUP_US` plus `KERNEL_VECTOR_US` per kernel vector or
-`COLORING_US` per coloring. The kernel size and the kernel search read
-the one Smith form of the top boundary map per complex
-(`homology.top_smith_form`). `method="kernel_enum"` enumerates the
-unreduced kernel: it is the oracle the folds are held to. Tension
-counts come from the facet histogram through the chromatic relation;
+`homology.subset_profile`, the profile of the facets. Each fold is a
+product over the profile's blocks. `method="auto"` folds whenever such
+a profile is cached, or the subset cap admits the columns it would
+sweep and the sweep, priced at `SUBSET_US` per subset, costs no more
+than the enumeration, priced at `ENUM_SETUP_US` plus `KERNEL_VECTOR_US`
+per kernel vector or `COLORING_US` per coloring. The kernel size and
+the kernel search read the one Smith form of the top boundary map per
+complex (`homology.top_smith_form`). `method="kernel_enum"` enumerates
+the unreduced kernel: it is the oracle the folds are held to. Tension
+counts come from the coloring count through the chromatic relation;
 `_tensions_by_circuits` filters the circuit system directly and is the
 oracle that `verify` compares them with. The flow quasipolynomial is
 read off the flow profile, one constituent per residue class, and so is
@@ -191,12 +191,12 @@ def _flow_coefficients(profile, r):
     profile's columns, each torsion invariant factor m weighted by
     gcd(m, r): exact at q = r, and at every q = r mod the torsion
     period."""
-    n = profile.column_count
-    coeffs = [0] * (n - profile.rank_full + 1)
-    for (size, rank, tors), count in profile.histogram.items():
-        term = count * t_q_of(tors, r)
-        coeffs[size - rank] += term if (n - size) % 2 == 0 else -term
-    return coeffs
+
+    def term(block, size, rank, tors):
+        return (size - rank,), (-1) ** (block.column_count - size) * t_q_of(tors, r)
+
+    terms = profile.expand(term)
+    return [terms[(power,)] for power in range(profile.column_count - profile.rank_full + 1)]
 
 
 def _flow_expansion(delta, q, force=False):
@@ -237,13 +237,11 @@ BRUTE_COLORING_LIMIT = 10**5
 
 
 def _coloring_expansion(delta, k, force=False):
+    def term(block, size, rank, tors):
+        return (), (-1) ** size * k ** (block.rank - rank) * t_q_of(tors, k)
+
     profile = subset_profile(delta, force=force)
-    rows = ridge_count(delta)
-    total = 0
-    for (size, rank, tors), count in profile.histogram.items():
-        term = count * k ** (rows - rank) * t_q_of(tors, k)
-        total += term if size % 2 == 0 else -term
-    return total
+    return k ** (ridge_count(delta) - profile.rank_full) * profile.expand(term)[()]
 
 
 def _brute_colorings(delta, k):
@@ -315,9 +313,10 @@ def count_nz_tensions(delta, k, force=False):
     with no zero entry.
 
     Each tension is the coboundary of |ker(coboundary mod k)| colorings,
-    so it is read off the subset histogram through the torsion-weighted
+    so it is read off the coloring count through the torsion-weighted
     chromatic relation t_k(F) * T(k) = k^(|F| - beta_d - |R|) * X(k),
-    with X the proper ridge colorings and R the ridges. A relation that
+    with X the proper ridge colorings and R the ridges. beta_d and t_k(F)
+    are read off the Smith form of the top boundary map. A relation that
     is not an exact multiple raises RelationMismatchError.
     """
     if k < 1:
@@ -325,11 +324,9 @@ def count_nz_tensions(delta, k, force=False):
     n = len(delta.facets)
     if k == 1:
         return 0 if n else 1
-    profile = subset_profile(delta, force=force)
-    beta_top = n - profile.rank_full
-    # the full complex is the one subset of size n
-    t_full = next(t_q_of(tors, k) for (s, _, tors) in profile.histogram if s == n)
-    exp = n - beta_top - ridge_count(delta)
+    snf = top_smith_form(delta)
+    t_full = t_q_of(snf.diagonal, k)
+    exp = snf.rank - ridge_count(delta)  # |F| - beta_d is the rank
     chromatic = count_proper_colorings(delta, k, force=force)
     num = chromatic * k ** max(exp, 0)
     den = t_full * k ** max(-exp, 0)
@@ -406,13 +403,12 @@ def count_nz_group_flows_2r(delta, r, force=False):
     """
     if r < 1:
         raise BadParamsError(f"exponent must be >= 1, got {r}")
-    profile = flow_profile(delta, force=force)
-    n = profile.column_count
-    total = 0
-    for (size, rank, tors), count in profile.histogram.items():
-        term = count * (2 ** (size - rank) * t_q_of(tors, 2)) ** r
-        total += term if (n - size) % 2 == 0 else -term
-    return total
+
+    def term(block, size, rank, tors):
+        group = 2 ** (size - rank) * t_q_of(tors, 2)
+        return (), (-1) ** (block.column_count - size) * group**r
+
+    return flow_profile(delta, force=force).expand(term)[()]
 
 
 def _signed_lift(delta, support_mask, layer):
@@ -568,6 +564,9 @@ def jaeger_flow(delta, force=False):
 def min_flow_number(delta, q_max, force=False):
     """Least modulus in 2..q_max with a nowhere-zero flow, else None.
 
+    None at once when a facet is a bridge and the top boundary map has no
+    torsion: every mod-q flow then lifts to an integer flow, zero there.
+
     Once a flow profile is cached, the search stops at 1 + P (D + 1),
     with P the period and D the degree of the flow quasipolynomial. The
     count at q is constituent q mod P, a polynomial of degree at most D
@@ -577,6 +576,8 @@ def min_flow_number(delta, q_max, force=False):
     """
     if q_max < 2:
         raise BadParamsError(f"q_max must be >= 2, got {q_max}")
+    if bridges(delta) and all(m == 1 for m in top_smith_form(delta).diagonal):
+        return None
     stop = None
     q = 2
     while q <= (q_max if stop is None else stop):

@@ -13,10 +13,10 @@ in closed form once its lattice is saturated and of full rank. A component
 of n columns and rank r whose column lattice is saturated and whose
 nullity n - r is below r is swept on its dual side instead: the rows of an
 integer kernel basis, which reach full rank after n - r of them, with each
-key mapped to that of the complement (`_lower_rank_sweep`). The
-per-component histograms keyed by (subset size, rank, torsion invariant
-factors) are convolved into one, the torsion of a union taken as the
-invariant factors of the direct sum. The basis is grown with
+key mapped to that of the complement (`_lower_rank_sweep`). Each
+component keeps its histogram keyed by (subset size, rank, torsion
+invariant factors); the matroid is their direct sum, so every fold
+is a product, a max or a min over them. The basis is grown with
 `linalg.fold_vector`, the one integer echelon routine. Nothing per
 subset is kept: a rank question that names one subset folds its vectors
 into a fresh basis (`linalg.span_rank`). The Smith form of the whole top
@@ -32,15 +32,17 @@ per complex) when some column reduces. `sweep_size`, which tells
 it too. A ridge in exactly two facets, both with coefficient +-1, ties
 their flow values together, so the pair carries one degree of freedom.
 The reduction keeps every mod-q kernel size and every nowhere-zero
-count, but not the matroid, so colorings, tensions and the Tutte
-polynomials stay on `subset_profile`. Flow counts fold whichever
+count, but not the matroid, so colorings and the Tutte polynomials
+stay on `subset_profile`. Flow counts fold whichever
 profile is cached, since both give every mod-q kernel size; the
 reduced columns are swept only when neither is.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from math import comb, gcd, prod
+from itertools import product
+from math import comb, gcd, lcm, prod
+from operator import add
 
 from .caps import check_matrix_cap, check_subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
@@ -48,7 +50,6 @@ from .errors import BadModulusError, CapExceededError
 from .linalg import (
     IntMatrix,
     fold_vector,
-    invariant_factors,
     smith_normal_form,
     snf_diagonal,
     span_rank,
@@ -208,13 +209,6 @@ def _component_sweep(cols):
     return histogram
 
 
-def _join_torsion(t1, t2):
-    """Invariant factors of the direct sum of two torsion groups."""
-    if not (t1 and t2):
-        return t1 or t2
-    return tuple(m for m in invariant_factors(t1 + t2) if m > 1)
-
-
 def _lower_rank_sweep(cols, snf=None):
     """`_component_sweep(cols)`, swept on whichever side has the lower
     rank.
@@ -241,13 +235,29 @@ def _lower_rank_sweep(cols, snf=None):
     return Counter({(n - s, rank - s + r, tors): c for (s, rank, tors), c in dual.items()})
 
 
+# A block component's histogram keyed by (subset size, rank, torsion
+# invariant factors), with its column count and rank.
+Block = namedtuple("Block", "histogram column_count rank")
+
+
+def _join_keys(key1, key2):
+    """The key of a union of subsets of two blocks: its torsion is the
+    Smith diagonal of both factor lists set on one diagonal."""
+    (s1, r1, t1), (s2, r2, t2) = key1, key2
+    tors = t1 + t2
+    if t1 and t2:
+        diag = [[m * (i == j) for j in range(len(tors))] for i, m in enumerate(tors)]
+        tors = tuple(m for m in snf_diagonal(diag) if m > 1)
+    return s1 + s2, r1 + r2, tors
+
+
 class SubsetProfile:
-    """The histogram that counts subsets of `columns` by (size, rank,
-    torsion invariant factors): what every expansion consumes. Each block
-    component in `components` is swept on its own, on its lower-rank
-    side: its columns, or, when its column lattice is saturated and its
-    nullity is below its rank, the rows of an integer kernel basis
-    (`_lower_rank_sweep`). `rank_full` is the rank of all `column_count`
+    """What every expansion consumes: one `Block` per block component in
+    `components`, each swept on its own, on its lower-rank side: its
+    columns, or, when its column lattice is saturated and its nullity is
+    below its rank, the rows of an integer kernel basis
+    (`_lower_rank_sweep`). Folds are products (`expand`), maxima and
+    minima over blocks. `rank_full` is the rank of all `column_count`
     columns together. `snf` is the Smith form of the matrix whose columns
     are `columns`, passed only when that matrix is one component: its
     sweep then reuses it.
@@ -255,31 +265,40 @@ class SubsetProfile:
 
     def __init__(self, columns, components, snf=None):
         self.components = components
-        self.histogram = self._assemble_histogram(
-            _lower_rank_sweep(_component_columns(columns, comp), snf) for comp in components
-        )
-        self.rank_full = max(rank for _, rank, _ in self.histogram)
-        self.column_count = sum(len(comp) for comp in components)
+        sweeps = [_lower_rank_sweep(_component_columns(columns, c), snf) for c in components]
+        self.blocks = [Block(h, len(c), max(r for _, r, _ in h)) for h, c in zip(sweeps, components)]
+        self.rank_full = sum(block.rank for block in self.blocks)
+        self.column_count = sum(block.column_count for block in self.blocks)
 
-    @staticmethod
-    def _assemble_histogram(comp_histograms):
-        """Convolve the per-component histograms into the global one."""
-        hist = Counter({(0, 0, ()): 1})
-        for local in comp_histograms:
-            merged = Counter()
-            for (s1, r1, t1), c1 in hist.items():
-                for (s2, r2, t2), c2 in local.items():
-                    merged[(s1 + s2, r1 + r2, _join_torsion(t1, t2))] += c1 * c2
-            hist = merged
-        return hist
+    def expand(self, term, join=lambda e1, e2: tuple(map(add, e1, e2))):
+        """{exponents: weight} summed over column subsets, where
+        `term(block, size, rank, tors)` gives each block's keys exponents
+        and a weight, and a subset's exponents add (or `join`) and its
+        weights multiply over the blocks it meets."""
+        total = None
+        for block in self.blocks:
+            local = Counter()
+            for (size, rank, tors), count in block.histogram.items():
+                exponents, weight = term(block, size, rank, tors)
+                local[exponents] += count * weight
+            if total is not None:
+                merged = Counter()
+                for (e1, w1), (e2, w2) in product(total.items(), local.items()):
+                    merged[join(e1, e2)] += w1 * w2
+                local = merged
+            total = local
+        return total
+
+    @property
+    def histogram(self):
+        """The joint histogram of all columns, convolved from the blocks
+        on every read. No fold reads it; the benchmark's traced run and
+        `verify`'s comparison with per-subset Smith forms do."""
+        return self.expand(lambda block, *key: (key, 1), _join_keys)
 
     def torsion_period(self):
         """lcm of every torsion invariant factor seen across all subsets."""
-        period = 1
-        for (_, _, tors) in self.histogram:
-            for m in tors:
-                period = period * m // gcd(period, m)
-        return period
+        return lcm(*(m for block in self.blocks for _, _, tors in block.histogram for m in tors))
 
 
 def _component_columns(columns, comp):
@@ -396,7 +415,7 @@ def flow_profile(delta, force=False):
     top boundary columns, else a fresh sweep of `_sweep_columns(delta,
     flows=True)`, cached as the subset profile when nothing reduces.
 
-    Both histograms give every mod-q kernel size, so flow counts fold
+    Both profiles give every mod-q kernel size, so flow counts fold
     either one exactly: series reduction keeps each kernel's size and
     nowhere-zero count, and only merges facets whose flow values are tied.
     """

@@ -110,28 +110,6 @@ class SNFResult:
         return _kernel_size(self.diagonal, self.V.cols, q)
 
 
-def invariant_factors(diag):
-    """Turn a multiset of positive diagonal entries into invariant
-    factors: the sorted divisibility chain of the same direct sum of
-    cyclic groups."""
-    d = sorted(diag)
-    if not d or d[-1] == 1:
-        return d
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            di = d[i]
-            for j in range(i + 1, len(d)):
-                if d[j] % di:
-                    g = gcd(di, d[j])
-                    d[i], d[j] = g, di * d[j] // g
-                    di = g
-                    changed = True
-    d.sort()
-    return d
-
-
 def _eliminate(rows, transform):
     """Smith diagonal of the matrix given as a list of row lists, which is
     left as it was (the elimination works on copies of its nonzero rows),

@@ -1,7 +1,7 @@
 """The simplicial matroid (column matroid of the top boundary map) and
 the covering machinery behind the flow-construction pipeline: bridges,
-facet cuts, forests, fundamental circuits, the coarboricity (folded off
-the subset histogram), and exact coforest covers.
+facet cuts, forests, fundamental circuits, the coarboricity (the largest
+over the blocks of the subset profile), and exact coforest covers.
 
 Every rank question about one facet set folds vectors into an echelon
 basis (`linalg.fold_vector`, `linalg.span_rank`). The rank of X folds
@@ -102,7 +102,8 @@ def facet_connectivity(delta, k_max=None):
     Witnesses are searched in size order, ties broken by ascending bitmask
     value. Cuts are sets whose removal raises beta_{d-1}, i.e. whose
     complement has deficient rank: the sets whose rows of K are dependent.
-    The histogram names the least cut size. Past the subset cap every
+    The least cut size is the least over the swept blocks of the facets,
+    as a least cut lies in one block. Past the subset cap every
     size from 1 up is tried, and that search refuses more masks than the
     enumeration cap before it folds any.
     """
@@ -112,18 +113,14 @@ def facet_connectivity(delta, k_max=None):
 
     bound = min(k_max, n)
     try:
-        profile = subset_profile(delta)
-        deficient_sizes = [
-            size
-            for (size, rank, _) in profile.histogram
-            if rank < profile.rank_full
-        ]
-        least = n - max(deficient_sizes) if deficient_sizes else None
+        blocks = subset_profile(delta).blocks
+        cuts = [b.column_count - s for b in blocks for s, r, _ in b.histogram if r < b.rank]
+        least = min(cuts, default=None)
         if least is None or least > k_max:
             return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
         sizes = [least]
     except CapExceededError:
-        # without the histogram, every mask up to the bound is a candidate
+        # without a profile, every mask up to the bound is a candidate
         check_enum_cap(
             sum(comb(n, k) for k in range(1, bound + 1)), what="candidate cuts"
         )
@@ -203,23 +200,23 @@ def coarboricity(delta, force=False):
     """Least c with c * r*(X) >= |X| for every subset X, r* the corank:
     the least number of coforests that cover the facets (Edmonds).
 
-    Folds the subset histogram: a key (s, r, .) with s < n stands for the
-    complements X of size n - s, of corank n - s + r - r(F). Raises
-    Infeasible when some nonempty X has corank zero (a bridge).
+    In a block of n columns and rank r, a key (s, r', .) with s < n stands
+    for the complements X of size n - s, of corank n - s + r' - r; by the
+    mediant inequality no X that meets several blocks has a larger ratio.
+    Raises Infeasible when some nonempty X has corank zero (a bridge).
     """
-    profile = subset_profile(delta, force=force)
-    n = len(delta.facets)
     c = 1
-    for size, rank, _ in profile.histogram:
-        if size == n:
-            continue
-        part = n - size
-        corank = part + rank - profile.rank_full
-        if corank <= 0:
-            raise InfeasibleError(
-                "ground set contains a loop; no independent-set cover exists"
-            )
-        c = max(c, -(-part // corank))
+    for block in subset_profile(delta, force=force).blocks:
+        for size, rank, _ in block.histogram:
+            part = block.column_count - size
+            if not part:
+                continue
+            corank = part + rank - block.rank
+            if corank <= 0:
+                raise InfeasibleError(
+                    "ground set contains a loop; no independent-set cover exists"
+                )
+            c = max(c, -(-part // corank))
     return c
 
 

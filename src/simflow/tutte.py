@@ -1,7 +1,8 @@
 """The TKR polynomial family: subset expansions through Betti numbers
 (which is also the Tutte polynomial of the simplicial matroid), the
 torsion-weighted q-version, Bott's R polynomial under both sign
-readings, and the specialization/duality cross-checks.
+readings, and the specialization/duality cross-checks. Each expansion
+is a product over the blocks of the subset profile.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +13,7 @@ from .complexes import boundary_matrix
 from .errors import BadModulusError, BadParamsError
 from .flows import (
     BRUTE_COLORING_LIMIT,
+    _flow_coefficients,
     count_nz_flows,
     count_proper_colorings,
     ridge_count,
@@ -29,16 +31,17 @@ def tkr_polynomial(delta, force=False):
 
 
 def q_tkr_polynomial(delta, q, force=False):
-    """TKR weighted per subset by t_q = |Tor(H_{d-1}(X), Z_q)|."""
+    """TKR weighted per subset by t_q = |Tor(H_{d-1}(X), Z_q)|, summed
+    as weights of (x-1)^a (y-1)^b; each is expanded to monomials once."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
-    profile = subset_profile(delta, force=force)
-    full_rank = profile.rank_full
+
+    def term(block, size, rank, tors):
+        return (block.rank - rank, size - rank), t_q_of(tors, q)
+
     poly = BivariatePolynomial()
-    for (size, rank, tors), count in profile.histogram.items():
-        poly.add_shifted_term(
-            full_rank - rank, size - rank, count * t_q_of(tors, q)
-        )
+    for (a, b), weight in subset_profile(delta, force=force).expand(term).items():
+        poly.add_shifted_term(a, b, weight)
     return poly
 
 
@@ -57,15 +60,12 @@ def bott_r_polynomial(delta, sign_convention="literal", force=False):
     """
     if sign_convention not in ("literal", "complemented"):
         raise BadParamsError(f"unknown sign convention {sign_convention!r}")
-    profile = subset_profile(delta, force=force)
-    n = len(delta.facets)
-    out = {}
-    for (size, rank, _), count in profile.histogram.items():
-        e = size - rank
-        flip = size if sign_convention == "literal" else n - size
-        out[e] = out.get(e, 0) + (count if flip % 2 == 0 else -count)
-    deg = max(out, default=0)
-    return trim_univariate([out.get(i, 0) for i in range(deg + 1)])
+    # complemented Bott has the flow expansion's coefficients at r = 1,
+    # where every torsion weight is 1
+    coeffs = _flow_coefficients(subset_profile(delta, force=force), 1)
+    if sign_convention == "literal" and len(delta.facets) % 2:
+        coeffs = [-c for c in coeffs]
+    return trim_univariate(coeffs)
 
 
 def _compose_one_minus(coeffs):
@@ -113,7 +113,7 @@ def check_specializations(delta, q_list, force=False):
     TKR specializations; plus the Bott identity at polynomial level, and
     the plain-TKR identities when no subset carries torsion.
 
-    A direct count never folds the histogram that the specializations
+    A direct count never folds the profile that the specializations
     read: flows are enumerated when the kernel holds at most
     DEFAULT_ENUM_CAP vectors, and colorings are brute-forced when there
     are at most BRUTE_COLORING_LIMIT of them. Other pairs are not compared.
@@ -122,7 +122,7 @@ def check_specializations(delta, q_list, force=False):
     n = len(delta.facets)
     rows = ridge_count(delta)
     beta_top = n - profile.rank_full
-    torsion_free = all(not tors for (_, _, tors) in profile.histogram)
+    torsion_free = profile.torsion_period() == 1
     flow_sign = -1 if beta_top % 2 else 1
     col_sign = -1 if (n - beta_top) % 2 else 1
     col_exp = rows - n + beta_top

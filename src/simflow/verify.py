@@ -381,12 +381,12 @@ def _profile_failures(name, delta):
 
 
 def _tension_failures(name, delta):
-    """Tension counts read off the histogram against the direct filter of
-    the circuit system, for k = 2..5. The histogram counts nowhere-zero
-    coboundaries mod k and the filter counts weightings orthogonal to
-    every circuit; the two sets coincide when k is prime to the torsion
-    of H_{d-1}, so only those k are compared. With at most 10 facets the
-    filter enumerates at most 5^10 < 10^7 vectors."""
+    """Tension counts read off the coloring count against the direct
+    filter of the circuit system, for k = 2..5. The tensions are the
+    nowhere-zero coboundaries mod k and the filter counts weightings
+    orthogonal to every circuit; the two sets coincide when k is prime to
+    the torsion of H_{d-1}, so only those k are compared. With at most 10
+    facets the filter enumerates at most 5^10 < 10^7 vectors."""
     failures = []
     for k in range(2, 6):
         if torsion_weight(delta, delta.full_mask, k) != 1:

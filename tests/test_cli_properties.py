@@ -2,16 +2,19 @@
 under every `--method` it takes, at the default subset cap and at a cap
 of 2: each call exits 0-4 without a traceback, and every route that
 answers gives the same count. Also: once the facet profile is cached,
-every flow fold reads it and no second profile is swept."""
+every flow fold reads it and no second profile is swept; and no command
+reads the joint histogram of a profile with several blocks."""
 
 import io
 import json
 import sys
+from itertools import combinations
 
 import pytest
 
 from simflow import cli, homology
-from simflow.complexes import boundary_matrix
+from simflow.complexes import boundary_matrix, build_complex, facet_components
+from simflow.fixtures import rp2
 from simflow.flows import (
     count_nz_flows,
     count_nz_group_flows_2r,
@@ -147,3 +150,44 @@ def test_flow_folds_read_a_cached_facet_profile(monkeypatch):
         assert built == []
 
     check()
+
+
+# RP^2, the boundary of a tetrahedron and a bipyramid on disjoint vertices
+THREE_BLOCKS = (
+    [list(f) for f in rp2().facets]
+    + [[a + 6, b + 6, c + 6] for a, b, c in combinations(range(4), 3)]
+    + [[a + 10, b + 10, apex + 10] for a, b in ((0, 1), (1, 2), (0, 2)) for apex in (3, 4)]
+)
+
+
+def test_no_command_reads_the_joint_histogram(monkeypatch, capsys):
+    """Every fold combines the blocks' histograms; only the traced
+    benchmark run and `verify` read the joint view."""
+
+    def joint(profile):
+        raise AssertionError("read the joint histogram")
+
+    monkeypatch.setattr(homology.SubsetProfile, "histogram", property(joint))
+    delta = build_complex(THREE_BLOCKS)
+    assert len(facet_components(delta)) == 3
+    doc = serialize_complex(delta)
+
+    def run(argv, doc, cap):
+        if cap is None:
+            monkeypatch.delenv("SIMFLOW_SUBSET_CAP", raising=False)
+        else:
+            monkeypatch.setenv("SIMFLOW_SUBSET_CAP", cap)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    seen = _answers(delta, run)
+    assert all(len(values) == 1 for values in seen.values()), seen
+    more = [["analyze", "--json"], ["construct", "--jaeger"]]
+    more += [["poly", "--kind", kind] for kind in ("tkr", "tutte")]
+    more += [["poly", "--kind", "qtkr", "--q", q] for q in ("2", "3")]
+    more += [["poly", "--kind", "bott", "--convention", c] for c in ("literal", "complemented")]
+    codes = [run(argv, doc, None)[0] for argv in more]
+    # RP^2 has no 2-cycle over Q: every facet of it is a bridge
+    assert codes == [0, 2, 0, 0, 0, 0, 0, 0]

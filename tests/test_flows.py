@@ -524,6 +524,25 @@ def test_min_q_without_a_flow_stops_at_the_bound(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
+def test_min_q_with_a_bridge_and_no_torsion_counts_no_flow(monkeypatch, capsys):
+    """The star K_{1,8}: every edge is a bridge and every invariant factor
+    of its boundary map is 1, so no modulus has a nowhere-zero flow and
+    none is counted. RP^2 is all bridges too, but its torsion gives a
+    nowhere-zero 2-flow, so its search still counts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted flows")
+
+    monkeypatch.setattr(flows, "count_nz_flows", refuse)
+    star = serialize_complex(build_complex([[0, v] for v in range(1, 9)]))
+    monkeypatch.setattr("sys.stdin", io.StringIO(star))
+    assert main(["min-q", "--max", "1000000"]) == 0
+    assert capsys.readouterr().out.strip() == "none"
+    assert bridges(rp2()) and homology_summary(rp2()).torsion[1] == [2]
+    with pytest.raises(AssertionError, match="counted flows"):
+        min_flow_number(rp2(), 4)
+
+
 def test_petersen_regression():
     assert count_nz_flows(petersen(), 5, method="kernel_enum") == PETERSEN_FLOWS_AT_5
     assert count_nz_flows(petersen(), 5, method="subset_expansion") == PETERSEN_FLOWS_AT_5

@@ -1,5 +1,5 @@
 from collections import Counter
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -179,11 +179,11 @@ def test_property_suite_fails_on_a_corrupted_profile(monkeypatch, corrupt):
     delta = build_complex([list(f) for f in cycle(4).facets])
     profile = subset_profile(delta)
     if corrupt == "rank":
-        profile.histogram[3, 3, ()] -= 1
-        profile.histogram[3, 2, ()] += 1
+        profile.blocks[0].histogram[3, 3, ()] -= 1
+        profile.blocks[0].histogram[3, 2, ()] += 1
     else:
-        profile.histogram[3, 3, ()] -= 1
-        profile.histogram[3, 3, (2,)] += 1
+        profile.blocks[0].histogram[3, 3, ()] -= 1
+        profile.blocks[0].histogram[3, 3, (2,)] += 1
     monkeypatch.setattr(verify, "standard_corpus", lambda: [("cycle(4)", delta)])
     result = verify.check_property_suites()
     assert not result.passed
@@ -221,3 +221,44 @@ def test_torsion_of_a_disjoint_union_is_in_invariant_factors():
     assert [tors for (size, _, tors) in profile.histogram if size == n] == [(6,)]
     assert homology_summary(delta).torsion[1] == [6]
     assert profile.torsion_period() == 6
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_disjoint_triangles_fold_to_closed_forms(k):
+    """k disjoint triangles, swept past the subset cap for k = 9: each
+    block is a 3-cycle, so the counts and polynomials are powers of a
+    triangle's, and the coarboricity and least cut are a triangle's."""
+    from simflow import (
+        coarboricity,
+        count_nz_flows,
+        facet_connectivity,
+        flow_quasipolynomial,
+        tkr_polynomial,
+    )
+    from simflow.poly import BivariatePolynomial
+
+    delta = build_complex(
+        [[3 * i + a, 3 * i + b] for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
+    )
+    profile = subset_profile(delta, force=True)
+    assert [block.column_count for block in profile.blocks] == [3] * k
+    assert profile.rank_full == 2 * k and profile.column_count == 3 * k
+    for q in (2, 3, 5):
+        assert count_nz_flows(delta, q, method="subset_expansion") == (q - 1) ** k
+    want = BivariatePolynomial({(0, 0): 1})
+    triangle = {(2, 0): 1, (1, 0): 1, (0, 1): 1}  # x^2 + x + y
+    for _ in range(k):
+        product = Counter()
+        for (i, j), c in want.coeffs.items():
+            for (a, b), d in triangle.items():
+                product[i + a, j + b] += c * d
+        want = BivariatePolynomial(product)
+    assert tkr_polynomial(delta) == want
+    quasi = flow_quasipolynomial(delta)
+    # (q - 1)^k, ascending
+    assert quasi.period == 1 and quasi.degree == k
+    assert list(quasi.constituents[0]) == [(-1) ** (k - i) * comb(k, i) for i in range(k + 1)]
+    assert coarboricity(delta) == 3
+    cut = facet_connectivity(delta)
+    # the first two edges of the first triangle cut off vertex 0
+    assert (cut.value, cut.witness, cut.exact) == (2, 0b11, True)

@@ -611,6 +611,21 @@ def test_cli_tensions_and_qtkr(monkeypatch, capsys):
     assert code == 1
 
 
+def test_cli_tensions_answer_wherever_colorings_do(monkeypatch, capsys):
+    """K_{5,5}: 25 edges, over the subset cap, but 3^10 colorings, which
+    `auto` searches. The tension count reads its Betti number and
+    torsion off the Smith form of the boundary map, so it needs no sweep
+    either: 186 colorings over 3 colorings per tension give 62."""
+    doc = serialize_complex(build_complex([[a, b] for a in range(5) for b in range(5, 10)]))
+    for argv, want in (
+        (["colorings", "--k", "3"], "186"),
+        (["tensions", "--k", "3"], "62"),
+        (["tensions", "--k", "2"], "1"),
+    ):
+        code, out, err = _run_cli(argv, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out.strip()) == (0, want), (argv, err)
+
+
 def test_cli_verify_paper_suite(monkeypatch, capsys):
     code, out, _ = _run_cli(["verify", "--suite", "paper"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
@@ -621,7 +636,8 @@ def test_cli_verify_paper_suite(monkeypatch, capsys):
 
 
 def test_cli_sweep_refusal_leaves_stdout_empty(monkeypatch, capsys):
-    # K_8: 28 edges, over the subset cap, so the tensions fold refuses
+    # K_8: 28 edges, over the subset cap, and 3^21 flows mod 3 to
+    # enumerate, so the flow count at q = 3 refuses
     doc = serialize_complex(make_fixture("complete", n=8, k=2))
     code, out, err = _run_cli(
         ["sweep", "--q-range", "2..3"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys

@@ -17,7 +17,7 @@ from simflow import (
 from simflow import linalg
 from simflow.complexes import boundary_matrix
 from simflow.fixtures import complete, cycle, rp2, simplex_boundary
-from simflow.linalg import invariant_factors, row_lattice_reduce, snf_diagonal
+from simflow.linalg import row_lattice_reduce, snf_diagonal
 
 from box_oracle import gray_count_nowhere_zero
 
@@ -86,17 +86,6 @@ def test_snf_diag_examples():
         res = smith_normal_form(mat)
         assert res.diagonal == want and snf_diagonal(data) == list(want), data
         _check_transform(mat, res)
-
-
-def test_invariant_factors_of_a_diagonal_match_its_smith_diagonal():
-    assert invariant_factors([3, 2]) == [1, 6]
-    assert invariant_factors([4, 6, 2]) == [2, 2, 12]
-    assert invariant_factors([]) == []
-    rng = random.Random(5)
-    for _ in range(200):
-        factors = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
-        rows = [[m if i == j else 0 for j in range(len(factors))] for i, m in enumerate(factors)]
-        assert invariant_factors(factors) == snf_diagonal(rows), factors
 
 
 def test_snf_divisibility_chain_random():

@@ -66,8 +66,8 @@ def test_specialization_suite_fails_on_a_corrupted_histogram(monkeypatch):
 
     delta = cycle(4)
     profile = subset_profile(delta)
-    profile.histogram[3, 3, ()] -= 1
-    profile.histogram[3, 2, ()] += 1
+    profile.blocks[0].histogram[3, 3, ()] -= 1
+    profile.blocks[0].histogram[3, 2, ()] += 1
     monkeypatch.setattr(verify, "standard_corpus", lambda: [("cycle(4)", delta)])
     result = verify.check_specialization_identities()
     assert not result.passed
@@ -76,7 +76,7 @@ def test_specialization_suite_fails_on_a_corrupted_histogram(monkeypatch):
 
 def test_specialization_suite_holds_large_graphs_to_networkx(monkeypatch):
     """Past 10 facets a graph's TKR is held to networkx's Tutte
-    polynomial, so a corrupted histogram of the 11-cycle fails there."""
+    polynomial, so a corrupted block histogram of the 11-cycle fails there."""
     pytest.importorskip("networkx")
     pytest.importorskip("sympy")
     from simflow import verify
@@ -86,8 +86,8 @@ def test_specialization_suite_holds_large_graphs_to_networkx(monkeypatch):
     result = verify.check_specialization_identities()
     assert result.passed and "networkx's on 1 graph(s) past 10 facets" in result.detail
     profile = subset_profile(delta)
-    profile.histogram[10, 10, ()] -= 1
-    profile.histogram[10, 9, ()] += 1
+    profile.blocks[0].histogram[10, 10, ()] -= 1
+    profile.blocks[0].histogram[10, 9, ()] += 1
     result = verify.check_specialization_identities()
     assert not result.passed
     assert result.detail.startswith("cycle(11): TKR != networkx Tutte polynomial")
