@@ -69,7 +69,6 @@ from .matroid import (
 from .poly import BivariatePolynomial
 from .tutte import (
     bott_r_polynomial,
-    check_duality_swap,
     check_specializations,
     matroid_tutte,
     q_tkr_polynomial,

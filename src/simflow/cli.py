@@ -42,6 +42,7 @@ from .flows import (
     flow_quasipolynomial,
     jaeger_flow,
     min_flow_number,
+    tensions_from_colorings,
 )
 from .homology import homology_summary
 from .io import parse_complex, serialize_complex
@@ -339,16 +340,13 @@ def _cmd_sweep(args):
         raise _UsageError(f"empty --q-range {args.q_range!r}; expected A <= B")
     if low < 1:
         raise BadModulusError(f"modulus must be >= 1, got {low}")
-    # every row before the header, so a refusal leaves stdout empty
-    rows = [
-        (
-            q,
-            count_nz_flows(delta, q, force=args.force),
-            count_proper_colorings(delta, q, force=args.force),
-            count_nz_tensions(delta, q, force=args.force),
-        )
-        for q in range(low, high + 1)
-    ]
+    # every row before the header, so a refusal leaves stdout empty;
+    # each modulus's colorings are counted once and give its tensions
+    rows = []
+    for q in range(low, high + 1):
+        flows = count_nz_flows(delta, q, force=args.force)
+        colorings = count_proper_colorings(delta, q, force=args.force)
+        rows.append((q, flows, colorings, tensions_from_colorings(delta, q, colorings)))
     print("q,flows,colorings,tensions")
     for row in rows:
         print(",".join(map(str, row)))

@@ -5,7 +5,7 @@ homology (torsion Z_2 in degree one) is validated by the test suite
 rather than trusted from this hardcoded list.
 """
 
-from .complexes import build_complex, complete_complex
+from .complexes import build_complex, complete_complex, subdivide_facet
 from .errors import BadParamsError
 
 # minimal triangulation of RP^2: 6 vertices, 15 edges, 10 triangles,
@@ -71,6 +71,14 @@ def rp2_disjoint_pair():
 
 def petersen():
     return build_complex(list(_PETERSEN_EDGES))
+
+
+def rp2_odd_triangle():
+    """RP^2 with facet 0 subdivided, plus the triangle (0, 1, 2) on three
+    of its edges. No facet is a bridge, but the triangle's boundary is
+    the odd loop of RP^2, so the triangle lies in no mod-2 flow."""
+    refined = subdivide_facet(rp2(), 0)
+    return build_complex([list(f) for f in refined.facets] + [[0, 1, 2]])
 
 
 FIXTURE_PARAMS = {

@@ -19,7 +19,8 @@ per kernel vector or `COLORING_US` per coloring. The kernel size and
 the kernel search read the one Smith form of the top boundary map per
 complex (`homology.top_smith_form`). `method="kernel_enum"` enumerates
 the unreduced kernel: it is the oracle the folds are held to. Tension
-counts come from the coloring count through the chromatic relation;
+counts come from the coloring count through the chromatic relation
+(`tensions_from_colorings`);
 `_tensions_by_circuits` filters the circuit system directly and is the
 oracle that `verify` compares them with. The flow quasipolynomial is
 read off the flow profile, one constituent per residue class, and so is
@@ -310,25 +311,30 @@ def circuits(delta, force=False):
 
 def count_nz_tensions(delta, k, force=False):
     """Nowhere-zero k-tensions: coboundaries of ridge colorings mod k
-    with no zero entry.
-
-    Each tension is the coboundary of |ker(coboundary mod k)| colorings,
-    so it is read off the coloring count through the torsion-weighted
-    chromatic relation t_k(F) * T(k) = k^(|F| - beta_d - |R|) * X(k),
-    with X the proper ridge colorings and R the ridges. beta_d and t_k(F)
-    are read off the Smith form of the top boundary map. A relation that
-    is not an exact multiple raises RelationMismatchError.
-    """
+    with no zero entry, read off the proper coloring count
+    (`tensions_from_colorings`)."""
     if k < 1:
         raise BadModulusError(f"modulus must be >= 1, got {k}")
     n = len(delta.facets)
     if k == 1:
         return 0 if n else 1
+    return tensions_from_colorings(delta, k, count_proper_colorings(delta, k, force=force))
+
+
+def tensions_from_colorings(delta, k, colorings):
+    """Nowhere-zero k-tensions from X, the k-colorings of the ridges R
+    with no zero facet sum.
+
+    Each tension is the coboundary of |ker(coboundary mod k)| colorings,
+    which gives the torsion-weighted chromatic relation
+    t_k(F) * T(k) = k^(|F| - beta_d - |R|) * X(k). beta_d and t_k(F)
+    are read off the Smith form of the top boundary map. A relation that
+    is not an exact multiple raises RelationMismatchError.
+    """
     snf = top_smith_form(delta)
     t_full = t_q_of(snf.diagonal, k)
     exp = snf.rank - ridge_count(delta)  # |F| - beta_d is the rank
-    chromatic = count_proper_colorings(delta, k, force=force)
-    num = chromatic * k ** max(exp, 0)
+    num = colorings * k ** max(exp, 0)
     den = t_full * k ** max(-exp, 0)
     if num % den:
         raise RelationMismatchError(

@@ -12,8 +12,8 @@ the invariant factors, and `smith_normal_form` also applies every
 column operation to the transform V, whose columns past the rank span
 the kernel. `fold_vector` adds one vector to an echelon basis by gcd
 elimination and can be undone; every rank question that names a set of
-vectors (`span_rank`), the subset sweep and `row_lattice_reduce` are
-folds.
+vectors (`span_rank`), the relations among them (`kernel_basis`), the
+subset sweep and `row_lattice_reduce` are folds.
 
 `count_nowhere_zero_box` counts the points of a mixed-radix box where a
 vector kept in step has no zero entry, by a depth-first search that
@@ -249,10 +249,15 @@ def kernel_count_mod_q(mat, q):
     return _kernel_size(snf_diagonal(mat.data), mat.cols, q)
 
 
-def kernel_basis(mat):
-    """Integer basis of the rational kernel (columns of V past the rank)."""
-    res = smith_normal_form(mat)
-    return [res.V.column(j) for j in range(res.rank, mat.cols)]
+def kernel_basis(vectors):
+    """Integer basis of the relations t (sum t_i v_i = 0) among equal-length
+    integer vectors v_i: each v_i is folded with the unit tag e_i appended
+    (Cohen 1993, 2.4.3), and the echelon rows zero on the vectors carry a
+    basis in their tags. The relations are saturated: a lone one is primitive."""
+    m = len(vectors)
+    width = len(vectors[0]) if vectors else 0
+    tagged = [[*v] + [0] * i + [1] + [0] * (m - 1 - i) for i, v in enumerate(vectors)]
+    return [row[width:] for row in row_lattice_reduce(tagged, width + m) if not any(row[:width])]
 
 
 def count_nowhere_zero_box(size, modulus, digits):
@@ -446,9 +451,7 @@ def fold_vector(table, vec, log):
 def span_rank(vectors):
     """Rank of a list of equal-length integer vectors, folded into one
     echelon basis."""
-    table = [None] * (len(vectors[0]) if vectors else 0)
-    log = []
-    return sum(fold_vector(table, vec, log)[0] for vec in vectors)
+    return len(row_lattice_reduce(vectors, len(vectors[0]) if vectors else 0))
 
 
 def row_lattice_reduce(rows, ncols):

@@ -3,19 +3,19 @@ the covering machinery behind the flow-construction pipeline: bridges,
 facet cuts, forests, fundamental circuits, the coarboricity (the largest
 over the blocks of the subset profile), and exact coforest covers.
 
-Every rank question about one facet set folds vectors into an echelon
-basis (`linalg.fold_vector`, `linalg.span_rank`). The rank of X folds
-its columns of `complexes.top_columns`. The corank folds X's rows of
-an integer kernel basis K of the boundary map, read off the one Smith
-form of that map per complex (`homology.top_smith_form`): K represents
-the dual matroid, so X is coindependent exactly when its rows of K are
-independent, and a bridge is a zero row. `RankOracle` takes one Smith
-diagonal per query; only `verify` calls it (criterion 10), as the
-oracle that it and the tests hold the folds to.
+Every question about one facet set folds vectors into an echelon basis
+(`linalg.fold_vector`). The rank of X folds its columns of
+`complexes.top_columns`, and so do its relations, with unit tags
+appended (`linalg.kernel_basis`), which circuits read. The corank folds
+X's rows of an integer kernel basis K of the boundary map, read off the
+one Smith form of that map per complex (`homology.top_smith_form`): K
+represents the dual matroid, so X is coindependent exactly when its
+rows of K are independent, and a bridge is a zero row. `RankOracle`
+takes one Smith diagonal per query; only `verify` calls it (criterion
+10), as the oracle that it and the tests hold the folds to.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .caps import DEFAULT_ENUM_CAP, check_enum_cap
@@ -128,12 +128,14 @@ def facet_connectivity(delta, k_max=None):
 
     rows = _dual_rows(delta)
     for k in sizes:
-        masks = sorted(
-            sum(1 << i for i in combo) for combo in combinations(range(n), k)
-        )
-        for mask in masks:
+        mask = (1 << k) - 1
+        while not mask >> n:
             if span_rank([rows[f] for f in delta.facets_of_mask(mask)]) < k:
                 return FacetConnectivity(value=k, witness=mask, exact=True)
+            # the next larger mask with k bits: carry the lowest run of ones
+            low = mask & -mask
+            up = mask + low
+            mask = up | ((up ^ mask) >> 2) // low
     return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
 
 
@@ -152,48 +154,42 @@ def classify_forest(delta, mask):
     tree: beta_{d-1}(X) = 0; spanning tree: tree with beta_{d-1}(full) = 0.
     """
     r = matroid_rank(delta, mask)
-    size = mask.bit_count()
     z = codim1_cycle_rank(delta)
-    full_rank = len(delta.facets) - len(_dual_rows(delta)[0])
-    forest = r == size
-    maximal = r == full_rank
-    tree = r == z
+    full_rank = top_smith_form(delta).rank
     return ForestFlags(
-        forest=forest,
-        maximal=maximal,
-        tree=tree,
-        spanning_tree=tree and z == full_rank,
+        forest=r == mask.bit_count(),
+        maximal=r == full_rank,
+        tree=r == z,
+        spanning_tree=r == z == full_rank,
     )
 
 
 def circuit_kernel_vector(delta, mask):
     """Primitive integer kernel vector of the boundary columns of `mask`;
     requires nullity exactly 1. Returned dense over the selected facets."""
-    bm = restrict_columns(delta, mask)
-    basis = kernel_basis(bm.matrix)
+    cols = top_columns(delta)
+    basis = kernel_basis([cols[f] for f in delta.facets_of_mask(mask)])
     if len(basis) != 1:
         raise InternalError(f"expected nullity 1, got {len(basis)}")
     return basis[0]
 
 
 def fundamental_circuit(delta, base_mask, facet_index):
-    """Support of the unique rational dependency in base + one facet."""
+    """Support of the unique rational dependency in base + one facet. The
+    base is a maximal forest exactly when it has rank-many facets and one
+    relation with the facet, which takes the facet (else the base has one)."""
     n = len(delta.facets)
     if not 0 <= facet_index < n:
         raise IndexOutOfRangeError(f"facet index {facet_index} out of range")
     if base_mask >> facet_index & 1:
         raise FacetInBaseError(f"facet {facet_index} already in the base")
-    flags = classify_forest(delta, base_mask)
-    if not (flags.forest and flags.maximal):
+    cols = top_columns(delta)
+    selected = delta.facets_of_mask(base_mask | 1 << facet_index)
+    basis = kernel_basis([cols[f] for f in selected])
+    sized = base_mask.bit_count() == len(selected) - 1 == top_smith_form(delta).rank
+    if not sized or len(basis) != 1 or not basis[0][selected.index(facet_index)]:
         raise NotABaseError("base must be a maximal forest")
-    ext = base_mask | 1 << facet_index
-    vec = circuit_kernel_vector(delta, ext)
-    selected = delta.facets_of_mask(ext)
-    circuit = 0
-    for coeff, fi in zip(vec, selected):
-        if coeff:
-            circuit |= 1 << fi
-    return circuit
+    return sum(1 << f for t, f in zip(basis[0], selected) if t)
 
 
 def coarboricity(delta, force=False):

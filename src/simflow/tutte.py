@@ -1,8 +1,8 @@
 """The TKR polynomial family: subset expansions through Betti numbers
 (which is also the Tutte polynomial of the simplicial matroid), the
 torsion-weighted q-version, Bott's R polynomial under both sign
-readings, and the specialization/duality cross-checks. Each expansion
-is a product over the blocks of the subset profile.
+readings, and the specialization cross-check. Each expansion is a
+product over the blocks of the subset profile.
 """
 
 from dataclasses import dataclass, field
@@ -168,64 +168,6 @@ def check_specializations(delta, q_list, force=False):
                 coloring_direct=coloring_direct,
                 colorings_ok=colorings_ok,
                 plain_flow_ok=plain_flow_ok,
-            )
-        )
-    return report
-
-
-@dataclass
-class DualityCheck:
-    q: int
-    qtkr_swap_ok: bool
-    scalar_ok: bool
-    flow_value: int
-    coloring_value: int
-
-
-@dataclass
-class DualityReport:
-    plain_swap_ok: bool
-    eps: int
-    scale_exponent: int
-    sign: int
-    checks: list = field(default_factory=list)
-
-
-def check_duality_swap(a, b, q_list, force=False):
-    """Verify the variable swap between a claimed dual pair, and the
-    scalar flow/coloring relation with sign and power computed from the
-    pair's own face counts."""
-    profile_a = subset_profile(a, force=force)
-    profile_b = subset_profile(b, force=force)
-    beta_a = len(a.facets) - profile_a.rank_full
-    beta_b = len(b.facets) - profile_b.rank_full
-    eps = len(b.facets) - beta_b - beta_a
-    scale = ridge_count(b) - len(b.facets) + beta_b
-    sign = -1 if eps % 2 else 1
-
-    plain_swap_ok = (
-        tkr_polynomial(a, force=force)
-        == tkr_polynomial(b, force=force).swap_variables()
-    )
-    report = DualityReport(
-        plain_swap_ok=plain_swap_ok, eps=eps, scale_exponent=scale, sign=sign
-    )
-    for q in q_list:
-        qtkr_ok = (
-            q_tkr_polynomial(a, q, force=force)
-            == q_tkr_polynomial(b, q, force=force).swap_variables()
-        )
-        flow_value = count_nz_flows(a, q, force=force)
-        coloring_value = count_proper_colorings(b, q, force=force)
-        lhs = sign * flow_value * q ** max(scale, 0)
-        rhs = coloring_value * q ** max(-scale, 0)
-        report.checks.append(
-            DualityCheck(
-                q=q,
-                qtkr_swap_ok=qtkr_ok,
-                scalar_ok=lhs == rhs,
-                flow_value=flow_value,
-                coloring_value=coloring_value,
             )
         )
     return report

@@ -18,7 +18,14 @@ from .complexes import (
     subdivide_facet,
     suspension,
 )
-from .fixtures import complete, rp2, rp2_disjoint_pair, petersen, standard_corpus
+from .fixtures import (
+    complete,
+    petersen,
+    rp2,
+    rp2_disjoint_pair,
+    rp2_odd_triangle,
+    standard_corpus,
+)
 from .flows import (
     _tensions_by_circuits,
     count_nz_flows,
@@ -29,7 +36,7 @@ from .flows import (
     jaeger_flow,
     min_flow_number,
 )
-from .errors import InternalError
+from .errors import HasBridgeError, InternalError, SimflowError
 from .homology import subset_profile, torsion_weight
 from .linalg import IntMatrix, kernel_count_mod_q, rational_rank, snf_diagonal
 from .matroid import RankOracle, bridges, coarboricity, facet_connectivity
@@ -248,12 +255,24 @@ def check_jaeger_pipeline():
             failures.append(f"{name}: ({d}+2)-connected but coarboricity {c}")
     if not ran:
         failures.append("no bridgeless fixtures found")
+    # bridgeless, but the added triangle lies in no mod-2 flow: the
+    # pipeline must refuse, naming the part that holds the triangle
+    odd = rp2_odd_triangle()
+    triangle = odd.facets.index((0, 1, 2))
+    try:
+        outcome = jaeger_flow(odd)
+    except SimflowError as exc:
+        outcome = exc
+    part = str(outcome).partition("part facets [")[2].partition("]")[0]
+    if not isinstance(outcome, HasBridgeError) or str(triangle) not in part.split(", "):
+        failures.append(f"rp2 + odd triangle: {outcome!r} names no part holding facet {triangle}")
     return _result(
         7,
         "jaeger pipeline",
         failures,
         f"verified nowhere-zero 2^c flows on {len(ran)} bridgeless fixtures; "
-        "coarboricity <= d+2 wherever (d+2)-connected",
+        "coarboricity <= d+2 wherever (d+2)-connected; "
+        "rp2 + odd triangle refused at the triangle's part",
     )
 
 

