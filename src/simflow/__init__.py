@@ -57,7 +57,6 @@ from .linalg import (
 from .matroid import (
     CoforestCover,
     RankOracle,
-    classify_forest,
     coarboricity,
     coforest_cover,
     facet_connectivity,

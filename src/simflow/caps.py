@@ -8,8 +8,9 @@ value that is not a non-negative integer raises SettingError.
 size that `method="auto"` compares and the circuit scan are admitted
 there. Kernel
 enumeration refuses streams longer than the enumeration cap; the
-signed lift of a Z_2^r flow, the coforest cover, the fallback cut
-search and the face list of a new complex refuse more items than that.
+coforest cover, the fallback cut search and the face list of a new
+complex refuse more items than that. The lift of a Z_2^r flow is an
+elimination, not a search, and takes no cap.
 A dense Smith form of a lower boundary map refuses more entries than
 the matrix cap.
 """

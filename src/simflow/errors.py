@@ -57,7 +57,7 @@ class NotAFlowError(DomainError):
 
 
 class LiftFailedError(DomainError):
-    """No signed {-1,0,1} integral lift exists for a mod-2 layer."""
+    """No integer flow is zero off a mod-2 layer and odd on all of it."""
 
 
 class ParseError(DomainError):

@@ -81,6 +81,24 @@ def rp2_odd_triangle():
     return build_complex([list(f) for f in refined.facets] + [[0, 1, 2]])
 
 
+def mod3_moore_space():
+    """A disk whose 9-gon boundary wraps three times around the triangle
+    loop 0-1-2: H_1 = Z_3, so the flow quasipolynomial has period 3."""
+    tri = [(i % 3, (i + 1) % 3, 3 + i // 2) for i in range(9)]
+    tri += [((2 * j + 2) % 3, 3 + j, 4 + j) for j in range(4)]
+    tri += [(0, 7, 3), (3, 4, 5), (3, 5, 6), (3, 6, 7)]
+    return build_complex([list(t) for t in tri])
+
+
+def mod3_moore_disk():
+    """The mod-3 Moore space plus the triangle (0, 1, 2) on the loop its
+    disk wraps: 18 facets, no bridge and one circuit. Its only integer
+    flows are the multiples of one that is +-1 on the Moore space and -3
+    on the added triangle, so no flow has all entries in {-1, 1}."""
+    moore = mod3_moore_space()
+    return build_complex([list(f) for f in moore.facets] + [[0, 1, 2]])
+
+
 FIXTURE_PARAMS = {
     "cycle": ("n",),
     "complete": ("n", "k"),

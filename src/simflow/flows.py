@@ -36,7 +36,6 @@ from .complexes import boundary_matrix, top_columns
 from .errors import (
     BadModulusError,
     BadParamsError,
-    CapExceededError,
     HasBridgeError,
     InternalError,
     LiftFailedError,
@@ -57,6 +56,7 @@ from .linalg import (
     count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,  # not called here; perfbench/spans.py traces this name
     fold_vector,
+    kernel_basis,
     kernel_count_mod_q,  # not called here; perfbench/spans.py traces this name
     row_lattice_reduce,
     span_rank,
@@ -119,17 +119,6 @@ def is_modular_flow(delta, flow):
     if len(flow.values) != top.cols:
         return False
     return all(v % flow.q == 0 for v in top.mat_vec(flow.values))
-
-
-def is_group_flow_2r(delta, gf):
-    top = boundary_matrix(delta, delta.dimension).matrix
-    if len(gf.words) != top.cols:
-        return False
-    for k in range(gf.r):
-        layer = [w >> k & 1 for w in gf.words]
-        if any(v % 2 for v in top.mat_vec(layer)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -417,88 +406,80 @@ def count_nz_group_flows_2r(delta, r, force=False):
     return flow_profile(delta, force=force).expand(term)[()]
 
 
-def _signed_lift(delta, support_mask, layer):
-    """Signed {-1,0,1} integral kernel vector congruent mod 2 to the
-    indicator of `support_mask`, or None when no such lift exists.
+def _odd_relation(cols, sup):
+    """Integer relation among the columns `sup` that is odd on every one
+    of them, or None when there is none.
 
-    The sign search is exponential in the support, so it refuses to visit
-    more than DEFAULT_ENUM_CAP search nodes, naming bit layer `layer`."""
-    cols = top_columns(delta)
-    sup = delta.facets_of_mask(support_mask)
-    if not sup:
-        return [0] * len(cols)
-    touched = sorted({i for j in sup for i, v in enumerate(cols[j]) if v})
-    row_local = {r: i for i, r in enumerate(touched)}
-    col_rows = [[(row_local[i], cols[j][i]) for i in touched if cols[j][i]] for j in sup]
-    remaining = [0] * len(touched)
-    for entries in col_rows:
-        for r, _ in entries:
-            remaining[r] += 1
-    cur = [0] * len(touched)
-    signs = [0] * len(sup)
-    nodes = 0
+    Every integer relation is an integer combination of the
+    `kernel_basis` of those columns, so the parities of the relations are
+    the GF(2) span of the basis parities. Eliminating the parity bitmasks,
+    each kept with the bitmask of basis relations that sums to it, either
+    reaches the all-odd mask or shows it is out of that span; the 0/1 sum
+    of the basis relations that reaches it is the relation returned, one
+    entry per column of `sup`.
+    """
+    basis = kernel_basis([cols[j] for j in sup])
+    pivots = {}  # leading bit -> (parity mask, basis relations summed)
 
-    def dfs(pos):
-        nonlocal nodes
-        nodes += 1
-        if nodes > DEFAULT_ENUM_CAP:
-            raise CapExceededError(
-                f"signed lift of bit layer {layer} visits more than "
-                f"{DEFAULT_ENUM_CAP} search nodes"
-            )
-        if pos == len(sup):
-            return True
-        for v in (1, -1):
-            ok = True
-            for r, s in col_rows[pos]:
-                cur[r] += s * v
-                remaining[r] -= 1
-            for r, _ in col_rows[pos]:
-                if abs(cur[r]) > remaining[r]:
-                    ok = False
-                    break
-            if ok and dfs(pos + 1):
-                signs[pos] = v
-                return True
-            for r, s in col_rows[pos]:
-                cur[r] -= s * v
-                remaining[r] += 1
-        return False
+    def reduce(parity, picked):
+        while parity:
+            pivot = pivots.get(parity.bit_length() - 1)
+            if pivot is None:
+                break
+            parity ^= pivot[0]
+            picked ^= pivot[1]
+        return parity, picked
 
-    if not dfs(0):
+    for b, relation in enumerate(basis):
+        parity, picked = reduce(sum(1 << i for i, t in enumerate(relation) if t % 2), 1 << b)
+        if parity:
+            pivots[parity.bit_length() - 1] = (parity, picked)
+    rest, picked = reduce((1 << len(sup)) - 1, 0)
+    if rest:
         return None
-    out = [0] * len(cols)
-    for j, v in zip(sup, signs):
-        out[j] = v
-    return out
+    chosen = [relation for b, relation in enumerate(basis) if picked >> b & 1]
+    return [sum(column) for column in zip(*chosen)]
 
 
 def lift_z2r_flow(delta, gf):
     """Lift a Z_2^r flow to a modular 2^r flow.
 
-    Each bit layer is lifted to a signed {-1,0,1} integer flow with the
-    same odd support, then layers are combined binarily; binary uniqueness
-    makes the result nowhere-zero wherever the input word is nonzero.
+    Bit layer k, the facets S whose words have bit k set, lifts to an
+    integer flow that is zero off S and odd on S (`_odd_relation`), and
+    the layers are combined binarily. At a facet whose word has lowest
+    set bit k, the layers below k are zero and layer k is odd, so the
+    value is 2^k mod 2^(k+1): the lift is nonzero exactly where the word
+    is. A layer whose columns sum to an odd vector is not a mod-2 flow
+    (NotAFlowError); a mod-2 flow that no integer flow is odd exactly on,
+    such as all of RP^2, which carries no nonzero integer flow, raises
+    LiftFailedError. A word count other than the facet count, or a word
+    outside 0..2^r - 1, raises BadParamsError.
     """
-    if not is_group_flow_2r(delta, gf):
-        raise NotAFlowError("bit layers are not all mod-2 flows")
     n = len(delta.facets)
+    if gf.r < 0:
+        raise BadParamsError(f"exponent must be >= 0, got {gf.r}")
+    if len(gf.words) != n:
+        raise BadParamsError(f"{len(gf.words)} words for {n} facets")
     q = 1 << gf.r
-    lifted = []
+    for i, w in enumerate(gf.words):
+        if not 0 <= w < q:
+            raise BadParamsError(f"word {w} of facet {i} is not in 0..{q - 1}")
+    cols = top_columns(delta)
+    odd = [sum(1 << i for i, v in enumerate(col) if v % 2) for col in cols]
+    values = [0] * n
     for k in range(gf.r):
-        mask = 0
-        for i, w in enumerate(gf.words):
-            if w >> k & 1:
-                mask |= 1 << i
-        layer = _signed_lift(delta, mask, k)
+        sup = [i for i, w in enumerate(gf.words) if w >> k & 1]
+        boundary = 0
+        for j in sup:
+            boundary ^= odd[j]
+        if boundary:
+            raise NotAFlowError(f"bit layer {k} is not a mod-2 flow")
+        layer = _odd_relation(cols, sup)
         if layer is None:
-            raise LiftFailedError(f"bit layer {k} admits no signed integral lift")
-        lifted.append(layer)
-    values = []
-    for i in range(n):
-        y = sum(lifted[k][i] << k for k in range(gf.r))
-        values.append(y % q)
-    flow = ModularFlow(q=q, values=tuple(values))
+            raise LiftFailedError(f"bit layer {k} admits no integral lift")
+        for j, t in zip(sup, layer):
+            values[j] += t << k
+    flow = ModularFlow(q=q, values=tuple(v % q for v in values))
     if not is_modular_flow(delta, flow):
         raise InternalError("lifted vector is not a flow; lift is broken")
     return flow
@@ -518,7 +499,10 @@ def jaeger_flow(delta, force=False):
 
     Pipeline: dual Edmonds bound -> exact coforest cover -> per part, the
     mod-2 sum of fundamental circuits of its facets against a maximal
-    forest avoiding the part -> assemble the Z_2^c flow -> lift.
+    forest avoiding the part -> assemble the Z_2^c flow -> lift each
+    layer to an integer flow odd exactly on it (`lift_z2r_flow`). Only
+    the cover searches; a layer that no integer flow is odd exactly on
+    raises LiftFailedError.
     """
     bad = bridges(delta)
     if bad:

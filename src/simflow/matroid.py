@@ -1,6 +1,6 @@
 """The simplicial matroid (column matroid of the top boundary map) and
 the covering machinery behind the flow-construction pipeline: bridges,
-facet cuts, forests, fundamental circuits, the coarboricity (the largest
+facet cuts, fundamental circuits, the coarboricity (the largest
 over the blocks of the subset profile), and exact coforest covers.
 
 Every question about one facet set folds vectors into an echelon basis
@@ -28,7 +28,7 @@ from .errors import (
     InternalError,
     NotABaseError,
 )
-from .homology import codim1_cycle_rank, subset_profile, top_smith_form
+from .homology import subset_profile, top_smith_form
 from .linalg import fold_vector, kernel_basis, snf_diagonal, span_rank
 
 
@@ -137,31 +137,6 @@ def facet_connectivity(delta, k_max=None):
             up = mask + low
             mask = up | ((up ^ mask) >> 2) // low
     return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
-
-
-@dataclass
-class ForestFlags:
-    forest: bool
-    maximal: bool
-    tree: bool
-    spanning_tree: bool
-
-
-def classify_forest(delta, mask):
-    """Forest/maximal/tree/spanning flags from rank data.
-
-    forest: beta_d(X) = 0; maximal: beta_{d-1}(X) = beta_{d-1}(full);
-    tree: beta_{d-1}(X) = 0; spanning tree: tree with beta_{d-1}(full) = 0.
-    """
-    r = matroid_rank(delta, mask)
-    z = codim1_cycle_rank(delta)
-    full_rank = top_smith_form(delta).rank
-    return ForestFlags(
-        forest=r == mask.bit_count(),
-        maximal=r == full_rank,
-        tree=r == z,
-        spanning_tree=r == z == full_rank,
-    )
 
 
 def circuit_kernel_vector(delta, mask):

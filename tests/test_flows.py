@@ -1,7 +1,9 @@
 import io
 import time
+from functools import reduce
 from itertools import combinations, product
 from math import prod
+from operator import xor
 
 import pytest
 
@@ -11,6 +13,7 @@ from simflow import (
     CapExceededError,
     GroupFlow2r,
     HasBridgeError,
+    LiftFailedError,
     ModularFlow,
     NotAFlowError,
     boundary_matrix,
@@ -28,12 +31,24 @@ from simflow import (
 )
 from simflow.cli import main
 from simflow.complexes import facet_components, subdivide_facet, top_columns
-from simflow.fixtures import _RP2_FACES, complete, cycle, petersen, rp2, rp2_disjoint_pair, simplex_boundary, standard_corpus
+from simflow.fixtures import (
+    _RP2_FACES,
+    complete,
+    cycle,
+    mod3_moore_disk,
+    mod3_moore_space,
+    petersen,
+    rp2,
+    rp2_disjoint_pair,
+    simplex_boundary,
+    standard_corpus,
+)
 from simflow.flows import _tensions_by_circuits, circuits, is_modular_flow
 from simflow.homology import homology_summary, subset_profile, sweep_size
 from simflow.linalg import enumerate_kernel_mod_q, kernel_count_mod_q, span_rank
 from simflow.matroid import bridges
 from simflow.verify import PETERSEN_FLOWS_AT_5
+from lift_oracle import signed_lift
 
 
 def brute_count_flows(delta, q):
@@ -312,15 +327,6 @@ def test_quasipolynomial_cycle_and_k4():
     assert list(k4.constituents[0]) == [-6, 11, -6, 1]
 
 
-def _mod3_moore_space():
-    """A disk whose 9-gon boundary wraps three times around a triangle:
-    H_1 = Z_3, so the flow quasipolynomial has period 3."""
-    tri = [(i % 3, (i + 1) % 3, 3 + i // 2) for i in range(9)]
-    tri += [((2 * j + 2) % 3, 3 + j, 4 + j) for j in range(4)]
-    tri += [(0, 7, 3), (3, 4, 5), (3, 5, 6), (3, 6, 7)]
-    return build_complex([list(t) for t in tri])
-
-
 def test_quasipolynomial_matches_fresh_moduli():
     # kernel enumeration, not `auto`: once the quasipolynomial has cached
     # the histogram, `auto` folds the very histogram it was read off.
@@ -328,7 +334,7 @@ def test_quasipolynomial_matches_fresh_moduli():
     # components (Z_2 + Z_2 on the full set); the Moore space a period
     # other than 1 or 2.
     small = [delta for _, delta in standard_corpus() if len(delta.facets) <= 10]
-    for delta in small + [rp2_disjoint_pair(), _mod3_moore_space()]:
+    for delta in small + [rp2_disjoint_pair(), mod3_moore_space()]:
         quasi = flow_quasipolynomial(delta)
         for q in range(2, 11):
             direct = count_nz_flows(delta, q, method="kernel_enum")
@@ -434,20 +440,82 @@ def test_lift_zero_flow():
 
 
 def test_lift_rejects_non_flow():
-    with pytest.raises(NotAFlowError):
+    with pytest.raises(NotAFlowError, match="bit layer 0 is not a mod-2 flow"):
         lift_z2r_flow(cycle(3), GroupFlow2r(r=1, words=(1, 1, 0)))
 
 
-def test_signed_lift_is_capped(monkeypatch, capsys):
+def test_lift_refuses_a_word_wider_than_r():
+    # bit 1 of each word lies past r = 1 and would be dropped
+    with pytest.raises(BadParamsError, match="word 2 of facet 0"):
+        lift_z2r_flow(cycle(3), GroupFlow2r(r=1, words=(2, 2, 2)))
+
+
+def test_lift_refuses_a_negative_word():
+    # -1 would read as all-ones bits
+    with pytest.raises(BadParamsError, match="word -1 of facet 1"):
+        lift_z2r_flow(cycle(3), GroupFlow2r(r=1, words=(1, -1, 1)))
+
+
+def test_lift_refuses_a_wrong_word_count():
+    with pytest.raises(BadParamsError, match="2 words for 3 facets"):
+        lift_z2r_flow(cycle(3), GroupFlow2r(r=1, words=(1, 1)))
+
+
+def test_lift_fails_where_no_integer_flow_is_odd_on_the_layer():
+    # every edge of RP^2 lies in two triangles, but H_2(RP^2) = 0
+    with pytest.raises(LiftFailedError, match="bit layer 1 admits no integral lift"):
+        lift_z2r_flow(rp2(), GroupFlow2r(r=2, words=(2,) * 10))
+
+
+def test_lift_takes_no_enumeration_cap(monkeypatch, capsys):
+    """The lift is an elimination, not a search: the enumeration cap
+    bounds nothing in it."""
     monkeypatch.setattr(flows, "DEFAULT_ENUM_CAP", 3)
-    # layer 0 is empty; layer 1 visits one node per facet and one past them
-    with pytest.raises(CapExceededError, match="bit layer 1 visits more than 3"):
-        lift_z2r_flow(cycle(3), GroupFlow2r(r=2, words=(2, 2, 2)))
-    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(cycle(3))))
-    assert main(["construct", "--jaeger"]) == 3
-    assert "signed lift of bit layer 0" in capsys.readouterr().err
-    monkeypatch.setattr(flows, "DEFAULT_ENUM_CAP", 4)
     assert lift_z2r_flow(cycle(3), GroupFlow2r(r=2, words=(2, 2, 2))).values == (2, 2, 2)
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(cycle(3))))
+    assert main(["construct", "--jaeger"]) == 0
+    assert capsys.readouterr().out.startswith("modulus: 8\n")
+
+
+def _lift_cases():
+    small = [(name, delta) for name, delta in standard_corpus() if len(delta.facets) <= 12]
+    return small + [("mod3_moore_space", mod3_moore_space())]
+
+
+@pytest.mark.parametrize("name, delta", _lift_cases(), ids=[name for name, _ in _lift_cases()])
+def test_odd_relation_lifts_wherever_the_sign_search_does(name, delta):
+    """On every facet mask: a relation odd exactly on the mask is found
+    whenever the sign search finds one with entries +-1, and what is
+    found lies in the kernel. A signed sum of columns is their sum mod 2,
+    so the search runs only where that sum is even."""
+    cols = top_columns(delta)
+    odd = [sum(1 << i for i, v in enumerate(col) if v % 2) for col in cols]
+    top = boundary_matrix(delta, delta.dimension).matrix
+    for mask in range(1 << len(delta.facets)):
+        sup = delta.facets_of_mask(mask)
+        lifted = flows._odd_relation(cols, sup)
+        even = not reduce(xor, (odd[j] for j in sup), 0)
+        if even and signed_lift(cols, sup) is not None:
+            assert lifted is not None, mask
+        if lifted is None:
+            continue
+        full = [0] * len(delta.facets)
+        for j, t in zip(sup, lifted):
+            full[j] = t
+        assert not any(top.mat_vec(full)), mask
+        assert sum(1 << j for j, t in enumerate(full) if t % 2) == mask
+
+
+def test_jaeger_lifts_past_every_signed_flow():
+    """The one integer flow of the Moore space + disk has a -3 on the
+    disk, so the sign search finds no lift of its layers; the lift takes
+    that flow, odd on every facet."""
+    delta = mod3_moore_disk()
+    cols = top_columns(delta)
+    assert signed_lift(cols, list(range(18))) is None
+    flow = jaeger_flow(delta)
+    assert flow.q == 1 << 18
+    assert flow.nowhere_zero and is_modular_flow(delta, flow)
 
 
 def test_jaeger_cycle_trace():

@@ -212,9 +212,9 @@ def test_sweep_takes_smith_diagonals_only_of_non_unit_pivots(monkeypatch):
 def test_torsion_of_a_disjoint_union_is_in_invariant_factors():
     """Z_2 + Z_3 = Z_6: the size-n key of RP^2 and a disjoint mod-3 Moore
     space carries the invariant factors of the whole complex."""
-    from test_flows import _mod3_moore_space
+    from simflow.fixtures import mod3_moore_space
 
-    moore = [[v + 6 for v in f] for f in _mod3_moore_space().facets]
+    moore = [[v + 6 for v in f] for f in mod3_moore_space().facets]
     delta = build_complex([list(f) for f in rp2().facets] + moore)
     n = len(delta.facets)
     profile = subset_profile(delta, force=True)

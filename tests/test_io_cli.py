@@ -29,6 +29,7 @@ from simflow.fixtures import (
     make_fixture,
     petersen,
     rp2,
+    mod3_moore_disk,
     rp2_odd_triangle,
     simplex_boundary,
 )
@@ -263,6 +264,24 @@ def test_cli_jaeger_refuses_an_even_fundamental_circuit(monkeypatch, capsys):
     delta = build_complex([list(f) for f in refined.facets] + [[0, 1, 2]] + cone)
     assert len(delta.facets) == 16
     _jaeger_refusal(delta, monkeypatch, capsys)
+
+
+def test_cli_jaeger_lifts_a_flow_with_no_signed_lift(monkeypatch, capsys):
+    # one circuit of 18 facets, each its own coforest; its integer flow
+    # is -3 on the added triangle, so no layer lifts to a {-1, 0, 1} flow
+    delta = mod3_moore_disk()
+    doc = serialize_complex(delta)
+    code, out, _ = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert "bridges: []\n" in out and "coarboricity: 18\n" in out
+    code, out, err = _run_cli(
+        ["construct", "--jaeger"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 0, err
+    modulus, values = out.splitlines()
+    assert modulus == "modulus: 262144"
+    flow = ModularFlow(q=262144, values=tuple(int(v) for v in values.removeprefix("values: ").split(",")))
+    assert flow.nowhere_zero and is_modular_flow(delta, flow)
 
 
 def test_cli_min_q(monkeypatch, capsys):

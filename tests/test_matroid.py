@@ -10,7 +10,6 @@ from simflow import (
     InfeasibleError,
     NotABaseError,
     build_complex,
-    classify_forest,
     coarboricity,
     coforest_cover,
     facet_connectivity,
@@ -26,6 +25,7 @@ from simflow.flows import circuits, jaeger_flow
 from simflow.homology import codim1_cycle_rank
 from simflow.linalg import smith_normal_form, snf_diagonal, span_rank
 from simflow.matroid import RankOracle, _dual_rows, bridges
+from forest_oracle import classify_forest
 
 
 def test_matroid_rank_examples():

@@ -9,7 +9,6 @@ from simflow import (
     bott_r_polynomial,
     build_complex,
     check_specializations,
-    classify_forest,
     count_nz_flows,
     count_proper_colorings,
     matroid_tutte,
@@ -22,6 +21,7 @@ from simflow.cli import main
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.flows import ridge_count
 from simflow.poly import BivariatePolynomial, format_bivariate, format_univariate
+from forest_oracle import classify_forest
 from sweep_oracle import watch_sides
 
 
