@@ -12,7 +12,10 @@ coforest cover, the fallback cut search and the face list of a new
 complex refuse more items than that. The lift of a Z_2^r flow is an
 elimination, not a search, and takes no cap.
 A dense Smith form of a lower boundary map refuses more entries than
-the matrix cap.
+the matrix cap. The sweep of one block component memoises at most
+SWEEP_MEMO_CAP subtrees; past that it still reads its memo but adds
+nothing to it, so the cap bounds the memo's memory, and a subtree it
+could not keep is swept again.
 """
 
 import os
@@ -23,6 +26,9 @@ DEFAULT_SUBSET_CAP = 24
 DEFAULT_ENUM_CAP = 10**7
 # rows x cols; the 11-simplex's largest map (924 x 792) still answers
 DEFAULT_MATRIX_CAP = 10**6
+# subtrees one component sweep memoises, at about 0.6 kB each; K_6^3's
+# 20-column block keeps 43,333
+SWEEP_MEMO_CAP = 2**16
 
 _ENV_VAR = "SIMFLOW_SUBSET_CAP"
 

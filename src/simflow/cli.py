@@ -12,12 +12,15 @@ read or written), 3 cap refusal, 4 broken internal invariant.
 Each command is declared once, by `@_command` on its handler: its name,
 its help, and its arguments in the order `--help` prints them. That
 fills `COMMANDS`, the one table that `build_parser` walks and `main`
-dispatches through. A call builds only the subparser that its first
-argument names: building all thirteen takes longer than a typical
-request on a small complex, and no command reads another's arguments.
-Any other first argument (none, -h, an unknown name) builds them all,
-so the top-level help and usage errors list every command. `--help`
-prints this docstring up to this paragraph.
+dispatches through. A call whose first argument names a command builds
+one flat parser of that command's arguments, named `simflow <command>`,
+and parses the rest of the line with it: the top-level parser with its
+subparsers takes longer to build and run than a typical request on a
+small complex, and no command reads another's arguments. Its help and
+usage errors read as the subparser's would. Any other first argument
+(none, -h, an unknown name) builds the top-level parser with every
+command, so its help and usage errors list them all. `--help` prints
+this docstring up to this paragraph.
 """
 
 import argparse
@@ -93,15 +96,21 @@ _STANDARD = (_INPUT, _JSON, _FORCE)
 
 
 def build_parser(command=None):
-    """The `simflow` parser, with only `command`'s subparser when it
-    names one in `COMMANDS` and every subparser otherwise."""
+    """The parser of `simflow command`'s arguments when `command` names
+    one in `COMMANDS`, else the `simflow` parser with every command as a
+    subparser."""
+    if command in COMMANDS:
+        return _add_arguments(_Parser(prog=f"simflow {command}"), command)
     parser = _Parser(prog="simflow", description=_DESCRIPTION)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        summary, _, arguments = COMMANDS[name]
-        sub = subs.add_parser(name, help=summary)
-        for flags, kwargs in arguments:
-            sub.add_argument(*flags, **kwargs)
+    for name, (summary, _, _) in COMMANDS.items():
+        _add_arguments(subs.add_parser(name, help=summary), name)
+    return parser
+
+
+def _add_arguments(parser, command):
+    for flags, kwargs in COMMANDS[command][2]:
+        parser.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -354,10 +363,15 @@ def _cmd_sweep(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    command = argv[0] if argv else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
-        return COMMANDS[args.command][1](args) or 0
+        if command in COMMANDS:
+            args = parser.parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
+            command = args.command
+        return COMMANDS[command][1](args) or 0
     except (_UsageError, SettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,11 @@ lattice spanned by the restricted columns of the top boundary map. The
 sweep walks the subsets of each block component of that map depth first
 and grows an integer echelon basis one column at a time. It takes a Smith
 diagonal only of a basis with a pivot other than +-1, and counts a subtree
-in closed form once its lattice is saturated and of full rank. A component
+in closed form once its lattice is saturated and of full rank. What lies
+below a node depends only on the columns still open and the lattice its
+basis spans, so where a component's columns are dependent the sweep keeps
+its basis reduced and memoises each subtree's counts under (open columns,
+basis): subsets that span one lattice share one subtree. A component
 of n columns and rank r whose column lattice is saturated and whose
 nullity n - r is below r is swept on its dual side instead: the rows of an
 integer kernel basis, which reach full rank after n - r of them, with each
@@ -17,11 +21,13 @@ key mapped to that of the complement (`_lower_rank_sweep`). Each
 component keeps its histogram keyed by (subset size, rank, torsion
 invariant factors); the matroid is their direct sum, so every fold
 is a product, a max or a min over them. The basis is grown with
-`linalg.fold_vector`, the one integer echelon routine. Nothing per
-subset is kept: a rank question that names one subset folds its vectors
-into a fresh basis (`linalg.span_rank`). The Smith form of the whole top
-map is taken once per complex (`top_smith_form`), and the sweep of a
-complex that is one block component reads it to choose its side.
+`linalg.fold_vector`, the one integer echelon routine, which
+`_reduced_fold` wraps where the memo keys on the basis. The memo lives
+for one component's sweep, under the cap `caps.SWEEP_MEMO_CAP`; nothing
+else per subset is kept: a rank question that names one subset folds its
+vectors into a fresh basis (`linalg.span_rank`). The Smith form of the
+whole top map is taken once per complex (`top_smith_form`), and the sweep
+of a complex that is one block component reads it to choose its side.
 
 `_sweep_columns` is the one admission rule: it names the columns a
 sweep visits and refuses more of them than the subset cap. They are the
@@ -38,13 +44,13 @@ profile is cached, since both give every mod-q kernel size; the
 reduced columns are swept only when neither is.
 """
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import product
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import add
 
-from .caps import check_matrix_cap, check_subset_cap
+from .caps import SWEEP_MEMO_CAP, check_matrix_cap, check_subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
 from .errors import BadModulusError, CapExceededError
 from .linalg import (
@@ -156,6 +162,56 @@ def t_q_of(torsion_tuple, q):
 # subset sweep
 
 
+def _reduced_fold(table, vec, log):
+    """`fold_vector` on a unit-reduced `table`, keeping it unit-reduced:
+    every +-1 pivot is +1 and its column is zero in the other rows.
+
+    `vec` is first cleared in the columns of the +1 pivots (each is zero
+    in the others' columns, so one pass reads every coefficient off
+    `vec`), and what is left is folded. Each pivot the fold sets is then
+    made positive, and a +1 pivot's column is cleared in the rows above
+    it, last pivot first. Every step is a unimodular row operation logged
+    for undo like the fold's own, so the table spans the same lattice, and
+    two subsets that span one lattice mostly leave one table, which is
+    what the sweep's memo keys on. Rows the fold sets are stored as
+    tuples."""
+    row = vec
+    for q, c in enumerate(vec):
+        if c:
+            pivot = table[q]
+            if pivot is not None and pivot[q] == 1:
+                row = [x - c * y for x, y in zip(row, pivot)]
+    mark = len(log)
+    grew, moved = fold_vector(table, row, log)
+    # the fold logs each position it sets once, in increasing order
+    for p, _ in reversed(log[mark:]):
+        row = table[p]
+        log.append((p, row))
+        table[p] = row = tuple(row) if row[p] > 0 else tuple([-x for x in row])
+        if row[p] == 1:
+            for k in range(p):
+                other = table[k]
+                if other is not None and other[p]:
+                    c = other[p]
+                    log.append((k, other))
+                    table[k] = tuple([x - c * y for x, y in zip(other, row)])
+    return grew, moved
+
+
+def _subtree_counts(free, free_before, torsion, torsion_before, unit):
+    """A subtree's counts relative to its root, out of the sweep's counts
+    after and before it, `unit` being the root's size digit: the
+    torsion-free ones by rank from the root's rank up (`free` and
+    `free_before` start there), and (key, count) for each torsion key that
+    grew. Kept out of `visit`, where a comprehension would make its
+    arguments cells that every node allocates."""
+    grown = [(k, c - torsion_before[k]) for k, c in torsion.items()]
+    return (
+        tuple([(c - b) // unit for c, b in zip(free, free_before)]),
+        tuple([(k, c // unit) for k, c in grown if c]),
+    )
+
+
 def _component_sweep(cols):
     """Histogram of one block component's column subsets, keyed by
     (size, rank, torsion).
@@ -167,45 +223,91 @@ def _component_sweep(cols):
     lattice (no torsion); any other basis gets a Smith diagonal of its own
     few rows. Once the lattice is saturated and of full rank, no further
     column changes it, so the whole subtree is counted with binomials.
+
+    Counts are kept per (rank, torsion) as one integer whose digits in
+    base 2^(n+1) are the counts by subset size, so a subtree's counts move
+    to another root size by a shift. The subtree below a node depends
+    only on its open columns and the lattice its basis spans. When the
+    columns are dependent (more of them than the rank), two subsets can
+    span one lattice, so the basis is kept unit-reduced (`_reduced_fold`)
+    and each subtree's counts, relative to its root, are memoised under
+    (open columns, basis), up to SWEEP_MEMO_CAP entries; past that the
+    memo is still read but no longer grows. It lives for this one call.
+    Independent columns span a new lattice with every subset, so they are
+    swept without memo or reduction.
     """
     n = len(cols)
     nrows = len(cols[0]) if cols else 0
     full_rank = span_rank(cols)
     table = [None] * nrows
     log = []
-    histogram = Counter()
-    width = full_rank + 1
-    free = [0] * ((n + 1) * width)  # torsion-free counts at size * width + rank
-    binomials = [[comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
+    width = n + 1  # bits per size digit: no count reaches 2^(n+1)
+    free = [0] * (full_rank + 1)  # torsion-free counts by rank
+    torsion = defaultdict(int)  # and the others by (rank, torsion)
+    closed = [(1 + (1 << width)) ** o for o in range(n + 1)]  # binomials by size
+    memo = {} if n > full_rank else None
+    # each node's children, highest column first, with the fold that adds
+    # that column: a leaf's basis is no memo key, so it need not be reduced
+    folds = [fold_vector] + [fold_vector if memo is None else _reduced_fold] * n
+    children = [[(j, folds[j], cols[j]) for j in range(o - 1, -1, -1)] for o in range(n + 1)]
 
-    def visit(open_bits, size, rank, nonunit):
+    def visit(open_bits, unit, rank, nonunit):
+        # `unit` is 1 in the size digit of this node's subsets
+        key = None
+        # a leaf is cheaper to count than to look up, and a closed subtree
+        # needs no key
+        if memo is not None and open_bits:
+            if rank == full_rank and not nonunit:
+                free[rank] += closed[open_bits] * unit
+                return
+            here = open_bits, tuple(table)
+            hit = memo.get(here)
+            if hit is not None:
+                hit_free, hit_torsion = hit
+                for r, c in enumerate(hit_free, rank):
+                    if c:
+                        free[r] += c * unit
+                for k, c in hit_torsion:
+                    torsion[k] += c * unit
+                return
+            if len(memo) < SWEEP_MEMO_CAP:
+                key, free_before, torsion_before = here, free[rank:], torsion.copy()
         tors = ()
         if nonunit:
             diag = snf_diagonal([r for r in table if r is not None])
             if diag[-1] > 1:
                 tors = tuple(m for m in diag if m > 1)
         if rank == full_rank and not tors:
-            at = size * width + rank
-            for c in binomials[open_bits]:
-                free[at] += c
-                at += width
+            free[rank] += closed[open_bits] * unit
             return
         if tors:
-            histogram[size, rank, tors] += 1
+            torsion[rank, tors] += unit
         else:
-            free[size * width + rank] += 1
-        for j in range(open_bits - 1, -1, -1):
+            free[rank] += unit
+        for j, fold, col in children[open_bits]:
             mark = len(log)
-            grew, moved = fold_vector(table, cols[j], log)
-            visit(j, size + 1, rank + grew, nonunit + moved)
+            grew, moved = fold(table, col, log)
+            visit(j, unit << width, rank + grew, nonunit + moved)
             while len(log) > mark:
                 pos, old = log.pop()
                 table[pos] = old
+        if key is not None and len(memo) < SWEEP_MEMO_CAP:
+            memo[key] = _subtree_counts(free[rank:], free_before, torsion, torsion_before, unit)
 
-    visit(n, 0, 0, 0)
-    for at, c in enumerate(free):
-        if c:
-            histogram[divmod(at, width) + ((),)] += c
+    visit(n, 1, 0, 0)
+    # `visit` refers to itself: without this the memo would wait for the
+    # cyclic garbage collector
+    del visit
+    histogram = Counter()
+    digit = (1 << width) - 1
+    keyed = [((r, ()), c) for r, c in enumerate(free)] + list(torsion.items())
+    for (rank, tors), packed in keyed:
+        # no subset has fewer columns than its rank
+        size, packed = rank, packed >> rank * width
+        while packed:
+            if packed & digit:
+                histogram[size, rank, tors] = packed & digit
+            size, packed = size + 1, packed >> width
     return histogram
 
 

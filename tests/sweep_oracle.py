@@ -3,7 +3,8 @@
 This is the sweep simflow used before the incremental lattice sweep in
 `homology._component_sweep`. It rebuilds the restricted matrix and runs
 `snf_diagonal` from scratch for every mask, so it shares nothing with the
-incremental basis, the saturation test or the subtree pruning; the tests
+incremental basis, its unit reduction, the saturation test, the subtree
+pruning or the memo of subtrees by (open columns, basis); the tests
 compare the histograms the two build. `watch_sides` records which side
 of each block component the sweep took.
 """

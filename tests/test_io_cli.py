@@ -747,11 +747,11 @@ def test_cli_sweep_has_no_json_option(monkeypatch, capsys):
     assert err == "usage error: unrecognized arguments: --json\n"
 
 
-def _help_text(parser, name):
-    """What `simflow <name> --help` prints through `parser`."""
+def _help_text(parser, argv):
+    """What `parser` prints for `argv`, which asks for help."""
     out = io.StringIO()
     with pytest.raises(SystemExit) as exit_info, redirect_stdout(out):
-        parser.parse_args([name, "--help"])
+        parser.parse_args(argv)
     assert exit_info.value.code == 0
     return out.getvalue()
 
@@ -763,9 +763,9 @@ def test_one_command_parser_prints_the_same_help():
         "construct", "min-q", "suspend", "subdivide", "verify", "sweep",
     ]
     for name in COMMANDS:
-        text = _help_text(build_parser(name), name)
+        text = _help_text(build_parser(name), ["--help"])
         assert text.startswith(f"usage: simflow {name} [-h]")
-        assert text == _help_text(full, name), name
+        assert text == _help_text(full, [name, "--help"]), name
 
 
 @pytest.mark.parametrize(
@@ -791,18 +791,23 @@ def test_one_command_parser_prints_the_same_help():
 )
 def test_one_command_parser_raises_the_same_usage_errors(argv):
     messages = []
-    for parser in (build_parser(argv[0]), build_parser()):
+    for parser, args in ((build_parser(argv[0]), argv[1:]), (build_parser(), argv)):
         with pytest.raises(_UsageError) as exc_info:
-            parser.parse_args(argv)
+            parser.parse_args(args)
         messages.append(str(exc_info.value))
     assert messages[0] == messages[1]
 
 
-def test_one_command_parser_holds_one_subparser():
+def test_one_command_parser_is_flat():
+    """A command's parser holds only its own arguments and parses what
+    follows the command name."""
     parser = build_parser("flows")
-    assert parser.format_usage() == "usage: simflow [-h] {flows} ...\n"
-    with pytest.raises(_UsageError, match=r"invalid choice: 'analyze' \(choose from 'flows'\)"):
-        parser.parse_args(["analyze"])
+    assert parser.format_usage().startswith("usage: simflow flows [-h] --q Q [--method")
+    assert vars(parser.parse_args(["--q", "3", "in.json"])) == {
+        "q": 3, "method": "auto", "input": "in.json", "json": False, "force": False
+    }
+    with pytest.raises(_UsageError, match="unrecognized arguments: analyze"):
+        parser.parse_args(["--q", "3", "in.json", "analyze"])
     # anything but a command name builds every subparser
     full = build_parser().format_usage()
     assert "{generate,analyze,flows," in full

@@ -3,6 +3,8 @@ sweep_oracle.py, on random pure complexes and on torsion-bearing ones,
 on both sides a component can be swept on: its columns (primal) or the
 rows of an integer kernel basis (dual)."""
 
+import functools
+import gc
 from collections import Counter
 from itertools import combinations
 
@@ -16,7 +18,14 @@ from simflow.complexes import (
     subdivide_facet,
     top_columns,
 )
-from simflow.fixtures import _RP2_FACES, complete, rp2
+from simflow.fixtures import (
+    _RP2_FACES,
+    complete,
+    mod3_moore_space,
+    petersen,
+    rp2,
+    rp2_odd_triangle,
+)
 from simflow.homology import (
     _component_columns,
     _component_sweep,
@@ -104,20 +113,28 @@ def torsion_complexes(draw):
     return delta
 
 
+@st.composite
+def integer_columns(draw):
+    """Up to 8 random integer columns over 1 to 5 rows, plus up to 3
+    repeats and integer multiples of them, shuffled: dependent columns,
+    often more of them than rows, whose subsets span one lattice in
+    several ways, torsion included."""
+    nrows = draw(st.integers(1, 5))
+    column = st.lists(st.integers(-4, 4), min_size=nrows, max_size=nrows)
+    cols = draw(st.lists(column, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.sampled_from([1, -1, 2, -3]))
+        cols.append([factor * x for x in draw(st.sampled_from(cols))])
+    return draw(st.permutations(cols))
+
+
 @SETTINGS
-@hypothesis.given(
-    st.integers(1, 5).flatmap(
-        lambda nrows: st.lists(
-            st.lists(st.integers(-4, 4), min_size=nrows, max_size=nrows),
-            min_size=1,
-            max_size=8,
-        )
-    )
-)
+@hypothesis.given(integer_columns())
 def test_component_sweep_on_integer_columns(cols):
     """Entries beyond +-1 drive the gcd steps and the non-unit pivots that
     boundary maps of small complexes rarely reach; on the dual side they
-    give subsets torsion inside a saturated lattice."""
+    give subsets torsion inside a saturated lattice. Repeated and parallel
+    columns make the memo answer subtrees whose lattice has torsion."""
     want = _per_mask_histogram(cols)
     assert _component_sweep(cols) == want
     assert _lower_rank_sweep(cols) == want
@@ -198,14 +215,79 @@ def test_dual_sweep_folds_at_most_two_vectors_per_facet(monkeypatch):
     """The suspension of a hexagon is a 2-sphere of 12 triangles and rank
     11. Its kernel basis has one column, so the dual sweep closes each
     subtree after one row: 12 folds, where the column sweep folds 4,094."""
-    calls = []
-    fold = homology.fold_vector
-    monkeypatch.setattr(
-        homology, "fold_vector", lambda *args: calls.append(1) or fold(*args)
-    )
+    calls = _count_folds(monkeypatch)
     hexagon = [(i, (i + 1) % 6) for i in range(6)]
     sphere = build_complex([edge + (apex,) for edge in hexagon for apex in (6, 7)])
     n = len(sphere.facets)
     assert n == 12
     assert subset_profile(sphere).histogram == oracle_profile(sphere)
     assert len(calls) <= 2 * n
+
+
+def _count_folds(monkeypatch):
+    """Every vector the sweep folds, on either side and with or without
+    its memo: its reduced fold folds through `fold_vector` too."""
+    calls = []
+    fold = homology.fold_vector
+    monkeypatch.setattr(
+        homology, "fold_vector", lambda *args: calls.append(1) or fold(*args)
+    )
+    return calls
+
+
+def test_memo_shares_subtrees_only_where_columns_are_dependent(monkeypatch):
+    """Petersen's dual side holds 15 rows of rank 6: subsets that span one
+    lattice share one subtree, so the sweep folds 2,763 vectors, where
+    one fold per node took 16,503. RP^2's ten columns are independent: no
+    two subsets span one lattice, so the sweep keeps no memo and folds
+    one vector per nonempty subset."""
+    calls = _count_folds(monkeypatch)
+    reduced = []
+    reduce = homology._reduced_fold
+    monkeypatch.setattr(
+        homology, "_reduced_fold", lambda *args: reduced.append(1) or reduce(*args)
+    )
+    subset_profile(petersen())
+    assert 0 < len(reduced) <= len(calls) < 16503 // 2
+    calls.clear()
+    reduced.clear()
+    subset_profile(rp2())
+    assert (len(calls), len(reduced)) == (2**10 - 1, 0)
+
+
+def test_sweep_frees_its_memo_on_return():
+    """The memo is freed by reference counting as the sweep returns, not
+    left in a reference cycle for the garbage collector."""
+    delta = complete(6, 2)
+    (comp,) = facet_components(delta)
+    cols = _component_columns(top_columns(delta), comp)
+    gc.collect()
+    gc.disable()
+    try:
+        _component_sweep(cols)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize(
+    "make",
+    [petersen, lambda: complete(6, 2), rp2_odd_triangle, mod3_moore_space],
+    ids=["petersen", "K6_2", "rp2_odd_triangle", "mod3_moore_space"],
+)
+def test_memo_budget_keeps_the_histogram(monkeypatch, make, budget):
+    """With no memo entry, or with one, every subtree past the budget is
+    swept again and the histogram is unchanged."""
+    monkeypatch.setattr(homology, "SWEEP_MEMO_CAP", budget)
+    delta = make()
+    columns = top_columns(delta)
+    for comp in facet_components(delta):
+        cols = _component_columns(columns, comp)
+        assert _lower_rank_sweep(cols) == _oracle_histogram(tuple(map(tuple, cols)))
+
+
+@functools.cache
+def _oracle_histogram(cols):
+    """The per-mask histogram, taken once for both budgets."""
+    return _per_mask_histogram([list(col) for col in cols])
