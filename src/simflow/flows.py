@@ -132,7 +132,8 @@ def is_modular_flow(delta, flow):
 # A swept subset, on sweeps of 1,024 or more: 0.8-0.9 on K_5^3,
 # 1.1-1.3 on Petersen, 1.2-1.8 on the `sweep` and `enum` graphs, 2.3-3.1
 # on RP^2 and the torsion inputs; 0.02-0.25 where a component is swept
-# on its dual side.
+# on its dual side. RP^2 now takes about 0.4, as independent columns
+# close their saturated subtrees; the constant is not re-priced for it.
 SUBSET_US = 1.5
 # A kernel vector, on kernels of 4,096 or more: 0.05-0.11 on Petersen
 # and the `sweep` and `enum` graphs at q = 4, 5 and 7, 0.11-0.23 on the

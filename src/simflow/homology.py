@@ -13,12 +13,16 @@ in closed form once its lattice is saturated and of full rank. What lies
 below a node depends only on the columns still open and the lattice its
 basis spans, so where a component's columns are dependent the sweep keeps
 its basis reduced and memoises each subtree's counts under (open columns,
-basis): subsets that span one lattice share one subtree. A component
-of n columns and rank r whose column lattice is saturated and whose
-nullity n - r is below r is swept on its dual side instead: the rows of an
-integer kernel basis, which reach full rank after n - r of them, with each
-key mapped to that of the complement (`_lower_rank_sweep`). Each
-component keeps its histogram keyed by (subset size, rank, torsion
+basis): subsets that span one lattice share one subtree. Where they are
+independent, every subset spans a lattice of its own, but part of a
+basis of a saturated lattice spans a saturated lattice, so a node closes,
+with binomials by size, each child whose columns plus all the columns it
+can still select span a saturated lattice (`_saturated_prefix`). A
+component of n columns and rank r whose column lattice is saturated
+and whose nullity n - r is below r is swept on its dual side instead:
+the rows of an integer kernel basis, which reach full rank after n - r
+of them, with each key mapped to that of the complement
+(`_lower_rank_sweep`). Each component keeps its histogram keyed by (subset size, rank, torsion
 invariant factors); the matroid is their direct sum, so every fold
 is a product, a max or a min over them. The basis is grown with
 `linalg.fold_vector`, the one integer echelon routine, which
@@ -47,7 +51,7 @@ reduced columns are swept only when neither is.
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add
 
 from .caps import SWEEP_MEMO_CAP, check_matrix_cap, check_subset_cap
@@ -212,6 +216,28 @@ def _subtree_counts(free, free_before, torsion, torsion_before, unit):
     )
 
 
+def _saturated_prefix(table, cols, open_bits, nonunit):
+    """How many children of a node of independent columns close at once:
+    the largest s below `open_bits` such that the node's basis `table`
+    (with `nonunit` pivots other than +-1) plus columns 0, ..., s - 1
+    spans a saturated lattice.
+
+    The columns are folded in increasing order into a copy of the table,
+    so after column j it spans the node's basis plus every column its
+    child that adds column j can still select. A lattice spanned by part
+    of a basis of a saturated lattice is saturated, so the first prefix
+    with torsion ends the pass. The highest open column is left out: the
+    child that adds it can select everything its parent can, and the
+    parent was not closed."""
+    scratch = table[:]
+    log = []
+    for j in range(open_bits - 1):
+        nonunit += fold_vector(scratch, cols[j], log)[1]
+        if nonunit and snf_diagonal([r for r in scratch if r is not None])[-1] > 1:
+            return j
+    return open_bits - 1
+
+
 def _component_sweep(cols):
     """Histogram of one block component's column subsets, keyed by
     (size, rank, torsion).
@@ -233,8 +259,15 @@ def _component_sweep(cols):
     and each subtree's counts, relative to its root, are memoised under
     (open columns, basis), up to SWEEP_MEMO_CAP entries; past that the
     memo is still read but no longer grows. It lives for this one call.
+
     Independent columns span a new lattice with every subset, so they are
-    swept without memo or reduction.
+    swept without memo or reduction, and close subtrees below full rank
+    instead. A node's child that adds column j can select its parent's
+    columns, j and any of columns 0, ..., j - 1. When those span a
+    saturated lattice, so does every subset of them, with rank equal to
+    its size: the child and its subtree are counted with binomials by
+    size and not visited. These children are the ones that add columns
+    0, ..., s - 1 for the s that one pass of `_saturated_prefix` finds.
     """
     n = len(cols)
     nrows = len(cols[0]) if cols else 0
@@ -284,7 +317,19 @@ def _component_sweep(cols):
             torsion[rank, tors] += unit
         else:
             free[rank] += unit
-        for j, fold, col in children[open_bits]:
+        kids = children[open_bits]
+        if memo is None and not tors and open_bits > 1:
+            shut = _saturated_prefix(table, cols, open_bits, nonunit)
+            if shut:
+                # the children that add columns 0, ..., shut - 1 select this
+                # node's columns plus a nonempty subset of those, each
+                # saturated and of rank equal to its size
+                shifted = unit
+                for m in range(1, shut + 1):
+                    shifted <<= width
+                    free[rank + m] += comb(shut, m) * shifted
+                kids = kids[: open_bits - shut]
+        for j, fold, col in kids:
             mark = len(log)
             grew, moved = fold(table, col, log)
             visit(j, unit << width, rank + grew, nonunit + moved)
@@ -501,8 +546,11 @@ def sweep_size(delta, flows=False, force=False):
     the block components of `_sweep_columns`. 0 when a profile it can
     fold is cached (for flows, either one), None when the subset cap
     refuses the sweep. A component swept on its dual side closes its
-    subtrees after n - r rows and may visit far fewer subsets, so this
-    is an upper bound."""
+    subtrees after n - r rows, one of dependent columns shares subtrees
+    through its memo, and one of independent columns with torsion closes
+    each subtree whose columns span a saturated lattice, so each may
+    visit far fewer subsets and this is an upper bound. `auto` prices
+    each subset it counts at one unit cost all the same."""
     if "subset_profile" in delta._cache or flows and "flow_profile" in delta._cache:
         return 0
     try:

@@ -339,7 +339,11 @@ def count_nowhere_zero_box(size, modulus, digits):
             live[i] = b
         return total
 
-    return scale * search(0) if plan else scale
+    count = scale * search(0) if plan else scale
+    # `search` refers to itself: without this its state would wait for the
+    # cyclic garbage collector
+    del search
+    return count
 
 
 def count_nowhere_zero_kernel_mod_q(mat, q, snf=None):

@@ -263,6 +263,12 @@ def coforest_cover(delta, c, force=False):
                 table[pos] = old
         return False
 
-    if not assign(0):
+    try:
+        covered = assign(0)
+    finally:
+        # `assign` refers to itself: without this its state would wait for
+        # the cyclic garbage collector
+        del assign
+    if not covered:
         raise InfeasibleError(f"no cover with {c} coforests exists")
     return CoforestCover(parts=list(parts))

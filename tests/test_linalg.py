@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 from math import gcd, prod
@@ -9,6 +10,7 @@ from simflow import (
     CapExceededError,
     IntMatrix,
     count_nowhere_zero_kernel_mod_q,
+    count_proper_colorings,
     enumerate_kernel_mod_q,
     kernel_count_mod_q,
     rational_rank,
@@ -16,7 +18,7 @@ from simflow import (
 )
 from simflow import linalg
 from simflow.complexes import boundary_matrix
-from simflow.fixtures import complete, cycle, rp2, simplex_boundary
+from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary
 from simflow.linalg import row_lattice_reduce, snf_diagonal
 
 from box_oracle import gray_count_nowhere_zero
@@ -404,3 +406,16 @@ def test_nowhere_zero_kernel_count_refuses_before_the_smith_form(monkeypatch):
 def test_snf_torsion_of_moore_space():
     diag = snf_diagonal([list(r) for r in boundary_matrix(rp2(), 2).matrix.data])
     assert [d for d in diag if d > 1] == [2]
+
+
+def test_box_count_frees_its_search_on_return():
+    """The recursive search is freed by reference counting as the count
+    returns, not left in a reference cycle for the garbage collector."""
+    delta = petersen()
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_proper_colorings(delta, 3, method="brute") == 120
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

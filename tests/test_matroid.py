@@ -1,3 +1,4 @@
+import gc
 import io
 
 import pytest
@@ -431,3 +432,18 @@ def test_coforest_cover_is_capped(monkeypatch, capsys):
     assert "cover by 3 coforests" in capsys.readouterr().err
     monkeypatch.setattr(matroid, "DEFAULT_ENUM_CAP", 4)
     assert len(coforest_cover(cycle(3), 3).parts) == 3
+
+
+def test_coforest_cover_frees_its_search_on_return():
+    """The recursive assignment is freed by reference counting as the
+    cover returns, not left in a reference cycle for the garbage
+    collector."""
+    delta = petersen()
+    c = coarboricity(delta)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(coforest_cover(delta, c).parts) == c
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -140,6 +140,39 @@ def test_component_sweep_on_integer_columns(cols):
     assert _lower_rank_sweep(cols) == want
 
 
+@st.composite
+def independent_torsion_columns(draw):
+    """1 to 8 independent integer columns over up to two more rows: an
+    upper triangular matrix with diagonal entries from {1, 2, 3, 6} and
+    entries up to 3 above it, mixed by random unimodular row operations,
+    its columns shuffled. The full lattice and many of its sublattices
+    carry torsion, while the saturated ones can close whole subtrees."""
+    k = draw(st.integers(1, 8))
+    nrows = k + draw(st.integers(0, 2))
+    rows = [[0] * k for _ in range(nrows)]
+    for i in range(k):
+        rows[i][i] = draw(st.sampled_from([1, 2, 3, 6]))
+        for j in range(i + 1, k):
+            rows[i][j] = draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 2 * nrows))):
+        a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        if a != b:
+            c = draw(st.sampled_from([1, -1, 2, -2]))
+            rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return draw(st.permutations([list(col) for col in zip(*rows)]))
+
+
+@SETTINGS
+@hypothesis.given(independent_torsion_columns())
+def test_component_sweep_on_independent_columns_with_torsion(cols):
+    """Independent columns get no memo: their sweep closes each child
+    whose columns, with every column it can still select, span a
+    saturated lattice, counting its subsets by size with binomials."""
+    want = _per_mask_histogram(cols)
+    assert _component_sweep(cols) == want
+    assert _lower_rank_sweep(cols) == want
+
+
 def _sides_of_oracle_run(strategy, settings, check):
     """Run `check` on every complex `strategy` draws and return the sides
     their components were swept on."""
@@ -239,8 +272,12 @@ def test_memo_shares_subtrees_only_where_columns_are_dependent(monkeypatch):
     """Petersen's dual side holds 15 rows of rank 6: subsets that span one
     lattice share one subtree, so the sweep folds 2,763 vectors, where
     one fold per node took 16,503. RP^2's ten columns are independent: no
-    two subsets span one lattice, so the sweep keeps no memo and folds
-    one vector per nonempty subset."""
+    two subsets span one lattice, so the sweep keeps no memo and reduces
+    no basis. Every proper subset of them is saturated, so a node that
+    selects k of the top columns closes all its children but the one
+    adding the next column: 9 - k scratch folds and that child's fold,
+    55 in all, where one fold per nonempty subset took 1,023. The mod-3
+    Moore space's 17 independent columns fold 153 vectors, not 131,071."""
     calls = _count_folds(monkeypatch)
     reduced = []
     reduce = homology._reduced_fold
@@ -252,7 +289,11 @@ def test_memo_shares_subtrees_only_where_columns_are_dependent(monkeypatch):
     calls.clear()
     reduced.clear()
     subset_profile(rp2())
-    assert (len(calls), len(reduced)) == (2**10 - 1, 0)
+    assert (len(calls), len(reduced)) == (55, 0)
+    calls.clear()
+    subset_profile(mod3_moore_space())
+    assert len(calls) < (2**17 - 1) // 100
+    assert not reduced
 
 
 def test_sweep_frees_its_memo_on_return():
