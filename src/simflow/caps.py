@@ -8,9 +8,9 @@ value that is not a non-negative integer raises SettingError.
 size that `method="auto"` compares and the circuit scan are admitted
 there. Kernel
 enumeration refuses streams longer than the enumeration cap; the
-coforest cover, the fallback cut search and the face list of a new
-complex refuse more items than that. The lift of a Z_2^r flow is an
-elimination, not a search, and takes no cap.
+fallback cut search and the face list of a new complex refuse more
+items than that. The coforest cover (a matroid partition) and the lift
+of a Z_2^r flow (an elimination) search nothing and take no cap.
 A dense Smith form of a lower boundary map refuses more entries than
 the matrix cap. The sweep of one block component memoises at most
 SWEEP_MEMO_CAP subtrees; past that it still reads its memo but adds

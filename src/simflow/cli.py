@@ -31,7 +31,6 @@ from .complexes import subdivide_facet, suspension
 from .errors import (
     BadModulusError,
     CapExceededError,
-    InfeasibleError,
     InternalError,
     ParseError,
     SettingError,
@@ -47,7 +46,7 @@ from .flows import (
     min_flow_number,
     tensions_from_colorings,
 )
-from .homology import homology_summary
+from .homology import homology_summary, subset_profile
 from .io import parse_complex, serialize_complex
 from .matroid import bridges, coarboricity, facet_connectivity
 from .poly import format_bivariate, format_univariate
@@ -167,10 +166,9 @@ def _cmd_analyze(args):
     summary = homology_summary(delta)
     bridge_list = bridges(delta)
     # the capped sweep first: the cut search then folds its blocks
-    try:
-        coarb = coarboricity(delta, force=args.force)
-    except InfeasibleError:
-        coarb = None
+    subset_profile(delta, force=args.force)
+    # a bridge lies in no coforest
+    coarb = None if bridge_list else coarboricity(delta)
     conn = facet_connectivity(delta)
     payload = {
         "dimension": delta.dimension,
@@ -279,7 +277,7 @@ def _cmd_quasi(args):
     *_STANDARD,
 )
 def _cmd_construct(args):
-    flow = jaeger_flow(_read_complex(args), force=args.force)
+    flow = jaeger_flow(_read_complex(args))
     values = list(flow.values)
     payload = {"modulus": flow.q, "values": values, "nowhere_zero": flow.nowhere_zero}
     _emit(args, payload, f"modulus: {flow.q}\nvalues: " + ",".join(map(str, values)))

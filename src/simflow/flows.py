@@ -25,7 +25,9 @@ counts come from the coloring count through the chromatic relation
 oracle that `verify` compares them with. The flow quasipolynomial is
 read off the flow profile, one constituent per residue class, and so is
 the count of nowhere-zero Z_2^r flows: the r-th power of each subset's
-mod-2 flow count, folded by inclusion-exclusion.
+mod-2 flow count, folded by inclusion-exclusion. The 2^c-flow
+construction sweeps no subsets: c is the part count of one matroid
+partition (`matroid.coforest_cover`).
 """
 
 from dataclasses import dataclass
@@ -64,7 +66,7 @@ from .linalg import (
 from .matroid import (
     bridges,
     circuit_kernel_vector,
-    coarboricity,
+    coarboricity,  # not called here; perfbench/spans.py traces this name
     coforest_cover,
     fundamental_circuit,
 )
@@ -486,7 +488,7 @@ def lift_z2r_flow(delta, gf):
     return flow
 
 
-def jaeger_flow(delta, force=False):
+def jaeger_flow(delta):
     """Explicit nowhere-zero 2^c flow on a bridgeless complex, where c is
     the coarboricity.
 
@@ -498,22 +500,23 @@ def jaeger_flow(delta, force=False):
     flow, and with a cone on the same loop every circuit through an RP^2
     facet takes the added triangle, or the cone, with an even entry.
 
-    Pipeline: dual Edmonds bound -> exact coforest cover -> per part, the
-    mod-2 sum of fundamental circuits of its facets against a maximal
-    forest avoiding the part -> assemble the Z_2^c flow -> lift each
-    layer to an integer flow odd exactly on it (`lift_z2r_flow`). Only
-    the cover searches; a layer that no integer flow is odd exactly on
-    raises LiftFailedError.
+    Pipeline: a least coforest cover by matroid partition, c parts ->
+    per part, the mod-2 sum of fundamental circuits of its facets against
+    a maximal forest avoiding the part -> assemble the Z_2^c flow -> lift
+    each layer to an integer flow odd exactly on it (`lift_z2r_flow`).
+    Only the cover searches, for augmenting paths, and nothing sweeps
+    subsets; a layer that no integer flow is odd exactly on raises
+    LiftFailedError.
     """
     bad = bridges(delta)
     if bad:
         raise HasBridgeError(f"facets {bad} are bridges; no nowhere-zero flow")
     cols = top_columns(delta)
     odd = [sum(1 << i for i, v in enumerate(col) if v % 2) for col in cols]
-    c = coarboricity(delta, force=force)
-    cover = coforest_cover(delta, c, force=force)
+    cover = coforest_cover(delta)
+    c = len(cover.parts)
     n = len(delta.facets)
-    full_rank = subset_profile(delta, force=force).rank_full
+    full_rank = top_smith_form(delta).rank
     words = [0] * n
     for k, part in enumerate(cover.parts):
         # greedy base of the complement: keep each column that grows the span

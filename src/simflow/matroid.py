@@ -1,7 +1,8 @@
 """The simplicial matroid (column matroid of the top boundary map) and
 the covering machinery behind the flow-construction pipeline: bridges,
-facet cuts, fundamental circuits, the coarboricity (the largest
-over the blocks of the subset profile), and exact coforest covers.
+facet cuts, fundamental circuits, and the coarboricity with a least
+coforest cover, both from one matroid partition in the dual matroid
+(`coforest_cover`).
 
 Every question about one facet set folds vectors into an echelon basis
 (`linalg.fold_vector`). The rank of X folds its columns of
@@ -18,7 +19,7 @@ takes one Smith diagonal per query; only `verify` calls it (criterion
 from dataclasses import dataclass
 from math import comb
 
-from .caps import DEFAULT_ENUM_CAP, check_enum_cap
+from .caps import check_enum_cap
 from .complexes import restrict_columns, top_columns
 from .errors import (
     CapExceededError,
@@ -29,7 +30,7 @@ from .errors import (
     NotABaseError,
 )
 from .homology import subset_profile, top_smith_form
-from .linalg import fold_vector, kernel_basis, snf_diagonal, span_rank
+from .linalg import kernel_basis, snf_diagonal, span_rank
 
 
 class RankOracle:
@@ -167,28 +168,10 @@ def fundamental_circuit(delta, base_mask, facet_index):
     return sum(1 << f for t, f in zip(basis[0], selected) if t)
 
 
-def coarboricity(delta, force=False):
-    """Least c with c * r*(X) >= |X| for every subset X, r* the corank:
-    the least number of coforests that cover the facets (Edmonds).
-
-    In a block of n columns and rank r, a key (s, r', .) with s < n stands
-    for the complements X of size n - s, of corank n - s + r' - r; by the
-    mediant inequality no X that meets several blocks has a larger ratio.
-    Raises Infeasible when some nonempty X has corank zero (a bridge).
-    """
-    c = 1
-    for block in subset_profile(delta, force=force).blocks:
-        for size, rank, _ in block.histogram:
-            part = block.column_count - size
-            if not part:
-                continue
-            corank = part + rank - block.rank
-            if corank <= 0:
-                raise InfeasibleError(
-                    "ground set contains a loop; no independent-set cover exists"
-                )
-            c = max(c, -(-part // corank))
-    return c
+def coarboricity(delta):
+    """Least number of coforests that cover the facets: the part count of
+    a least cover (`coforest_cover`). Raises Infeasible on a bridge."""
+    return len(coforest_cover(delta).parts)
 
 
 @dataclass
@@ -198,77 +181,56 @@ class CoforestCover:
     parts: list
 
 
-def coforest_cover(delta, c, force=False):
-    """Exact backtracking cover of the facets by c coforests.
+def coforest_cover(delta, c=None):
+    """Least cover of the facets by coforests, or one by `c` of them.
 
-    A part B stays coindependent iff its rows of the kernel basis K stay
-    independent; each part keeps an echelon basis of its rows, folding a
-    facet's row in and undoing the fold on backtrack. Facets are assigned
-    in index order; parts are tried least-filled first (ties by part
-    index) with the dual-Edmonds bound and a part-capacity bound as
-    pruning. Raises Infeasible when no c-part cover exists. The search is
-    exponential in the facets, so it refuses to visit more than
-    DEFAULT_ENUM_CAP search nodes.
+    Matroid partition in the dual matroid (Edmonds 1965; Knuth 1973),
+    where a facet set is a coforest exactly when its rows of K are
+    independent. It opens ceil(|F| / nullity) parts, or `c`, and inserts
+    the facets in index order, each along a shortest augmenting path
+    found breadth first: a facet that a part does not fit may replace any
+    member of its circuit there (the one relation of the part's rows and
+    its own, `linalg.kernel_basis`), and the path ends at a facet that
+    fits a part directly. A facet that no path places opens a new part,
+    or with `c` raises Infeasible: the facets the search reached need
+    more parts than are open, so the cover is least. A bridge, a zero
+    row of K, lies in no coforest and raises Infeasible.
     """
-    n = len(delta.facets)
     rows = _dual_rows(delta)
-    max_part = len(rows[0])  # coindependent sets never exceed the corank
-    if c >= 1:
-        try:
-            bound = coarboricity(delta, force=force)
-        except InfeasibleError:
-            raise InfeasibleError(
-                "a bridge lies in no coforest; no cover of any size exists"
-            )
-        if c < bound:
-            raise InfeasibleError(
-                f"dual Edmonds bound {bound} exceeds requested parts {c}"
-            )
-    parts = [0] * c
-    tables = [[None] * max_part for _ in range(c)]
-    logs = [[] for _ in range(c)]
-    nodes = 0
-
-    def assign(facet):
-        nonlocal nodes
-        nodes += 1
-        if nodes > DEFAULT_ENUM_CAP:
-            raise CapExceededError(
-                f"cover by {c} coforests visits more than {DEFAULT_ENUM_CAP} search nodes"
-            )
-        if facet == n:
-            return True
-        remaining = n - facet
-        capacity = sum(max_part - p.bit_count() for p in parts)
-        if remaining > capacity:
-            return False
-        order = sorted(range(c), key=lambda i: (parts[i].bit_count(), i))
-        tried = set()
-        for i in order:
-            key = parts[i]
-            if key in tried:  # identical parts are interchangeable
-                continue
-            tried.add(key)
-            if key.bit_count() >= max_part:
-                continue
-            table, log = tables[i], logs[i]
-            mark = len(log)
-            if fold_vector(table, rows[facet], log)[0]:
-                parts[i] = key | 1 << facet
-                if assign(facet + 1):
-                    return True
-                parts[i] = key
-            while len(log) > mark:
-                pos, old = log.pop()
-                table[pos] = old
-        return False
-
-    try:
-        covered = assign(0)
-    finally:
-        # `assign` refers to itself: without this its state would wait for
-        # the cyclic garbage collector
-        del assign
-    if not covered:
-        raise InfeasibleError(f"no cover with {c} coforests exists")
-    return CoforestCover(parts=list(parts))
+    if not all(map(any, rows)):
+        raise InfeasibleError("a bridge lies in no coforest; no cover of any size exists")
+    parts = [[] for _ in range(-(-len(rows) // len(rows[0])) if c is None else c)]
+    where = {}  # the part of each placed facet
+    for x in range(len(rows)):
+        parent, queue, sink = {x: None}, [x], None
+        for y in queue:
+            # least-filled parts first: they fit most often, at least cost
+            for j, part in sorted(enumerate(parts), key=lambda jp: len(jp[1])):
+                if where.get(y) == j:
+                    continue
+                relations = kernel_basis([rows[f] for f in part] + [rows[y]])
+                if not relations:
+                    sink = y, j
+                    break
+                for z, t in zip(part, relations[0]):
+                    if t and z not in parent:
+                        parent[z] = y
+                        queue.append(z)
+            if sink:
+                break
+        if not sink:
+            if c is not None:
+                raise InfeasibleError(f"no cover with {c} coforests exists")
+            sink = x, len(parts)
+            parts.append([])
+        y, j = sink
+        while y is not None:
+            # y moves to part j, and the facet before it on the path takes
+            # its place in its old part
+            old = where.get(y)
+            if old is not None:
+                parts[old].remove(y)
+            parts[j].append(y)
+            where[y] = j
+            y, j = parent[y], old
+    return CoforestCover(parts=[sum(1 << f for f in p) for p in parts])

@@ -37,7 +37,7 @@ from .flows import (
     jaeger_flow,
     min_flow_number,
 )
-from .errors import HasBridgeError, InternalError, SimflowError
+from .errors import CapExceededError, HasBridgeError, InfeasibleError, InternalError, SimflowError
 from .homology import subset_profile, torsion_weight
 from .linalg import IntMatrix, kernel_count_mod_q, rational_rank, snf_diagonal
 from .matroid import RankOracle, bridges, coarboricity, facet_connectivity
@@ -236,12 +236,30 @@ def check_group_flow_counts():
     )
 
 
+def profile_coarboricity(delta):
+    """The coarboricity by Edmonds' theorem, the oracle criterion 7 holds
+    the partition to: the largest ceil(|X| / r*(X)) over nonempty facet
+    sets X, r* the corank. A block's key (s, r', .) of n columns and rank
+    r stands for the complements X of size n - s and corank n - s + r' - r;
+    by the mediant inequality no X across blocks has a larger ratio."""
+    c = 1
+    for block in subset_profile(delta).blocks:
+        for size, rank, _ in block.histogram:
+            part = block.column_count - size
+            corank = part + rank - block.rank
+            if part and corank <= 0:
+                raise InfeasibleError("a bridge lies in no coforest")
+            c = max(c, -(-part // corank) if part else 1)
+    return c
+
+
 def check_jaeger_pipeline():
     failures = []
     ran = []
     # the integer flows of the Moore space + disk are the multiples of
     # one that is -3 on the disk, so its layers lift to no {-1, 0, 1} flow
-    for name, delta in standard_corpus() + [("moore space + disk", mod3_moore_disk())]:
+    past_cap = [(f"complete({n},{k})", complete(n, k)) for n, k in ((8, 2), (7, 3))]
+    for name, delta in standard_corpus() + [("moore space + disk", mod3_moore_disk())] + past_cap:
         if bridges(delta):
             continue
         c = coarboricity(delta)
@@ -258,7 +276,16 @@ def check_jaeger_pipeline():
         if not flow.nowhere_zero:
             failures.append(f"{name}: output has a zero entry")
         d = delta.dimension
-        if facet_connectivity(delta).value >= d + 2 and c > d + 2:
+        try:
+            fold = profile_coarboricity(delta)
+            connected = facet_connectivity(delta).value >= d + 2
+        except CapExceededError:
+            # past the subset cap, where the cut search would refuse at the
+            # enumeration cap: these complete complexes are (d+2)-connected
+            fold, connected = c, True
+        if fold != c:
+            failures.append(f"{name}: partition gives {c} coforests, the profile fold {fold}")
+        if connected and c > d + 2:
             failures.append(f"{name}: ({d}+2)-connected but coarboricity {c}")
     if not ran:
         failures.append("no bridgeless fixtures found")
@@ -279,7 +306,9 @@ def check_jaeger_pipeline():
         failures,
         f"verified nowhere-zero 2^c flows on {len(ran)} bridgeless fixtures, "
         "moore space + disk (its flow -3 on one facet) among them; "
-        "coarboricity <= d+2 wherever (d+2)-connected; "
+        "coarboricity by matroid partition equals the subset-profile fold "
+        "under the subset cap, and is <= d+2 wherever (d+2)-connected, "
+        "complete(8,2) and complete(7,3) past the cap among them; "
         "rp2 + odd triangle refused at the triangle's part",
     )
 
@@ -452,6 +481,11 @@ def check_property_suites():
         if len(delta.facets) <= 10:
             failures.extend(_profile_failures(name, delta))
             failures.extend(_tension_failures(name, delta))
+    # RP^2 and a last triangle on a new vertex: 11 independent columns,
+    # of which RP^2's 10 span a lattice with torsion, a prefix that the
+    # sweep's saturated-prefix pass meets
+    pendant = build_complex([*rp2().facets, (4, 5, 6)])
+    failures.extend(_profile_failures("rp2 + pendant triangle", pendant))
 
     bridged = [
         build_complex([[0, 1], [1, 2]]),
@@ -472,8 +506,8 @@ def check_property_suites():
         failures,
         "random kernel counts match brute force; subset ranks obey the rank "
         "axioms; the swept subset histogram matches per-subset Smith "
-        "diagonals; tension counts match the circuit-system filter; "
-        "bridged complexes have no nowhere-zero flows",
+        "diagonals, rp2 + pendant triangle among them; tension counts match "
+        "the circuit-system filter; bridged complexes have no nowhere-zero flows",
     )
 
 

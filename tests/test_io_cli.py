@@ -26,6 +26,7 @@ from simflow import (
 from simflow.cli import COMMANDS, _UsageError, build_parser, main
 from simflow.fixtures import (
     FIXTURE_PARAMS,
+    complete,
     make_fixture,
     petersen,
     rp2,
@@ -454,6 +455,33 @@ def test_cli_analyze_refuses_a_large_lower_skeleton_at_once(monkeypatch, capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert "Smith normal form of a 1001 x 2002 boundary map in dimension 4" in err
+
+
+@pytest.mark.parametrize("n, k, facets", [(8, 2, 28), (7, 3, 35)], ids=["K_8^2", "K_7^3"])
+def test_cli_jaeger_answers_past_the_subset_cap(n, k, facets, monkeypatch, capsys):
+    """The cover is a matroid partition, not a sweep: complete complexes
+    past the subset cap get a nowhere-zero 4-flow at once, while
+    `analyze`, which sweeps first, still refuses them."""
+    monkeypatch.delenv("SIMFLOW_SUBSET_CAP", raising=False)
+    delta = complete(n, k)
+    assert len(delta.facets) == facets
+    doc = serialize_complex(delta)
+    start = time.perf_counter()
+    code, out, err = _run_cli(
+        ["construct", "--jaeger", "--json"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["modulus"] == 4 and payload["nowhere_zero"]
+    assert is_modular_flow(delta, ModularFlow(q=4, values=tuple(payload["values"])))
+    assert elapsed < 1
+    code, out, err = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3 and out == ""
+    assert err == (
+        f"cap exceeded: subset expansion over {facets} facets exceeds the cap of 24 "
+        "(set SIMFLOW_SUBSET_CAP or pass force=True / --force)\n"
+    )
 
 
 def test_cli_jaeger_reads_only_the_codimension_one_map(monkeypatch, capsys):

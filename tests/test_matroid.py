@@ -1,5 +1,5 @@
 import gc
-import io
+from itertools import combinations
 
 import pytest
 
@@ -18,15 +18,14 @@ from simflow import (
     is_bridge,
     matroid_corank,
     matroid_rank,
-    serialize_complex,
 )
-from simflow.cli import main
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.flows import circuits, jaeger_flow
 from simflow.homology import codim1_cycle_rank
 from simflow.linalg import smith_normal_form, snf_diagonal, span_rank
 from simflow.matroid import RankOracle, _dual_rows, bridges
-from forest_oracle import classify_forest
+from simflow.verify import profile_coarboricity
+from forest_oracle import backtracking_cover, classify_forest
 
 
 def test_matroid_rank_examples():
@@ -421,23 +420,9 @@ def test_rank_is_monotone_and_bounded():
                     assert r <= bigger <= r + 1
 
 
-def test_coforest_cover_is_capped(monkeypatch, capsys):
-    """The cover of a triangle by three coforests assigns three facets:
-    four search nodes."""
-    monkeypatch.setattr(matroid, "DEFAULT_ENUM_CAP", 3)
-    with pytest.raises(CapExceededError, match="cover by 3 coforests visits more than 3"):
-        coforest_cover(cycle(3), 3)
-    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex(cycle(3))))
-    assert main(["construct", "--jaeger"]) == 3
-    assert "cover by 3 coforests" in capsys.readouterr().err
-    monkeypatch.setattr(matroid, "DEFAULT_ENUM_CAP", 4)
-    assert len(coforest_cover(cycle(3), 3).parts) == 3
-
-
 def test_coforest_cover_frees_its_search_on_return():
-    """The recursive assignment is freed by reference counting as the
-    cover returns, not left in a reference cycle for the garbage
-    collector."""
+    """The partition's state is freed by reference counting as the cover
+    returns, not left in a reference cycle for the garbage collector."""
     delta = petersen()
     c = coarboricity(delta)
     gc.collect()
@@ -447,3 +432,78 @@ def test_coforest_cover_frees_its_search_on_return():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _without_bridges(delta):
+    """The complex on the facets that are not bridges, or None when every
+    facet is one. A coloop lies in no circuit, so deleting the coloops
+    keeps every circuit and leaves no bridge."""
+    kept = [list(f) for f, row in zip(delta.facets, _dual_rows(delta)) if any(row)]
+    return build_complex(kept) if kept else None
+
+
+def test_partition_is_a_least_cover():
+    """Random points, graphs and 2-complexes, disjoint unions of up to
+    three pieces among them, half of them dense enough that some facets
+    are placed along augmenting paths. With a bridge, the cover, the
+    coarboricity and the profile fold all raise Infeasible, and the
+    facets that are not bridges are checked instead. Without one, the
+    partition's part count equals the fold of Edmonds' bound over the
+    subset profile, every part is a coforest (corank equal to its size),
+    the parts cover each facet once, and c - 1 coforests raise
+    Infeasible."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from test_columns import complexes
+
+    @st.composite
+    def dense(draw):
+        # each piece takes more than half of the facets on its vertices
+        d = draw(st.integers(1, 2))
+        facets = []
+        for piece in range(draw(st.integers(1, 3))):
+            pool = list(combinations(range(draw(st.integers(d + 2, 6))), d + 1))
+            least = min(len(pool), 8) // 2 + 1
+            chosen = draw(st.lists(st.sampled_from(pool), min_size=least, max_size=8, unique=True))
+            facets += [[v + 10 * piece for v in f] for f in chosen]
+        return build_complex(facets)
+
+    @hypothesis.settings(max_examples=160, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.one_of(complexes(), dense()))
+    def check(delta):
+        if bridges(delta):
+            for least in (coforest_cover, coarboricity, profile_coarboricity):
+                with pytest.raises(InfeasibleError):
+                    least(delta)
+            delta = _without_bridges(delta)
+            if delta is None:
+                return
+            assert not bridges(delta)
+        c = coarboricity(delta)
+        assert c == profile_coarboricity(delta)
+        cover = coforest_cover(delta)
+        assert len(cover.parts) == c
+        union = 0
+        for part in cover.parts:
+            assert part and not part & union
+            assert matroid_corank(delta, part) == part.bit_count()
+            union |= part
+        assert union == delta.full_mask
+        with pytest.raises(InfeasibleError):
+            coforest_cover(delta, c - 1)
+
+    check()
+
+
+def test_partition_agrees_with_the_backtracking_cover():
+    """The exhaustive search finds a cover by the partition's c coforests
+    and none by c - 1."""
+    corpus = [delta for delta in _small_corpus() if not bridges(delta)]
+    # two triangles joined at a vertex, and the octahedron boundary
+    corpus.append(build_complex([[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], [2, 4]]))
+    corpus.append(build_complex([[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]))
+    assert len(corpus) >= 8
+    for delta in corpus:
+        c = coarboricity(delta)
+        assert backtracking_cover(delta, c) is not None
+        assert backtracking_cover(delta, c - 1) is None
