@@ -12,18 +12,19 @@ read or written), 3 cap refusal, 4 broken internal invariant.
 Each command is declared once, by `@_command` on its handler: its name,
 its help, and its arguments in the order `--help` prints them. That
 fills `COMMANDS`, the one table that `build_parser` walks and `main`
-dispatches through. A call whose first argument names a command builds
-one flat parser of that command's arguments, named `simflow <command>`,
-and parses the rest of the line with it: the top-level parser with its
-subparsers takes longer to build and run than a typical request on a
-small complex, and no command reads another's arguments. Its help and
-usage errors read as the subparser's would. Any other first argument
-(none, -h, an unknown name) builds the top-level parser with every
-command, so its help and usage errors list them all. `--help` prints
-this docstring up to this paragraph.
+dispatches through. A call whose first argument names a command parses
+the rest of the line with one flat parser of that command's arguments,
+named `simflow <command>`: no command reads another's arguments. Its
+help and usage errors read as the subparser's would. Any other first
+argument (none, -h, an unknown name) parses the line with the top-level
+parser with every command, so its help and usage errors list them all.
+Each command's flat parser, and the full tree, is built once per process
+on first use, so a caller that runs `main` many times pays for each
+build once. `--help` prints this docstring up to this paragraph.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,12 +47,11 @@ from .flows import (
     min_flow_number,
     tensions_from_colorings,
 )
-from .homology import homology_summary, subset_profile
+from .homology import check_skeleton_caps, homology_summary, subset_profile
 from .io import parse_complex, serialize_complex
 from .matroid import bridges, coarboricity, facet_connectivity
 from .poly import format_bivariate, format_univariate
 from .tutte import bott_r_polynomial, matroid_tutte, q_tkr_polynomial, tkr_polynomial
-from .verify import run_paper_suite
 
 
 class _UsageError(Exception):
@@ -97,8 +97,14 @@ _STANDARD = (_INPUT, _JSON, _FORCE)
 def build_parser(command=None):
     """The parser of `simflow command`'s arguments when `command` names
     one in `COMMANDS`, else the `simflow` parser with every command as a
-    subparser."""
-    if command in COMMANDS:
+    subparser. Each is built on first use and then shared: parsing leaves
+    a parser as it was, and no argument has a mutable default."""
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.cache
+def _parser(command):
+    if command is not None:
         return _add_arguments(_Parser(prog=f"simflow {command}"), command)
     parser = _Parser(prog="simflow", description=_DESCRIPTION)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -163,10 +169,12 @@ def _cmd_generate(args):
 @_command("analyze", "homology, bridges, connectivity, coarboricity", *_STANDARD)
 def _cmd_analyze(args):
     delta = _read_complex(args)
+    # every refusal before any Smith form: the homology's matrix cap, then
+    # the capped sweep, whose blocks the cut search then folds
+    check_skeleton_caps(delta, range(delta.dimension))
+    subset_profile(delta, force=args.force)
     summary = homology_summary(delta)
     bridge_list = bridges(delta)
-    # the capped sweep first: the cut search then folds its blocks
-    subset_profile(delta, force=args.force)
     # a bridge lies in no coforest
     coarb = None if bridge_list else coarboricity(delta)
     conn = facet_connectivity(delta)
@@ -318,6 +326,10 @@ def _cmd_subdivide(args):
     _arg("--suite", choices=["paper"], required=True),
 )
 def _cmd_verify(args):
+    # the suite and its oracles serve this command alone, so no other
+    # command's process loads them
+    from .verify import run_paper_suite
+
     results = run_paper_suite()
     width = max(len(r.name) for r in results)
     for r in results:

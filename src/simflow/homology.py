@@ -75,6 +75,14 @@ class HomologySummary:
     torsion: dict
 
 
+def check_skeleton_caps(delta, dims):
+    """Refuse, before any Smith form, when the boundary map of `delta` in
+    one of `dims` is over the matrix cap."""
+    for n in dims:
+        rows = len(delta.faces(n - 1)) if n else 1
+        check_matrix_cap(rows, len(delta.faces(n)), f"boundary map in dimension {n}")
+
+
 def _skeleton_snfs(delta, dims):
     """Smith diagonals of the boundary maps in dimensions `dims`, each
     below the top (whose diagonal depends on the facet subset), cached
@@ -82,9 +90,7 @@ def _skeleton_snfs(delta, dims):
     maps still to be eliminated is over the matrix cap."""
     snfs = delta._cache.setdefault("skeleton_snfs", {})
     todo = [n for n in dims if n not in snfs]
-    for n in todo:
-        rows = len(delta.faces(n - 1)) if n else 1
-        check_matrix_cap(rows, len(delta.faces(n)), f"boundary map in dimension {n}")
+    check_skeleton_caps(delta, todo)
     for n in todo:
         snfs[n] = tuple(snf_diagonal(boundary_matrix(delta, n).matrix.data))
     return snfs

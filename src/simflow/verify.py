@@ -458,9 +458,28 @@ def _tension_failures(name, delta):
     return failures
 
 
+def _sympy_smith_failures(maps):
+    """`snf_diagonal` against sympy's invariant factors, a Smith route
+    that shares no code with `linalg._eliminate`, on each (label, rows)
+    of `maps`. Returns the failures and the number of matrices compared,
+    none without sympy."""
+    try:
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import invariant_factors
+    except ImportError:
+        return [], 0
+    failures = []
+    for label, rows in maps:
+        factors = invariant_factors(Matrix(rows), domain=ZZ)
+        if snf_diagonal(rows) != [abs(int(f)) for f in factors if f]:
+            failures.append(f"{label}: Smith diagonal != sympy's invariant factors")
+    return failures, len(maps)
+
+
 def check_property_suites():
     failures = []
     rng = random.Random(20240713)
+    smith_maps = []
     for trial in range(200):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
@@ -468,6 +487,7 @@ def check_property_suites():
         mat = IntMatrix(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
+        smith_maps.append((f"trial {trial}", mat.data))
         fast = kernel_count_mod_q(mat, q)
         brute = 0
         for v in product(range(q), repeat=cols):
@@ -486,6 +506,15 @@ def check_property_suites():
     # sweep's saturated-prefix pass meets
     pendant = build_complex([*rp2().facets, (4, 5, 6)])
     failures.extend(_profile_failures("rp2 + pendant triangle", pendant))
+    # the full top map and up to eight random restrictions of each
+    for name, delta in standard_corpus():
+        masks = {delta.full_mask}
+        masks.update(rng.randrange(1, delta.full_mask + 1) for _ in range(8))
+        for mask in sorted(masks):
+            rows = restrict_columns(delta, mask).matrix.data
+            smith_maps.append((f"{name} facets {mask:#x}", rows))
+    smith_failures, smith_compared = _sympy_smith_failures(smith_maps)
+    failures.extend(smith_failures)
 
     bridged = [
         build_complex([[0, 1], [1, 2]]),
@@ -506,8 +535,11 @@ def check_property_suites():
         failures,
         "random kernel counts match brute force; subset ranks obey the rank "
         "axioms; the swept subset histogram matches per-subset Smith "
-        "diagonals, rp2 + pendant triangle among them; tension counts match "
-        "the circuit-system filter; bridged complexes have no nowhere-zero flows",
+        "diagonals, rp2 + pendant triangle among them; Smith diagonals match "
+        f"sympy's invariant factors on {smith_compared} matrices (the random "
+        "ones and restricted top maps of the corpus); "
+        "tension counts match the circuit-system filter; bridged complexes "
+        "have no nowhere-zero flows",
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -36,6 +37,7 @@ from simflow.fixtures import (
 )
 from simflow.flows import ModularFlow, is_modular_flow, tensions_from_colorings
 from simflow.io import parse_document
+from simflow.verify import CheckResult
 from simflow.matroid import bridges
 
 
@@ -841,3 +843,121 @@ def test_one_command_parser_is_flat():
     assert "{generate,analyze,flows," in full
     for command in ("-h", "nope"):
         assert build_parser(command).format_usage() == full
+
+
+def test_each_parser_is_built_once():
+    for name in COMMANDS:
+        assert build_parser(name) is build_parser(name)
+    full = build_parser()
+    assert build_parser("-h") is full and build_parser("nope") is full
+    # unknown names share the full tree's key, so they never grow the memo
+    parsers = [build_parser(f"unknown-{i}") for i in range(50)]
+    assert all(parser is full for parser in parsers)
+    assert simflow.cli._parser.cache_info().currsize <= len(COMMANDS) + 1
+
+
+def _actions(parser):
+    """Every action of `parser` and of the subparsers it holds."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+def test_no_argument_carries_state_between_calls():
+    """A shared parser hands its defaults to every call: each must be
+    immutable, and no action may accumulate into one."""
+    accumulating = (
+        argparse._AppendAction, argparse._AppendConstAction,
+        argparse._ExtendAction, argparse._CountAction,
+    )
+    for name in [None, *COMMANDS]:
+        for action in _actions(build_parser(name)):
+            assert action.default is None or type(action.default) in (bool, int, str)
+            assert not isinstance(action, accumulating), (name, action.dest)
+
+
+# a valid call of each command on a corpus document (K_4)
+_VALID = {
+    "generate": ["--fixture", "cycle", "--n", "4"],
+    "analyze": ["--json"],
+    "flows": ["--q", "4", "--method", "kernel_enum"],
+    "colorings": ["--k", "4"],
+    "tensions": ["--k", "3"],
+    "poly": ["--kind", "bott", "--convention", "complemented"],
+    "quasi": [],
+    "construct": ["--jaeger"],
+    "min-q": ["--max", "6"],
+    "suspend": [],
+    "subdivide": ["--facet", "2"],
+    "verify": ["--suite", "paper"],
+    "sweep": ["--q-range", "2..4"],
+}
+
+
+def _run_or_exit(argv, stdin_text, monkeypatch, capsys):
+    """`_run_cli`, with an exit by `--help` read as its code."""
+    try:
+        return _run_cli(argv, stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+
+
+def test_repeated_calls_in_one_process_agree(monkeypatch, capsys):
+    # the paper suite takes seconds; its parser is what is under test
+    passed = CheckResult(1, "stub", True, "ok")
+    monkeypatch.setattr("simflow.verify.run_paper_suite", lambda: [passed])
+    doc = serialize_complex(complete(4, 2))
+    assert set(_VALID) == set(COMMANDS)
+    for name, valid in _VALID.items():
+        calls = [[name, "--bogus"], [name, *valid], [name, "--help"], [name, *valid]]
+        runs = [_run_or_exit(argv, doc, monkeypatch, capsys) for argv in calls * 2]
+        assert runs[0][0] == 1 and runs[1][0] == 0 and runs[2][0] == 0, (name, runs)
+        assert runs[3] == runs[1], name
+        assert runs[4:] == runs[:4], name
+
+
+def test_help_follows_the_terminal_width(monkeypatch, capsys):
+    """The shared parser builds its formatter when it prints, so a
+    `COLUMNS` change between two calls reaches the second one."""
+    texts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = _run_or_exit(["flows", "--help"], "", monkeypatch, capsys)
+        assert code == 0
+        assert out == _help_text(simflow.cli._parser.__wrapped__("flows"), ["--help"])
+        texts.append(out)
+    narrow, wide = texts
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+
+
+def test_cli_analyze_refuses_past_the_subset_cap_before_any_smith_form(
+    monkeypatch, capsys
+):
+    # K_16^4: 1,820 facets, whose homology alone takes seconds
+    doc = serialize_complex(make_fixture("complete", n=16, k=4))
+    start = time.perf_counter()
+    code, out, err = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == (
+        "cap exceeded: subset expansion over 1820 facets exceeds the cap of 24"
+        " (set SIMFLOW_SUBSET_CAP or pass force=True / --force)\n"
+    )
+
+
+def test_cli_analyze_forced_past_the_matrix_cap_refuses_before_the_sweep(
+    monkeypatch, capsys
+):
+    # K_16^5: 4,368 facets in one block, and a 560 x 1820 map in dimension 3
+    def never(*args, **kwargs):
+        raise AssertionError("sweep past the matrix cap")
+
+    monkeypatch.setattr(simflow.cli, "subset_profile", never)
+    doc = serialize_complex(make_fixture("complete", n=16, k=5))
+    code, out, err = _run_cli(
+        ["analyze", "--force"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out) == (3, "")
+    assert "Smith normal form of a 560 x 1820 boundary map in dimension 3" in err
