@@ -43,7 +43,7 @@ from .flows import (
     lift_z2r_flow,
     min_flow_number,
 )
-from .homology import HomologySummary, homology_summary, subset_profile, torsion_weight
+from .homology import HomologySummary, homology_summary, subset_profile
 from .io import parse_complex, serialize_complex
 from .linalg import (
     IntMatrix,
@@ -51,7 +51,6 @@ from .linalg import (
     count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,
     kernel_count_mod_q,
-    rational_rank,
     smith_normal_form,
 )
 from .matroid import (
@@ -61,14 +60,10 @@ from .matroid import (
     coforest_cover,
     facet_connectivity,
     fundamental_circuit,
-    is_bridge,
-    matroid_corank,
-    matroid_rank,
 )
 from .poly import BivariatePolynomial
 from .tutte import (
     bott_r_polynomial,
-    check_specializations,
     matroid_tutte,
     q_tkr_polynomial,
     tkr_polynomial,

@@ -282,7 +282,8 @@ def _cmd_quasi(args):
     "construct",
     "build an explicit flow",
     _arg("--jaeger", action="store_true", required=True),
-    *_STANDARD,
+    _INPUT,
+    _JSON,
 )
 def _cmd_construct(args):
     flow = jaeger_flow(_read_complex(args))

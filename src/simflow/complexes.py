@@ -69,19 +69,6 @@ class SimplicialComplex:
     def full_mask(self):
         return (1 << len(self.facets)) - 1
 
-    def facet_index(self, facet):
-        return self._cache.setdefault(
-            "facet_index", {f: i for i, f in enumerate(self.facets)}
-        )[tuple(facet)]
-
-    def mask_of(self, facet_indices):
-        mask = 0
-        for i in facet_indices:
-            if not 0 <= i < len(self.facets):
-                raise IndexOutOfRangeError(f"facet index {i} out of range")
-            mask |= 1 << i
-        return mask
-
     def facets_of_mask(self, mask):
         return [i for i in range(len(self.facets)) if mask >> i & 1]
 

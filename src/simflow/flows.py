@@ -20,9 +20,8 @@ the kernel search read the one Smith form of the top boundary map per
 complex (`homology.top_smith_form`). `method="kernel_enum"` enumerates
 the unreduced kernel: it is the oracle the folds are held to. Tension
 counts come from the coloring count through the chromatic relation
-(`tensions_from_colorings`);
-`_tensions_by_circuits` filters the circuit system directly and is the
-oracle that `verify` compares them with. The flow quasipolynomial is
+(`tensions_from_colorings`); `verify` holds them to a direct filter of
+the circuit system (`circuits`). The flow quasipolynomial is
 read off the flow profile, one constituent per residue class, and so is
 the count of nowhere-zero Z_2^r flows: the r-th power of each subset's
 mod-2 flow count, folded by inclusion-exclusion. The 2^c-flow
@@ -53,19 +52,17 @@ from .homology import (
     top_smith_form,
 )
 from .linalg import (
-    IntMatrix,
     count_nowhere_zero_box,
     count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,  # not called here; perfbench/spans.py traces this name
     fold_vector,
     kernel_basis,
     kernel_count_mod_q,  # not called here; perfbench/spans.py traces this name
-    row_lattice_reduce,
+    row_lattice_reduce,  # not called here; perfbench/spans.py traces this name
     span_rank,
 )
 from .matroid import (
     bridges,
-    circuit_kernel_vector,
     coarboricity,  # not called here; perfbench/spans.py traces this name
     coforest_cover,
     fundamental_circuit,
@@ -284,7 +281,8 @@ def circuits(delta, force=False):
     direct sum), so each component's masks are scanned on their own, as
     the sweep admits them. Masks are scanned by size, so a dependent mask
     that contains no circuit found so far is minimal. Dependence folds
-    the mask's boundary columns into one echelon basis.
+    the mask's boundary columns into one echelon basis. No command calls
+    it: `verify` filters tensions by it, and perfbench/spans.py traces it.
     """
     cols, components = _sweep_columns(delta, force=force)
     found = []
@@ -333,28 +331,6 @@ def tensions_from_colorings(delta, k, colorings):
             f"chromatic relation is not an exact multiple at k={k}"
         )
     return num // den
-
-
-def _tensions_by_circuits(delta, k, force=False):
-    """Nowhere-zero weightings orthogonal mod k to every signed circuit,
-    by filtering the solutions of the circuit system. They are exactly the
-    nowhere-zero k-tensions when k is prime to the torsion of H_{d-1};
-    otherwise they are more. Exponential in the rank; `verify` holds
-    `count_nz_tensions` to it."""
-    n = len(delta.facets)
-    circ = circuits(delta, force=force)
-    if not circ:
-        return (k - 1) ** n
-    rows = []
-    for mask in circ:
-        vec = circuit_kernel_vector(delta, mask)
-        row = [0] * n
-        for coeff, fi in zip(vec, delta.facets_of_mask(mask)):
-            row[fi] = coeff
-        rows.append(row)
-    # unimodular row reduction keeps the solution set mod k
-    system = IntMatrix(row_lattice_reduce(rows, n), cols=n)
-    return count_nowhere_zero_kernel_mod_q(system, k)
 
 
 # ---------------------------------------------------------------------------

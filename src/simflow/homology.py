@@ -56,7 +56,7 @@ from operator import add
 
 from .caps import SWEEP_MEMO_CAP, check_matrix_cap, check_subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
-from .errors import BadModulusError, CapExceededError
+from .errors import CapExceededError
 from .linalg import (
     IntMatrix,
     fold_vector,
@@ -153,15 +153,6 @@ def homology_summary(delta, mask=None):
         betti[n] = nullity_n - len(snfs[n + 1])
         torsion[n] = [m for m in snfs[n + 1] if m > 1]
     return HomologySummary(betti=betti, torsion=torsion)
-
-
-def torsion_weight(delta, mask, q):
-    """|Tor(H_{d-1}(X), Z_q)| = product of gcd(m, q) over the invariant
-    factors m of the codimension-1 torsion; 1 when torsion is trivial."""
-    if q < 1:
-        raise BadModulusError(f"modulus must be >= 1, got {q}")
-    diag = _restricted_diagonal(delta, mask)
-    return prod(gcd(m, q) for m in diag if m > 1)
 
 
 def t_q_of(torsion_tuple, q):

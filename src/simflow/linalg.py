@@ -231,11 +231,6 @@ def smith_normal_form(mat):
     return SNFResult(diagonal=tuple(diagonal), rank=len(diagonal), V=V)
 
 
-def rational_rank(mat):
-    """Rank over the rationals (equals the SNF rank)."""
-    return len(snf_diagonal(mat.data))
-
-
 def _kernel_size(diagonal, cols, q):
     """Kernel vectors mod q of a matrix with `cols` columns and Smith
     diagonal `diagonal`: q per column past the rank, gcd(d, q) per d."""

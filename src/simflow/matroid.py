@@ -5,15 +5,15 @@ coforest cover, both from one matroid partition in the dual matroid
 (`coforest_cover`).
 
 Every question about one facet set folds vectors into an echelon basis
-(`linalg.fold_vector`). The rank of X folds its columns of
-`complexes.top_columns`, and so do its relations, with unit tags
-appended (`linalg.kernel_basis`), which circuits read. The corank folds
-X's rows of an integer kernel basis K of the boundary map, read off the
-one Smith form of that map per complex (`homology.top_smith_form`): K
-represents the dual matroid, so X is coindependent exactly when its
-rows of K are independent, and a bridge is a zero row. `RankOracle`
-takes one Smith diagonal per query; only `verify` calls it (criterion
-10), as the oracle that it and the tests hold the folds to.
+(`linalg.fold_vector`). A fundamental circuit is the one relation among
+its columns of `complexes.top_columns`, found by folding them with unit
+tags appended (`linalg.kernel_basis`). Cuts and covers fold rows of an
+integer kernel basis K of the boundary map, read off the one Smith form
+of that map per complex (`homology.top_smith_form`): K represents the
+dual matroid, so X is coindependent exactly when its rows of K are
+independent, and a bridge is a zero row. `RankOracle` takes one Smith
+diagonal per query. Nothing here calls it: `verify` (criterion 10) and
+the tests hold the folds to it, and perfbench/spans.py traces it.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ from .errors import (
     FacetInBaseError,
     IndexOutOfRangeError,
     InfeasibleError,
-    InternalError,
     NotABaseError,
 )
 from .homology import subset_profile, top_smith_form
@@ -59,28 +58,6 @@ def _dual_rows(delta):
         snf = top_smith_form(delta)
         rows = delta._cache["dual_rows"] = [row[snf.rank :] for row in snf.V.data]
     return rows
-
-
-def matroid_rank(delta, mask):
-    """Rank of the boundary columns of `mask`."""
-    cols = top_columns(delta)
-    return span_rank([cols[f] for f in delta.facets_of_mask(mask)])
-
-
-def matroid_corank(delta, mask):
-    """Dual rank |X| + r(F \\ X) - r(F), equivalently
-    |X| + beta_{d-1}(full) - beta_{d-1}(complement): the rank of X's rows
-    of K."""
-    rows = _dual_rows(delta)
-    return span_rank([rows[f] for f in delta.facets_of_mask(mask)])
-
-
-def is_bridge(delta, facet_index):
-    """A facet whose removal raises the codimension-1 Betti number."""
-    n = len(delta.facets)
-    if not 0 <= facet_index < n:
-        raise IndexOutOfRangeError(f"facet index {facet_index} out of range")
-    return not any(_dual_rows(delta)[facet_index])
 
 
 def bridges(delta):
@@ -140,16 +117,6 @@ def facet_connectivity(delta, k_max=None):
     return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
 
 
-def circuit_kernel_vector(delta, mask):
-    """Primitive integer kernel vector of the boundary columns of `mask`;
-    requires nullity exactly 1. Returned dense over the selected facets."""
-    cols = top_columns(delta)
-    basis = kernel_basis([cols[f] for f in delta.facets_of_mask(mask)])
-    if len(basis) != 1:
-        raise InternalError(f"expected nullity 1, got {len(basis)}")
-    return basis[0]
-
-
 def fundamental_circuit(delta, base_mask, facet_index):
     """Support of the unique rational dependency in base + one facet. The
     base is a maximal forest exactly when it has rank-many facets and one
@@ -181,25 +148,25 @@ class CoforestCover:
     parts: list
 
 
-def coforest_cover(delta, c=None):
-    """Least cover of the facets by coforests, or one by `c` of them.
+def coforest_cover(delta):
+    """Least cover of the facets by coforests.
 
     Matroid partition in the dual matroid (Edmonds 1965; Knuth 1973),
     where a facet set is a coforest exactly when its rows of K are
-    independent. It opens ceil(|F| / nullity) parts, or `c`, and inserts
-    the facets in index order, each along a shortest augmenting path
-    found breadth first: a facet that a part does not fit may replace any
+    independent. It opens ceil(|F| / nullity) parts and inserts the
+    facets in index order, each along a shortest augmenting path found
+    breadth first: a facet that a part does not fit may replace any
     member of its circuit there (the one relation of the part's rows and
     its own, `linalg.kernel_basis`), and the path ends at a facet that
-    fits a part directly. A facet that no path places opens a new part,
-    or with `c` raises Infeasible: the facets the search reached need
-    more parts than are open, so the cover is least. A bridge, a zero
-    row of K, lies in no coforest and raises Infeasible.
+    fits a part directly. A facet that no path places opens a new part:
+    the facets the search reached need more parts than are open, so the
+    cover is least. A bridge, a zero row of K, lies in no coforest and
+    raises Infeasible.
     """
     rows = _dual_rows(delta)
     if not all(map(any, rows)):
         raise InfeasibleError("a bridge lies in no coforest; no cover of any size exists")
-    parts = [[] for _ in range(-(-len(rows) // len(rows[0])) if c is None else c)]
+    parts = [[] for _ in range(-(-len(rows) // len(rows[0])))]
     where = {}  # the part of each placed facet
     for x in range(len(rows)):
         parent, queue, sink = {x: None}, [x], None
@@ -219,8 +186,6 @@ def coforest_cover(delta, c=None):
             if sink:
                 break
         if not sink:
-            if c is not None:
-                raise InfeasibleError(f"no cover with {c} coforests exists")
             sink = x, len(parts)
             parts.append([])
         y, j = sink

@@ -43,17 +43,6 @@ class BivariatePolynomial:
     def evaluate(self, x, y):
         return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
 
-    def swap_variables(self):
-        return BivariatePolynomial({(j, i): c for (i, j), c in self.coeffs.items()})
-
-    def substitute_x(self, x):
-        """Collapse to a univariate (ascending in y) at a fixed integer x."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[j] = out.get(j, 0) + c * x**i
-        deg = max(out, default=0)
-        return [out.get(j, 0) for j in range(deg + 1)]
-
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and self.coeffs == other.coeffs
 

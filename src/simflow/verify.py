@@ -1,8 +1,11 @@
 """End-to-end verification suite (exposed as `verify --suite paper`).
 
 Each numbered check re-derives a headline count or identity through at
-least two routes and compares exactly. The CLI renders the results as a
-table; the test suite asserts them one by one.
+least two routes and compares exactly. A route that only a check uses
+lives here, not in the library: the specialization comparisons of
+criterion 5 and the circuit-system tension filter of criterion 10. The
+CLI renders the results as a table; the test suite asserts them one by
+one.
 """
 
 import random
@@ -11,16 +14,19 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, prod
 
+from .caps import DEFAULT_ENUM_CAP
 from .complexes import (
     boundary_matrix,
     build_complex,
     restrict_columns,
     subdivide_facet,
     suspension,
+    top_columns,
 )
 from .fixtures import (
     complete,
     mod3_moore_disk,
+    mod3_moore_space,
     petersen,
     rp2,
     rp2_disjoint_pair,
@@ -28,21 +34,31 @@ from .fixtures import (
     standard_corpus,
 )
 from .flows import (
-    _tensions_by_circuits,
+    BRUTE_COLORING_LIMIT,
+    circuits,
     count_nz_flows,
     count_nz_group_flows_2r,
     count_nz_tensions,
+    count_proper_colorings,
     flow_quasipolynomial,
     is_modular_flow,
     jaeger_flow,
     min_flow_number,
+    ridge_count,
 )
 from .errors import CapExceededError, HasBridgeError, InfeasibleError, InternalError, SimflowError
-from .homology import subset_profile, torsion_weight
-from .linalg import IntMatrix, kernel_count_mod_q, rational_rank, snf_diagonal
+from .homology import subset_profile, t_q_of, top_smith_form
+from .linalg import (
+    IntMatrix,
+    count_nowhere_zero_kernel_mod_q,
+    kernel_basis,
+    kernel_count_mod_q,
+    row_lattice_reduce,
+    snf_diagonal,
+)
 from .matroid import RankOracle, bridges, coarboricity, facet_connectivity
-from .poly import BivariatePolynomial
-from .tutte import check_specializations, matroid_tutte
+from .poly import BivariatePolynomial, trim_univariate
+from .tutte import bott_r_polynomial, matroid_tutte, q_tkr_polynomial, tkr_polynomial
 
 # Regression constant: the implementation's own count of nowhere-zero
 # 5-flows on the Petersen graph (kernel enumeration over 5^6 vectors and
@@ -154,7 +170,7 @@ def _tutte_by_ranks(delta):
     subset, sharing nothing with the subset sweep."""
     pairs = Counter()
     for mask in range(1 << len(delta.facets)):
-        rank = rational_rank(restrict_columns(delta, mask).matrix)
+        rank = len(snf_diagonal(restrict_columns(delta, mask).matrix.data))
         pairs[mask.bit_count(), rank] += 1
     full_rank = max(rank for _, rank in pairs)
     poly = BivariatePolynomial()
@@ -178,13 +194,71 @@ def _tutte_by_networkx(delta):
     return BivariatePolynomial({key: int(c) for key, c in terms.items()})
 
 
+def _bott_by_tkr(delta):
+    """The flow specialization of TKR as a polynomial in lambda,
+    (-1)^beta_d T(0, 1 - lambda), ascending: what complemented Bott
+    must equal."""
+    beta_top = len(delta.facets) - top_smith_form(delta).rank
+    coeffs = [0] * (len(delta.facets) + 1)
+    for (i, j), c in tkr_polynomial(delta).coeffs.items():
+        if i == 0:
+            # c y^j at y = 1 - lambda
+            for t in range(j + 1):
+                coeffs[t] += (-1) ** (beta_top + t) * comb(j, t) * c
+    return trim_univariate(coeffs)
+
+
+def _specialization_failures(name, delta, moduli):
+    """Complemented Bott against the flow specialization of TKR; then, per
+    modulus q, the flow count against (-1)^beta_d T^q(0, 1 - q), and
+    against plain TKR when no subset carries torsion, and the coloring
+    count against the torsion-weighted chromatic specialization.
+
+    A direct count never folds the profile that the specializations
+    read: flows are enumerated when the kernel holds at most
+    DEFAULT_ENUM_CAP vectors, and colorings are brute-forced when there
+    are at most BRUTE_COLORING_LIMIT of them. Other pairs are not
+    compared. Returns the failures and the direct flow and coloring
+    counts that were compared, each by q.
+    """
+    failures = []
+    if bott_r_polynomial(delta, "complemented") != _bott_by_tkr(delta):
+        failures.append(f"{name}: complemented Bott != flow specialization of TKR")
+    n = len(delta.facets)
+    rows = ridge_count(delta)
+    beta_top = n - top_smith_form(delta).rank
+    flow_sign = -1 if beta_top % 2 else 1
+    col_sign = -1 if (n - beta_top) % 2 else 1
+    col_exp = rows - n + beta_top
+    plain = tkr_polynomial(delta) if subset_profile(delta).torsion_period() == 1 else None
+    top = boundary_matrix(delta, delta.dimension).matrix
+    flows, colorings = {}, {}
+    for q in moduli:
+        qt = q_tkr_polynomial(delta, q)
+        if kernel_count_mod_q(top, q) <= DEFAULT_ENUM_CAP:
+            flows[q] = count_nz_flows(delta, q, method="kernel_enum")
+            if flows[q] != flow_sign * qt.evaluate(0, 1 - q):
+                failures.append(f"{name} q={q}: flow specialization")
+            if plain is not None and flows[q] != flow_sign * plain.evaluate(0, 1 - q):
+                failures.append(f"{name} q={q}: plain TKR flow specialization")
+        if q**rows <= BRUTE_COLORING_LIMIT:
+            colorings[q] = count_proper_colorings(delta, q, method="brute")
+            lhs = colorings[q] * q ** max(-col_exp, 0)
+            rhs = col_sign * qt.evaluate(1 - q, 0) * q ** max(col_exp, 0)
+            if lhs != rhs:
+                failures.append(f"{name} q={q}: coloring specialization")
+    return failures, flows, colorings
+
+
 def check_specialization_identities():
     """Flow counts by kernel enumeration and coloring counts by brute
-    force against the torsion-weighted TKR specializations, q = 2..6. A
-    pair past the enumeration or brute-force limit is not compared, and
-    the detail says how many were. TKR is held to the Tutte polynomial
-    from per-subset ranks up to 10 facets, and on larger graphs to
-    networkx's when it is installed."""
+    force against the torsion-weighted TKR specializations, q = 2..6,
+    with complemented Bott and, where no subset carries torsion, the
+    plain-TKR flow identity (`_specialization_failures`). A pair past the
+    enumeration or brute-force limit is not compared, and the detail
+    says how many were. TKR is held to the Tutte polynomial from
+    per-subset ranks up to 10 facets, and on larger graphs to networkx's
+    when it is installed."""
     failures = []
     pairs = flows_compared = colorings_compared = graphs_compared = 0
     for name, delta in standard_corpus():
@@ -197,15 +271,12 @@ def check_specialization_identities():
                 graphs_compared += 1
                 if matroid_tutte(delta) != want:
                     failures.append(f"{name}: TKR != networkx Tutte polynomial")
-        report = check_specializations(delta, range(2, 7))
-        for c in report.checks:
-            pairs += 1
-            flows_compared += c.flows_ok is not None
-            colorings_compared += c.colorings_ok is not None
-            if c.flows_ok is False:
-                failures.append(f"{name} q={c.q}: flow specialization")
-            if c.colorings_ok is False:
-                failures.append(f"{name} q={c.q}: coloring specialization")
+        moduli = range(2, 7)
+        found, flows, colorings = _specialization_failures(name, delta, moduli)
+        failures += found
+        pairs += len(moduli)
+        flows_compared += len(flows)
+        colorings_compared += len(colorings)
     return _result(
         5,
         "specialization identities",
@@ -213,7 +284,8 @@ def check_specialization_identities():
         "both torsion-weighted specializations hold on the corpus for q=2..6 "
         f"(compared: {flows_compared} of {pairs} flow counts by kernel "
         f"enumeration, {colorings_compared} of {pairs} coloring counts by brute "
-        "force; the rest are past those limits); "
+        "force; the rest are past those limits), and so do complemented Bott "
+        "and, where no subset carries torsion, the plain-TKR flow identity; "
         "TKR equals the Tutte polynomial from per-subset ranks up to 10 facets "
         f"and networkx's on {graphs_compared} graph(s) past 10 facets",
     )
@@ -381,7 +453,7 @@ def check_structural_invariants():
     failures = []
     for n in range(3, 8):
         for k in range(2, n):
-            got = rational_rank(boundary_matrix(complete(n, k), k - 1).matrix)
+            got = len(snf_diagonal(boundary_matrix(complete(n, k), k - 1).matrix.data))
             if got != comb(n - 1, k - 1):
                 failures.append(f"rank K_{n}^{k}: {got} != C({n-1},{k-1})")
             if not _recursive_block_form_ok(n, k):
@@ -436,6 +508,32 @@ def _profile_failures(name, delta):
     return failures
 
 
+def _tensions_by_circuits(delta, k):
+    """Nowhere-zero weightings orthogonal mod k to every signed circuit,
+    by filtering the solutions of the circuit system. They are exactly the
+    nowhere-zero k-tensions when k is prime to the torsion of H_{d-1};
+    otherwise they are more. Exponential in the rank."""
+    n = len(delta.facets)
+    circ = circuits(delta)
+    if not circ:
+        return (k - 1) ** n
+    cols = top_columns(delta)
+    rows = []
+    for mask in circ:
+        # a circuit's one relation, primitive over Z
+        facets = delta.facets_of_mask(mask)
+        relations = kernel_basis([cols[f] for f in facets])
+        if len(relations) != 1:
+            raise InternalError(f"circuit {mask:#x} has nullity {len(relations)}, not 1")
+        row = [0] * n
+        for coeff, f in zip(relations[0], facets):
+            row[f] = coeff
+        rows.append(row)
+    # unimodular row reduction keeps the solution set mod k
+    system = IntMatrix(row_lattice_reduce(rows, n), cols=n)
+    return count_nowhere_zero_kernel_mod_q(system, k)
+
+
 def _tension_failures(name, delta):
     """Tension counts read off the coloring count against the direct
     filter of the circuit system, for k = 2..5. The tensions are the
@@ -445,7 +543,7 @@ def _tension_failures(name, delta):
     facets the filter enumerates at most 5^10 < 10^7 vectors."""
     failures = []
     for k in range(2, 6):
-        if torsion_weight(delta, delta.full_mask, k) != 1:
+        if t_q_of(top_smith_form(delta).diagonal, k) != 1:
             continue
         try:
             got = count_nz_tensions(delta, k)
@@ -506,8 +604,9 @@ def check_property_suites():
     # sweep's saturated-prefix pass meets
     pendant = build_complex([*rp2().facets, (4, 5, 6)])
     failures.extend(_profile_failures("rp2 + pendant triangle", pendant))
-    # the full top map and up to eight random restrictions of each
-    for name, delta in standard_corpus():
+    # the full top map and up to eight random restrictions of each; the
+    # Moore space's full map is the one with an invariant factor 3
+    for name, delta in standard_corpus() + [("mod-3 moore space", mod3_moore_space())]:
         masks = {delta.full_mask}
         masks.update(rng.randrange(1, delta.full_mask + 1) for _ in range(8))
         for mask in sorted(masks):
@@ -537,7 +636,8 @@ def check_property_suites():
         "axioms; the swept subset histogram matches per-subset Smith "
         "diagonals, rp2 + pendant triangle among them; Smith diagonals match "
         f"sympy's invariant factors on {smith_compared} matrices (the random "
-        "ones and restricted top maps of the corpus); "
+        "ones and restricted top maps of the corpus and of the mod-3 Moore "
+        "space, whose full map ends in 3); "
         "tension counts match the circuit-system filter; bridged complexes "
         "have no nowhere-zero flows",
     )

@@ -12,12 +12,31 @@ cycles in dimension d-1.
 instead; `simflow.verify.profile_coarboricity`, which verify criterion 7
 reads too, folds the corank bound of Edmonds' theorem over the subset
 profile.
+
+`matroid_rank` and `matroid_corank` fold one facet set's vectors into a
+fresh echelon basis, as the library's bridges, cuts and covers do.
 """
 
 from dataclasses import dataclass
 
+from simflow.complexes import top_columns
 from simflow.homology import codim1_cycle_rank, top_smith_form
-from simflow.matroid import matroid_corank, matroid_rank
+from simflow.linalg import span_rank
+from simflow.matroid import _dual_rows
+
+
+def matroid_rank(delta, mask):
+    """Rank of the boundary columns of `mask`."""
+    cols = top_columns(delta)
+    return span_rank([cols[f] for f in delta.facets_of_mask(mask)])
+
+
+def matroid_corank(delta, mask):
+    """Dual rank |X| + r(F \\ X) - r(F), equivalently
+    |X| + beta_{d-1}(full) - beta_{d-1}(complement): the rank of X's rows
+    of an integer kernel basis of the top boundary map."""
+    rows = _dual_rows(delta)
+    return span_rank([rows[f] for f in delta.facets_of_mask(mask)])
 
 
 @dataclass

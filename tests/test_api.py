@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -72,3 +73,68 @@ def test_import_defers_the_oracles_and_builds_no_parser():
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "[] []\n"
+
+
+SRC = Path(simflow.__file__).resolve().parent
+ROOT = SRC.parents[1]
+
+# Top-level names that no command reaches, each with why it stays: the
+# perfbench file that reads it by name, or the paper answer it gives.
+UNREACHED_ALLOWED = {
+    "RankOracle": "perfbench/spans.py",
+    "circuits": "perfbench/spans.py",
+    "enumerate_kernel_mod_q": "perfbench/spans.py",
+    "count_nz_group_flows_2r": "the paper's count of nowhere-zero Z_2^r flows",
+}
+
+
+def _unreached(allowed):
+    """Top-level functions and classes of `src/simflow` outside verify.py
+    and fixtures.py that nothing but verify.py, the exports and the tests
+    reaches.
+
+    A top-level statement reaches each name it mentions. Reading starts
+    at what runs without being called: module-level statements, decorated
+    functions (the CLI's commands), the fixtures and the names in
+    `allowed`. verify.py and __init__.py are not read. Names are matched
+    as strings, so a name reached in one module counts in every other."""
+    defined, mentions, todo = set(), {}, list(allowed)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("verify.py", "__init__.py"):
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = f"{path.name}:{stmt.lineno}"
+                todo.append(owner)
+            else:
+                owner = stmt.name
+                if path.name == "fixtures.py" or (
+                    isinstance(stmt, ast.FunctionDef) and stmt.decorator_list
+                ):
+                    todo.append(owner)
+                else:
+                    defined.add(owner)
+            names = mentions.setdefault(owner, set())
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(mentions.get(name, ()))
+    return defined - reached
+
+
+def test_no_library_code_serves_only_verify_or_the_tests():
+    """A second route that only recomputes an answer belongs in verify.py
+    or the tests. Every allow-list entry must still be needed, and one
+    kept for perfbench must be named in that file."""
+    assert sorted(_unreached(UNREACHED_ALLOWED)) == []
+    assert sorted(set(UNREACHED_ALLOWED) - _unreached(())) == []
+    for name, reason in UNREACHED_ALLOWED.items():
+        if reason.startswith("perfbench/"):
+            assert name in (ROOT / reason).read_text(encoding="utf-8"), name

@@ -14,7 +14,7 @@ from simflow import (
     suspension,
 )
 from simflow.fixtures import cycle, complete, simplex_boundary, standard_corpus
-from simflow.linalg import rational_rank
+from simflow.linalg import snf_diagonal
 
 
 def test_build_single_triangle_canonicalizes():
@@ -120,7 +120,7 @@ def test_restrict_columns_cases():
     assert full.matrix == boundary_matrix(delta, 1).matrix
     two = restrict_columns(delta, 0b011)
     assert two.matrix.cols == 2
-    assert rational_rank(two.matrix) == 2
+    assert len(snf_diagonal(two.matrix.data)) == 2
 
 
 def test_suspension_of_cycle_is_sphere():
@@ -234,4 +234,4 @@ def test_complete_complex_rank_formula():
     for n in range(3, 8):
         for k in range(2, n):
             bm = boundary_matrix(complete_complex(n, k), k - 1)
-            assert rational_rank(bm.matrix) == comb(n - 1, k - 1)
+            assert len(snf_diagonal(bm.matrix.data)) == comb(n - 1, k - 1)

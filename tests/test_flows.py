@@ -43,11 +43,11 @@ from simflow.fixtures import (
     simplex_boundary,
     standard_corpus,
 )
-from simflow.flows import _tensions_by_circuits, circuits, is_modular_flow
+from simflow.flows import circuits, is_modular_flow
 from simflow.homology import homology_summary, subset_profile, sweep_size
-from simflow.linalg import enumerate_kernel_mod_q, kernel_count_mod_q, span_rank
+from simflow.linalg import enumerate_kernel_mod_q, kernel_basis, kernel_count_mod_q, span_rank
 from simflow.matroid import bridges
-from simflow.verify import PETERSEN_FLOWS_AT_5
+from simflow.verify import PETERSEN_FLOWS_AT_5, _tensions_by_circuits
 from lift_oracle import signed_lift
 
 
@@ -230,14 +230,13 @@ def test_tension_examples():
 def test_tension_brute_force_small():
     """Direct definition: nowhere-zero weightings orthogonal to every
     signed circuit relation."""
-    from simflow.matroid import circuit_kernel_vector
-
     for delta, k in [(cycle(3), 4), (cycle(4), 3), (simplex_boundary(2), 3)]:
         masks = circuits(delta)
         n = len(delta.facets)
+        cols = top_columns(delta)
         relations = []
         for mask in masks:
-            vec = circuit_kernel_vector(delta, mask)
+            (vec,) = kernel_basis([cols[f] for f in delta.facets_of_mask(mask)])
             row = [0] * n
             for coeff, fi in zip(vec, delta.facets_of_mask(mask)):
                 row[fi] = coeff

@@ -4,13 +4,11 @@ from math import comb, gcd
 import pytest
 
 from simflow import (
-    BadModulusError,
     boundary_matrix,
     build_complex,
     homology_summary,
     kernel_count_mod_q,
     subset_profile,
-    torsion_weight,
 )
 from simflow.complexes import restrict_columns
 from simflow.fixtures import (
@@ -22,7 +20,7 @@ from simflow.fixtures import (
     standard_corpus,
 )
 from simflow import homology
-from simflow.homology import codim1_cycle_rank, t_q_of
+from simflow.homology import codim1_cycle_rank, t_q_of, top_smith_form
 from simflow.linalg import smith_normal_form, snf_diagonal
 
 
@@ -86,14 +84,12 @@ def test_euler_characteristic_identity():
 
 def test_betti_matches_subset_rank_formula():
     """|X| - beta_d(X) equals the rank of the restricted boundary map."""
-    from simflow.linalg import rational_rank
-
     for _, delta in standard_corpus():
         if len(delta.facets) > 8:
             continue
         for mask in range(1 << len(delta.facets)):
             summary = homology_summary(delta, mask)
-            rank = rational_rank(restrict_columns(delta, mask).matrix)
+            rank = len(snf_diagonal(restrict_columns(delta, mask).matrix.data))
             assert mask.bit_count() - summary.betti[delta.dimension] == rank
 
 
@@ -107,20 +103,19 @@ def test_universal_coefficient_count():
             summary = homology_summary(delta, mask)
             for q in range(1, 7):
                 count = kernel_count_mod_q(restrict_columns(delta, mask).matrix, q)
-                assert count == q ** summary.betti[d] * torsion_weight(delta, mask, q)
+                weight = t_q_of(summary.torsion.get(d - 1, ()), q)
+                assert count == q ** summary.betti[d] * weight
     # and the torsion case itself
     for q in range(1, 8):
         count = kernel_count_mod_q(boundary_matrix(rp2(), 2).matrix, q)
-        assert count == torsion_weight(rp2(), rp2().full_mask, q)
+        assert count == t_q_of(top_smith_form(rp2()).diagonal, q)
 
 
 def test_torsion_weight_examples():
-    full = rp2().full_mask
-    assert torsion_weight(rp2(), full, 2) == 2
-    assert torsion_weight(rp2(), full, 3) == 1
-    assert torsion_weight(simplex_boundary(2), simplex_boundary(2).full_mask, 5) == 1
-    with pytest.raises(BadModulusError):
-        torsion_weight(rp2(), full, 0)
+    """t_q of the top Smith diagonal: |Tor(H_{d-1}, Z_q)|."""
+    assert t_q_of(top_smith_form(rp2()).diagonal, 2) == 2
+    assert t_q_of(top_smith_form(rp2()).diagonal, 3) == 1
+    assert t_q_of(top_smith_form(simplex_boundary(2)).diagonal, 5) == 1
 
 
 def test_top_betti_matches_sympy_rank():

@@ -232,6 +232,19 @@ def test_cli_construct_jaeger(monkeypatch, capsys):
     assert payload["modulus"] == 8 and payload["nowhere_zero"]
 
 
+def test_cli_construct_takes_no_force(monkeypatch, capsys):
+    # the construction sweeps no subsets, so there is no cap to override
+    doc = serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
+    code, out, err = _run_cli(
+        ["construct", "--jaeger", "--force"],
+        stdin_text=doc,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --force" in err
+
+
 def _jaeger_refusal(delta, monkeypatch, capsys):
     assert not bridges(delta)
     code, out, err = _run_cli(
@@ -344,7 +357,7 @@ def test_cli_sweep_checks_the_range_before_printing(monkeypatch, capsys):
 
 
 def test_cli_sweep_petersen_up_to_6(monkeypatch, capsys):
-    from simflow.flows import _tensions_by_circuits
+    from simflow.verify import _tensions_by_circuits
 
     delta = build_complex([list(f) for f in petersen().facets])
     code, out, _ = _run_cli(

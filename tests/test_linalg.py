@@ -13,7 +13,6 @@ from simflow import (
     count_proper_colorings,
     enumerate_kernel_mod_q,
     kernel_count_mod_q,
-    rational_rank,
     smith_normal_form,
 )
 from simflow import linalg
@@ -192,9 +191,10 @@ def test_snf_product_is_determinant():
 
 
 def test_rational_rank_examples():
-    assert rational_rank(boundary_matrix(complete(5, 3), 2).matrix) == 6
-    assert rational_rank(boundary_matrix(cycle(3), 1).matrix) == 2
-    assert rational_rank(IntMatrix.identity(5)) == 5
+    # the rank over the rationals is the length of the Smith diagonal
+    assert len(snf_diagonal(boundary_matrix(complete(5, 3), 2).matrix.data)) == 6
+    assert len(snf_diagonal(boundary_matrix(cycle(3), 1).matrix.data)) == 2
+    assert len(snf_diagonal(IntMatrix.identity(5).data)) == 5
 
 
 def test_kernel_count_examples():

@@ -7,7 +7,6 @@ from simflow import matroid
 from simflow import (
     CapExceededError,
     FacetInBaseError,
-    IndexOutOfRangeError,
     InfeasibleError,
     NotABaseError,
     build_complex,
@@ -15,9 +14,6 @@ from simflow import (
     coforest_cover,
     facet_connectivity,
     fundamental_circuit,
-    is_bridge,
-    matroid_corank,
-    matroid_rank,
 )
 from simflow.fixtures import complete, cycle, petersen, rp2, simplex_boundary, standard_corpus
 from simflow.flows import circuits, jaeger_flow
@@ -25,7 +21,12 @@ from simflow.homology import codim1_cycle_rank
 from simflow.linalg import smith_normal_form, snf_diagonal, span_rank
 from simflow.matroid import RankOracle, _dual_rows, bridges
 from simflow.verify import profile_coarboricity
-from forest_oracle import backtracking_cover, classify_forest
+from forest_oracle import backtracking_cover, classify_forest, matroid_corank, matroid_rank
+
+
+def mask_of(delta, facets):
+    """Bitmask of the given facets, each a vertex tuple."""
+    return sum(1 << delta.facets.index(tuple(f)) for f in facets)
 
 
 def test_matroid_rank_examples():
@@ -66,20 +67,16 @@ def test_corank_against_dual_formula():
 
 
 def test_bridges():
-    simplex = build_complex([[0, 1, 2]])
-    assert is_bridge(simplex, 0)
-    tetra = simplex_boundary(2)
-    assert not any(is_bridge(tetra, f) for f in range(4))
-    path = build_complex([[0, 1], [1, 2]])
-    assert is_bridge(path, 0) and is_bridge(path, 1)
-    with pytest.raises(IndexOutOfRangeError):
-        is_bridge(path, 5)
+    assert bridges(build_complex([[0, 1, 2]])) == [0]
+    assert bridges(simplex_boundary(2)) == []
+    assert bridges(build_complex([[0, 1], [1, 2]])) == [0, 1]
 
 
 def test_bridge_iff_zero_corank():
     for _, delta in standard_corpus():
+        found = bridges(delta)
         for f in range(len(delta.facets)):
-            assert is_bridge(delta, f) == (matroid_corank(delta, 1 << f) == 0)
+            assert (f in found) == (matroid_corank(delta, 1 << f) == 0)
 
 
 def test_rp2_every_facet_is_a_bridge():
@@ -144,11 +141,10 @@ def test_maximal_forests_are_bases():
 
 def test_fundamental_circuit_triangle_in_k4():
     k4 = complete(4, 2)
-    star = k4.mask_of([k4.facet_index((0, 1)), k4.facet_index((0, 2)), k4.facet_index((0, 3))])
-    f = k4.facet_index((1, 2))
+    star = mask_of(k4, [(0, 1), (0, 2), (0, 3)])
+    f = k4.facets.index((1, 2))
     circuit = fundamental_circuit(k4, star, f)
-    expected = k4.mask_of([k4.facet_index((0, 1)), k4.facet_index((0, 2)), f])
-    assert circuit == expected
+    assert circuit == mask_of(k4, [(0, 1), (0, 2), (1, 2)])
 
 
 def test_fundamental_circuit_sphere_and_cycle():
@@ -171,14 +167,13 @@ def test_fundamental_circuit_refuses_a_full_size_base_whose_relation_misses_the_
     # other make four facets, and with a second edge of the other their
     # one relation is the first triangle, which misses that edge
     delta = build_complex([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
-    first = delta.mask_of([delta.facet_index(e) for e in ((0, 1), (1, 2), (0, 2))])
-    base = first | 1 << delta.facet_index((3, 4))
+    base = mask_of(delta, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert base.bit_count() == matroid_rank(delta, delta.full_mask)
     with pytest.raises(NotABaseError):
-        fundamental_circuit(delta, base, delta.facet_index((4, 5)))
-    forest = base ^ 1 << delta.facet_index((0, 1)) | 1 << delta.facet_index((4, 5))
-    assert fundamental_circuit(delta, forest, delta.facet_index((3, 5))) == sum(
-        1 << delta.facet_index(e) for e in ((3, 4), (4, 5), (3, 5))
+        fundamental_circuit(delta, base, delta.facets.index((4, 5)))
+    forest = base ^ mask_of(delta, [(0, 1), (4, 5)])
+    assert fundamental_circuit(delta, forest, delta.facets.index((3, 5))) == mask_of(
+        delta, [(3, 4), (4, 5), (3, 5)]
     )
 
 
@@ -244,11 +239,8 @@ def test_coarboricity_infeasible_on_a_bridge():
 
 
 def test_coforest_cover_cycle():
-    c3 = cycle(3)
-    cover = coforest_cover(c3, 3)
-    assert sorted(p for p in cover.parts) == [0b001, 0b010, 0b100]
-    with pytest.raises(InfeasibleError):
-        coforest_cover(c3, 2)
+    # every coforest of a cycle is a single edge
+    assert sorted(coforest_cover(cycle(3)).parts) == [0b001, 0b010, 0b100]
 
 
 def test_coforest_cover_invariants():
@@ -256,8 +248,8 @@ def test_coforest_cover_invariants():
         if bridges(delta):
             continue
         oracle = RankOracle(delta)
-        c = coarboricity(delta)
-        cover = coforest_cover(delta, c)
+        cover = coforest_cover(delta)
+        assert len(cover.parts) == coarboricity(delta)
         union = 0
         for part in cover.parts:
             union |= part
@@ -346,7 +338,7 @@ def test_pipeline_makes_no_rank_oracle_query(monkeypatch):
         bridges(delta)
         facet_connectivity(delta)
         if not bridges(delta):
-            coforest_cover(delta, coarboricity(delta))
+            coforest_cover(delta)
             jaeger_flow(delta)
     assert calls == []
 
@@ -428,7 +420,7 @@ def test_coforest_cover_frees_its_search_on_return():
     gc.collect()
     gc.disable()
     try:
-        assert len(coforest_cover(delta, c).parts) == c
+        assert len(coforest_cover(delta).parts) == c
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -449,9 +441,8 @@ def test_partition_is_a_least_cover():
     coarboricity and the profile fold all raise Infeasible, and the
     facets that are not bridges are checked instead. Without one, the
     partition's part count equals the fold of Edmonds' bound over the
-    subset profile, every part is a coforest (corank equal to its size),
-    the parts cover each facet once, and c - 1 coforests raise
-    Infeasible."""
+    subset profile, a lower bound on any cover, every part is a coforest
+    (corank equal to its size), and the parts cover each facet once."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from test_columns import complexes
@@ -489,8 +480,6 @@ def test_partition_is_a_least_cover():
             assert matroid_corank(delta, part) == part.bit_count()
             union |= part
         assert union == delta.full_mask
-        with pytest.raises(InfeasibleError):
-            coforest_cover(delta, c - 1)
 
     check()
 

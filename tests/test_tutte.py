@@ -8,7 +8,6 @@ from simflow import (
     BadParamsError,
     bott_r_polynomial,
     build_complex,
-    check_specializations,
     count_nz_flows,
     count_proper_colorings,
     matroid_tutte,
@@ -23,6 +22,11 @@ from simflow.flows import ridge_count
 from simflow.poly import BivariatePolynomial, format_bivariate, format_univariate
 from forest_oracle import classify_forest
 from sweep_oracle import watch_sides
+
+
+def swap_variables(poly):
+    """T(x, y) -> T(y, x)."""
+    return BivariatePolynomial({(j, i): c for (i, j), c in poly.coeffs.items()})
 
 
 def test_tkr_single_simplex_is_x():
@@ -97,7 +101,7 @@ def test_specialization_suite_holds_large_graphs_to_networkx(monkeypatch):
 
 def test_tutte_symmetry_of_k4():
     poly = tkr_polynomial(complete(4, 2))
-    assert poly == poly.swap_variables()
+    assert poly == swap_variables(poly)
 
 
 def test_q_tkr_degenerations():
@@ -130,39 +134,57 @@ def test_bott_coloop_cancels():
 
 
 def test_bott_complemented_equals_specialization():
+    """Complemented Bott is the flow specialization of TKR; literal Bott
+    is too exactly when the facet count is even."""
+    from simflow.verify import _bott_by_tkr
+
     for _, delta in standard_corpus():
         if len(delta.facets) > 10:
             continue
-        report = check_specializations(delta, [2])
-        assert report.bott_complemented_ok
-        assert report.bott_literal_ok == (len(delta.facets) % 2 == 0)
+        want = _bott_by_tkr(delta)
+        assert bott_r_polynomial(delta, "complemented") == want
+        assert (bott_r_polynomial(delta, "literal") == want) == (len(delta.facets) % 2 == 0)
 
 
-def test_check_specializations_cycle():
-    report = check_specializations(cycle(3), range(2, 7))
-    assert report.torsion_free
-    assert report.passed
-    assert all(c.plain_flow_ok for c in report.checks)
+def test_specializations_hold_on_a_cycle_with_plain_tkr(monkeypatch):
+    """The 3-cycle carries no torsion, so its flow counts are held to
+    plain TKR too: a plain TKR off by one monomial fails there, at every
+    modulus, and in the Bott comparison."""
+    from simflow import verify
+
+    failures, flows, colorings = verify._specialization_failures("c3", cycle(3), range(2, 7))
+    assert failures == []
+    assert sorted(flows) == sorted(colorings) == [2, 3, 4, 5, 6]
+    real = verify.tkr_polynomial
+
+    def shifted(delta, force=False):
+        poly = real(delta, force=force)
+        return BivariatePolynomial({**poly.coeffs, (0, 1): poly.coeffs.get((0, 1), 0) + 1})
+
+    monkeypatch.setattr(verify, "tkr_polynomial", shifted)
+    failures, _, _ = verify._specialization_failures("c3", cycle(3), range(2, 7))
+    assert failures == ["c3: complemented Bott != flow specialization of TKR"] + [
+        f"c3 q={q}: plain TKR flow specialization" for q in range(2, 7)
+    ]
 
 
-def test_check_specializations_rp2_nonpolynomial(monkeypatch):
+def test_specializations_rp2_nonpolynomial(monkeypatch):
     """The plain-TKR identity must fail against the even counts, which is
-    exactly the non-polynomiality of the flow quasipolynomial. The direct
-    counts never fold the histogram: past 10^5 colorings (3^15 for q = 3)
-    the coloring pair is not compared."""
-    from simflow import flows
+    exactly the non-polynomiality of the flow quasipolynomial, so it is
+    not compared where a subset carries torsion. The direct counts never
+    fold the histogram: past 10^5 colorings (3^15 for q = 3) the coloring
+    pair is not compared."""
+    from simflow import flows, verify
 
     def folded(*args, **kwargs):
         raise AssertionError("direct count folded the histogram")
 
     monkeypatch.setattr(flows, "_flow_expansion", folded)
     monkeypatch.setattr(flows, "_coloring_expansion", folded)
-    report = check_specializations(rp2(), range(2, 6))
-    assert report.passed
-    assert not report.torsion_free
-    assert [c.flows_ok for c in report.checks] == [True] * 4
-    assert [c.colorings_ok for c in report.checks] == [True, None, None, None]
-    assert report.checks[1].coloring_direct is None
+    failures, counts, colorings = verify._specialization_failures("rp2", rp2(), range(2, 6))
+    assert failures == []
+    assert counts == {2: 1, 3: 0, 4: 1, 5: 0}
+    assert list(colorings) == [2]
     plain = tkr_polynomial(rp2())
     beta_top = 0
     mismatch = [
@@ -174,10 +196,12 @@ def test_check_specializations_rp2_nonpolynomial(monkeypatch):
     assert mismatch == [2, 4]
 
 
-def test_check_specializations_petersen():
-    report = check_specializations(petersen(), [5])
-    assert report.passed
-    assert report.checks[0].flow_direct == 240
+def test_specializations_petersen():
+    from simflow.verify import _specialization_failures
+
+    failures, flows, _ = _specialization_failures("petersen", petersen(), [5])
+    assert failures == []
+    assert flows == {5: 240}
 
 
 @dataclass
@@ -212,7 +236,7 @@ def check_duality_swap(a, b, q_list, force=False):
 
     plain_swap_ok = (
         tkr_polynomial(a, force=force)
-        == tkr_polynomial(b, force=force).swap_variables()
+        == swap_variables(tkr_polynomial(b, force=force))
     )
     report = DualityReport(
         plain_swap_ok=plain_swap_ok, eps=eps, scale_exponent=scale, sign=sign
@@ -220,7 +244,7 @@ def check_duality_swap(a, b, q_list, force=False):
     for q in q_list:
         qtkr_ok = (
             q_tkr_polynomial(a, q, force=force)
-            == q_tkr_polynomial(b, q, force=force).swap_variables()
+            == swap_variables(q_tkr_polynomial(b, q, force=force))
         )
         flow_value = count_nz_flows(a, q, force=force)
         coloring_value = count_proper_colorings(b, q, force=force)

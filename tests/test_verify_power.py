@@ -1,0 +1,47 @@
+"""Every `verify --suite paper` criterion must be able to fail. Each test
+here plants one plausible bug in a library function (a mutant) and
+asserts that its criterion reports FAIL. The mutants live in the
+library, not in verify's own comparisons: a broken oracle proves
+nothing. Each test runs only its own criterion."""
+
+import inspect
+import textwrap
+
+import pytest
+
+from simflow import linalg, verify
+
+
+def _mutant(module, name, old, new):
+    """`module.name` recompiled from its source with `old` replaced by
+    `new`, in that module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def test_criterion_05_fails_on_an_off_by_one_bott_coefficient(monkeypatch):
+    real = verify.bott_r_polynomial
+
+    def mutant(delta, sign_convention="literal", force=False):
+        coeffs = real(delta, sign_convention, force=force)
+        return coeffs[:-1] + [coeffs[-1] + 1] if coeffs else [1]
+
+    monkeypatch.setattr(verify, "bott_r_polynomial", mutant)
+    result = verify.check_specialization_identities()
+    assert not result.passed
+    assert "complemented Bott != flow specialization of TKR" in result.detail
+
+
+def test_criterion_10_fails_on_a_smith_form_without_the_divisibility_step(monkeypatch):
+    # a pivot that does not divide what is left is retired as it is, so
+    # diag(2, 3) comes out as [2, 3] instead of [1, 6]
+    pytest.importorskip("sympy")
+    mutant = _mutant(linalg, "_eliminate", "if p != 1 and p != -1:", "if False:")
+    assert mutant([[2, 0], [0, 3]], []) == [2, 3]
+    monkeypatch.setattr(linalg, "_eliminate", mutant)
+    result = verify.check_property_suites()
+    assert not result.passed
+    assert "Smith diagonal != sympy's invariant factors" in result.detail
