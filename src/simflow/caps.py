@@ -26,8 +26,8 @@ DEFAULT_SUBSET_CAP = 24
 DEFAULT_ENUM_CAP = 10**7
 # rows x cols; the 11-simplex's largest map (924 x 792) still answers
 DEFAULT_MATRIX_CAP = 10**6
-# subtrees one component sweep memoises, at about 0.6 kB each; K_6^3's
-# 20-column block keeps 43,333
+# subtrees one component sweep memoises, at about 0.6 kB each (keys and
+# counts); K_6^3's 20-column block keeps 43,333
 SWEEP_MEMO_CAP = 2**16
 
 _ENV_VAR = "SIMFLOW_SUBSET_CAP"

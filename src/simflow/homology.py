@@ -9,29 +9,31 @@ lattice spanned by the restricted columns of the top boundary map. The
 sweep walks the subsets of each block component of that map depth first
 and grows an integer echelon basis one column at a time. It takes a Smith
 diagonal only of a basis with a pivot other than +-1, and counts a subtree
-in closed form once its lattice is saturated and of full rank. What lies
-below a node depends only on the columns still open and the lattice its
-basis spans, so where a component's columns are dependent the sweep keeps
-its basis reduced and memoises each subtree's counts under (open columns,
-basis): subsets that span one lattice share one subtree. Where they are
-independent, every subset spans a lattice of its own, but part of a
-basis of a saturated lattice spans a saturated lattice, so a node closes,
-with binomials by size, each child whose columns plus all the columns it
-can still select span a saturated lattice (`_saturated_prefix`). A
-component of n columns and rank r whose column lattice is saturated
-and whose nullity n - r is below r is swept on its dual side instead:
-the rows of an integer kernel basis, which reach full rank after n - r
-of them, with each key mapped to that of the complement
-(`_lower_rank_sweep`). Each component keeps its histogram keyed by (subset size, rank, torsion
-invariant factors); the matroid is their direct sum, so every fold
-is a product, a max or a min over them. The basis is grown with
-`linalg.fold_vector`, the one integer echelon routine, which
-`_reduced_fold` wraps where the memo keys on the basis. The memo lives
-for one component's sweep, under the cap `caps.SWEEP_MEMO_CAP`; nothing
-else per subset is kept: a rank question that names one subset folds its
-vectors into a fresh basis (`linalg.span_rank`). The Smith form of the
-whole top map is taken once per complex (`top_smith_form`), and the sweep
-of a complex that is one block component reads it to choose its side.
+in closed form once its lattice is saturated and of full rank. Each
+node returns its subtree's counts relative to itself, and a parent adds
+its children's. What lies below a node depends only on the columns still
+open and the lattice its basis spans, so where a component's columns are
+dependent the sweep keeps its basis reduced and memoises what each node
+returns under (open columns, basis): subsets that span one lattice share
+one subtree. Where they are independent, every subset spans a lattice of
+its own, but part of a basis of a saturated lattice spans a saturated
+lattice, so a node closes, with binomials by size, each child whose
+columns plus all the columns it can still select span a saturated
+lattice (`_saturated_prefix`). A component of n columns and rank r whose
+column lattice is saturated and whose nullity n - r is below r is swept
+on its dual side instead: the rows of an integer kernel basis, which
+reach full rank after n - r of them, with each key mapped to that of the
+complement (`_lower_rank_sweep`). Each component keeps its histogram
+keyed by (subset size, rank, torsion invariant factors); the matroid is
+their direct sum, so every fold is a product, a max or a min over them.
+The basis is grown with `linalg.fold_vector`, the one integer echelon
+routine, which `_reduced_fold` wraps where the memo keys on the basis.
+The memo lives for one component's sweep, under the cap
+`caps.SWEEP_MEMO_CAP`; nothing else per subset is kept: a rank question
+that names one subset folds its vectors into a fresh basis
+(`linalg.span_rank`). The Smith form of the whole top map is taken once
+per complex (`top_smith_form`), and the sweep of a complex that is one
+block component reads it to choose its side.
 
 `_sweep_columns` is the one admission rule: it names the columns a
 sweep visits and refuses more of them than the subset cap. They are the
@@ -48,7 +50,7 @@ profile is cached, since both give every mod-q kernel size; the
 reduced columns are swept only when neither is.
 """
 
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd, lcm, prod
@@ -100,8 +102,8 @@ def top_smith_form(delta):
     """Smith normal form of the top boundary map, taken once per complex
     and cached. `method="auto"` reads mod-q kernel sizes off its
     diagonal, the kernel search and `matroid._dual_rows` read its
-    transform V, `homology_summary` its diagonal for the full facet set,
-    and the sweep of a complex that is one block component reads both."""
+    transform V, `homology_summary` its diagonal, and the sweep of a
+    complex that is one block component reads both."""
     snf = delta._cache.get("top_snf")
     if snf is None:
         top = boundary_matrix(delta, delta.dimension).matrix
@@ -122,29 +124,16 @@ def codim1_cycle_rank(delta):
     return len(delta.faces(d - 1)) - len(_skeleton_snfs(delta, [d - 1])[d - 1])
 
 
-def _restricted_diagonal(delta, mask):
-    """Smith diagonal of the top boundary map restricted to `mask`."""
-    cols = top_columns(delta)
-    # the transpose has the same diagonal
-    return snf_diagonal([cols[j] for j in delta.facets_of_mask(mask)])
-
-
-def homology_summary(delta, mask=None):
-    """Betti numbers and torsion of X u (full lower skeleton)."""
+def homology_summary(delta):
+    """Reduced Betti numbers and torsion of the complex."""
     d = delta.dimension
-    if mask is None:
-        mask = delta.full_mask
     snfs = _skeleton_snfs(delta, range(d))
-    if mask == delta.full_mask:
-        top_diag = top_smith_form(delta).diagonal
-    else:
-        top_diag = _restricted_diagonal(delta, mask)
+    top_diag = top_smith_form(delta).diagonal
     top_rank = len(top_diag)
-    size = mask.bit_count()
 
     betti = {}
     torsion = {}
-    betti[d] = size - top_rank
+    betti[d] = len(delta.facets) - top_rank
     if d >= 1:
         betti[d - 1] = codim1_cycle_rank(delta) - top_rank
         torsion[d - 1] = [m for m in top_diag if m > 1]
@@ -199,20 +188,6 @@ def _reduced_fold(table, vec, log):
     return grew, moved
 
 
-def _subtree_counts(free, free_before, torsion, torsion_before, unit):
-    """A subtree's counts relative to its root, out of the sweep's counts
-    after and before it, `unit` being the root's size digit: the
-    torsion-free ones by rank from the root's rank up (`free` and
-    `free_before` start there), and (key, count) for each torsion key that
-    grew. Kept out of `visit`, where a comprehension would make its
-    arguments cells that every node allocates."""
-    grown = [(k, c - torsion_before[k]) for k, c in torsion.items()]
-    return (
-        tuple([(c - b) // unit for c, b in zip(free, free_before)]),
-        tuple([(k, c // unit) for k, c in grown if c]),
-    )
-
-
 def _saturated_prefix(table, cols, open_bits, nonunit):
     """How many children of a node of independent columns close at once:
     the largest s below `open_bits` such that the node's basis `table`
@@ -247,15 +222,21 @@ def _component_sweep(cols):
     few rows. Once the lattice is saturated and of full rank, no further
     column changes it, so the whole subtree is counted with binomials.
 
-    Counts are kept per (rank, torsion) as one integer whose digits in
-    base 2^(n+1) are the counts by subset size, so a subtree's counts move
-    to another root size by a shift. The subtree below a node depends
-    only on its open columns and the lattice its basis spans. When the
-    columns are dependent (more of them than the rank), two subsets can
-    span one lattice, so the basis is kept unit-reduced (`_reduced_fold`)
-    and each subtree's counts, relative to its root, are memoised under
-    (open columns, basis), up to SWEEP_MEMO_CAP entries; past that the
-    memo is still read but no longer grows. It lives for this one call.
+    Each node returns its subtree's counts relative to itself, as a pair
+    (free, torsion). `free` is one integer of the torsion-free counts:
+    its digit k (n + 1) + m in base 2^(n+1) counts the subsets k above
+    the node's rank and m above its size. A child's counts move to its
+    parent by a shift of one size digit, plus n + 1 digits when the
+    child's column grew the rank. `torsion` is None or {(rank, torsion):
+    counts by size}, the size digits again relative to the node.
+
+    The subtree below a node depends only on its open columns and the
+    lattice its basis spans. When the columns are dependent (more of them
+    than the rank), two subsets can span one lattice, so the basis is
+    kept unit-reduced (`_reduced_fold`) and what each node returns is
+    memoised under (open columns, basis), up to SWEEP_MEMO_CAP entries;
+    past that the memo is still read but no longer grows. It lives for
+    this one call.
 
     Independent columns span a new lattice with every subset, so they are
     swept without memo or reduction, and close subtrees below full rank
@@ -271,9 +252,10 @@ def _component_sweep(cols):
     full_rank = span_rank(cols)
     table = [None] * nrows
     log = []
-    width = n + 1  # bits per size digit: no count reaches 2^(n+1)
-    free = [0] * (full_rank + 1)  # torsion-free counts by rank
-    torsion = defaultdict(int)  # and the others by (rank, torsion)
+    width = n + 1  # bits per digit: no count reaches 2^(n+1)
+    # a child's shift by whether its column grew the rank: one size digit,
+    # or that and one rank's n + 1 digits
+    shifts = (width, (width + 1) * width)
     closed = [(1 + (1 << width)) ** o for o in range(n + 1)]  # binomials by size
     memo = {} if n > full_rank else None
     # each node's children, highest column first, with the fold that adds
@@ -281,39 +263,28 @@ def _component_sweep(cols):
     folds = [fold_vector] + [fold_vector if memo is None else _reduced_fold] * n
     children = [[(j, folds[j], cols[j]) for j in range(o - 1, -1, -1)] for o in range(n + 1)]
 
-    def visit(open_bits, unit, rank, nonunit):
-        # `unit` is 1 in the size digit of this node's subsets
+    def visit(open_bits, rank, nonunit):
         key = None
         # a leaf is cheaper to count than to look up, and a closed subtree
         # needs no key
         if memo is not None and open_bits:
             if rank == full_rank and not nonunit:
-                free[rank] += closed[open_bits] * unit
-                return
-            here = open_bits, tuple(table)
-            hit = memo.get(here)
+                return closed[open_bits], None
+            key = open_bits, tuple(table)
+            hit = memo.get(key)
             if hit is not None:
-                hit_free, hit_torsion = hit
-                for r, c in enumerate(hit_free, rank):
-                    if c:
-                        free[r] += c * unit
-                for k, c in hit_torsion:
-                    torsion[k] += c * unit
-                return
-            if len(memo) < SWEEP_MEMO_CAP:
-                key, free_before, torsion_before = here, free[rank:], torsion.copy()
+                return hit
         tors = ()
         if nonunit:
             diag = snf_diagonal([r for r in table if r is not None])
             if diag[-1] > 1:
                 tors = tuple(m for m in diag if m > 1)
         if rank == full_rank and not tors:
-            free[rank] += closed[open_bits] * unit
-            return
+            return closed[open_bits], None
         if tors:
-            torsion[rank, tors] += unit
+            free, torsion = 0, {(rank, tors): 1}
         else:
-            free[rank] += unit
+            free, torsion = 1, None
         kids = children[open_bits]
         if memo is None and not tors and open_bits > 1:
             shut = _saturated_prefix(table, cols, open_bits, nonunit)
@@ -321,28 +292,35 @@ def _component_sweep(cols):
                 # the children that add columns 0, ..., shut - 1 select this
                 # node's columns plus a nonempty subset of those, each
                 # saturated and of rank equal to its size
-                shifted = unit
                 for m in range(1, shut + 1):
-                    shifted <<= width
-                    free[rank + m] += comb(shut, m) * shifted
+                    free += comb(shut, m) << m * shifts[1]
                 kids = kids[: open_bits - shut]
         for j, fold, col in kids:
             mark = len(log)
             grew, moved = fold(table, col, log)
-            visit(j, unit << width, rank + grew, nonunit + moved)
+            sub_free, sub_torsion = visit(j, rank + grew, nonunit + moved)
             while len(log) > mark:
                 pos, old = log.pop()
                 table[pos] = old
+            free += sub_free << shifts[grew]
+            if sub_torsion is not None:
+                if torsion is None:
+                    torsion = {}
+                for k, c in sub_torsion.items():
+                    torsion[k] = torsion.get(k, 0) + (c << width)
         if key is not None and len(memo) < SWEEP_MEMO_CAP:
-            memo[key] = _subtree_counts(free[rank:], free_before, torsion, torsion_before, unit)
+            memo[key] = free, torsion
+        return free, torsion
 
-    visit(n, 1, 0, 0)
+    free, torsion = visit(n, 0, 0)
     # `visit` refers to itself: without this the memo would wait for the
     # cyclic garbage collector
     del visit
     histogram = Counter()
     digit = (1 << width) - 1
-    keyed = [((r, ()), c) for r, c in enumerate(free)] + list(torsion.items())
+    one_rank = (1 << width * width) - 1  # the digits of one rank
+    keyed = [((r, ()), (free >> r * width * width) & one_rank) for r in range(full_rank + 1)]
+    keyed += (torsion or {}).items()
     for (rank, tors), packed in keyed:
         # no subset has fewer columns than its rank
         size, packed = rank, packed >> rank * width

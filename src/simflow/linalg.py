@@ -56,26 +56,8 @@ class IntMatrix:
             m.data[i][i] = 1
         return m
 
-    def transpose(self):
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def column(self, j):
         return [row[j] for row in self.data]
-
-    def is_zero(self):
-        return all(v == 0 for row in self.data for v in row)
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        bt = other.transpose().data
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data],
-            cols=other.cols,
-        )
 
     def mat_vec(self, vec):
         return [sum(a * b for a, b in zip(row, vec)) for row in self.data]

@@ -462,7 +462,7 @@ def check_structural_invariants():
         for m in range(1, delta.dimension + 1):
             upper = boundary_matrix(delta, m).matrix
             lower = boundary_matrix(delta, m - 1).matrix
-            if not (lower @ upper).is_zero():
+            if any(any(lower.mat_vec(upper.column(j))) for j in range(upper.cols)):
                 failures.append(f"{name}: boundary squared nonzero at {m}")
     return _result(
         9,
@@ -604,9 +604,14 @@ def check_property_suites():
     # sweep's saturated-prefix pass meets
     pendant = build_complex([*rp2().facets, (4, 5, 6)])
     failures.extend(_profile_failures("rp2 + pendant triangle", pendant))
-    # the full top map and up to eight random restrictions of each; the
-    # Moore space's full map is the one with an invariant factor 3
-    for name, delta in standard_corpus() + [("mod-3 moore space", mod3_moore_space())]:
+    # the full top map and up to eight random restrictions of each. The
+    # Moore space's full map ends in 3; that of its disjoint union with
+    # RP^2 ends in 1, 6, two non-unit pivots that come out as a chain only
+    # through the Smith elimination's divisibility step
+    moore = mod3_moore_space()
+    union = build_complex([*rp2().facets, *(tuple(v + 6 for v in f) for f in moore.facets)])
+    smith_corpus = [("mod-3 moore space", moore), ("rp2 + mod-3 moore space", union)]
+    for name, delta in standard_corpus() + smith_corpus:
         masks = {delta.full_mask}
         masks.update(rng.randrange(1, delta.full_mask + 1) for _ in range(8))
         for mask in sorted(masks):

@@ -23,6 +23,14 @@ from simflow.linalg import row_lattice_reduce, snf_diagonal
 from box_oracle import gray_count_nowhere_zero
 
 
+def _product(a, b):
+    """The integer matrix product a b."""
+    return IntMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.data)] for row in a.data],
+        cols=b.cols,
+    )
+
+
 def determinant(mat):
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if mat.rows != mat.cols:
@@ -62,10 +70,10 @@ def brute_kernel(mat, q):
 
 
 def _check_transform(mat, res):
-    """V is unimodular, mat @ V is zero past the rank, and column k of
-    mat @ V is diagonal[k] times a primitive vector (it is U^-1 D)."""
+    """V is unimodular, mat V is zero past the rank, and column k of
+    mat V is diagonal[k] times a primitive vector (it is U^-1 D)."""
     assert abs(determinant(res.V)) == 1
-    reduced = mat @ res.V
+    reduced = _product(mat, res.V)
     for j in range(res.rank, mat.cols):
         assert not any(reduced.column(j))
     for k, d in enumerate(res.diagonal):
@@ -131,7 +139,7 @@ def test_snf_transforms_random():
         mat = IntMatrix([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
         res = smith_normal_form(mat)
         _check_transform(mat, res)
-        assert tuple(snf_diagonal((mat @ res.V).data)) == res.diagonal
+        assert tuple(snf_diagonal((_product(mat, res.V)).data)) == res.diagonal
 
 
 def test_row_lattice_reduce_random():

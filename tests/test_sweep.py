@@ -134,10 +134,15 @@ def test_component_sweep_on_integer_columns(cols):
     """Entries beyond +-1 drive the gcd steps and the non-unit pivots that
     boundary maps of small complexes rarely reach; on the dual side they
     give subsets torsion inside a saturated lattice. Repeated and parallel
-    columns make the memo answer subtrees whose lattice has torsion."""
+    columns make the memo answer subtrees whose lattice has torsion. Swept
+    again with a memo capped at one entry, the one subtree kept is read
+    back wherever it recurs, and every other is swept afresh."""
     want = _per_mask_histogram(cols)
     assert _component_sweep(cols) == want
     assert _lower_rank_sweep(cols) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "SWEEP_MEMO_CAP", 1)
+        assert _component_sweep(cols) == want
 
 
 @st.composite

@@ -9,7 +9,9 @@ import textwrap
 
 import pytest
 
-from simflow import linalg, verify
+from simflow import homology, linalg, verify
+from simflow.complexes import build_complex, restrict_columns
+from simflow.fixtures import mod3_moore_space, rp2
 
 
 def _mutant(module, name, old, new):
@@ -45,3 +47,40 @@ def test_criterion_10_fails_on_a_smith_form_without_the_divisibility_step(monkey
     result = verify.check_property_suites()
     assert not result.passed
     assert "Smith diagonal != sympy's invariant factors" in result.detail
+
+
+def test_criterion_10_union_map_fails_a_smith_form_without_the_divisibility_step(monkeypatch):
+    # H_1 = Z_2 + Z_3: the full top map's diagonal ends 1, 6, and without
+    # the step the two non-unit pivots come out as 2, 3, which criterion
+    # 10's comparison with sympy catches on this one map
+    pytest.importorskip("sympy")
+    moore = mod3_moore_space()
+    union = build_complex([*rp2().facets, *(tuple(v + 6 for v in f) for f in moore.facets)])
+    rows = restrict_columns(union, union.full_mask).matrix.data
+    assert linalg.snf_diagonal(rows)[-2:] == [1, 6]
+    assert verify._sympy_smith_failures([("union", rows)]) == ([], 1)
+    mutant = _mutant(linalg, "_eliminate", "if p != 1 and p != -1:", "if False:")
+    monkeypatch.setattr(linalg, "_eliminate", mutant)
+    assert linalg.snf_diagonal(rows)[-2:] == [2, 3]
+    assert verify._sympy_smith_failures([("union", rows)]) == (
+        ["union: Smith diagonal != sympy's invariant factors"],
+        1,
+    )
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the memo key drops the open columns
+        ("key = open_bits, tuple(table)", "key = tuple(table)"),
+        # a child's counts land on its parent's rank
+        ("free += sub_free << shifts[grew]", "free += sub_free << shifts[0]"),
+    ],
+    ids=["memo_key_without_open_columns", "child_on_parent_rank"],
+)
+def test_criterion_10_fails_on_a_broken_sweep(monkeypatch, old, new):
+    mutant = _mutant(homology, "_component_sweep", old, new)
+    monkeypatch.setattr(homology, "_component_sweep", mutant)
+    result = verify.check_property_suites()
+    assert not result.passed
+    assert "swept histogram differs from per-subset SNF" in result.detail
