@@ -6,13 +6,14 @@ SIMFLOW_SUBSET_CAP columns (default 24) unless the caller forces; a
 value that is not a non-negative integer raises SettingError.
 `homology._sweep_columns` is its one caller: every sweep, the sweep
 size that `method="auto"` compares and the circuit scan are admitted
-there. Kernel
-enumeration refuses streams longer than the enumeration cap; the
-fallback cut search and the face list of a new complex refuse more
-items than that. The coforest cover (a matroid partition) and the lift
+there. Kernel enumeration and the face list of a new complex refuse
+more items than the enumeration cap. The least-cut search
+(`matroid.facet_connectivity`) sweeps nothing: it refuses once it has
+visited more than CUT_SEARCH_NODE_CAP nodes, a bound no option or
+variable changes. The coforest cover (a matroid partition) and the lift
 of a Z_2^r flow (an elimination) search nothing and take no cap.
 A dense Smith form of a lower boundary map refuses more entries than
-the matrix cap. The sweep of one block component memoises at most
+the matrix cap, and `analyze` holds the top map to it too. The sweep of one block component memoises at most
 SWEEP_MEMO_CAP subtrees; past that it still reads its memo but adds
 nothing to it, so the cap bounds the memo's memory, and a subtree it
 could not keep is swept again.
@@ -29,6 +30,8 @@ DEFAULT_MATRIX_CAP = 10**6
 # subtrees one component sweep memoises, at about 0.6 kB each (keys and
 # counts); K_6^3's 20-column block keeps 43,333
 SWEEP_MEMO_CAP = 2**16
+# nodes of one least-cut search, both of its passes; K_8^3 takes 13,034
+CUT_SEARCH_NODE_CAP = 2 * 10**4
 
 _ENV_VAR = "SIMFLOW_SUBSET_CAP"
 
@@ -77,4 +80,15 @@ def check_matrix_cap(rows, cols, what):
             f"Smith normal form of a {rows} x {cols} {what} ({entries} entries) "
             f"exceeds the cap of {DEFAULT_MATRIX_CAP} entries",
             needed=entries,
+        )
+
+
+def check_cut_search_nodes(nodes):
+    """Refuse the least-cut search once it has visited more than
+    CUT_SEARCH_NODE_CAP nodes."""
+    if nodes > CUT_SEARCH_NODE_CAP:
+        raise CapExceededError(
+            f"the least-cut search visited more than its node bound of "
+            f"{CUT_SEARCH_NODE_CAP} nodes",
+            needed=nodes,
         )

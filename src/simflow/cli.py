@@ -47,7 +47,7 @@ from .flows import (
     min_flow_number,
     tensions_from_colorings,
 )
-from .homology import check_skeleton_caps, homology_summary, subset_profile
+from .homology import check_skeleton_caps, homology_summary
 from .io import parse_complex, serialize_complex
 from .matroid import bridges, coarboricity, facet_connectivity
 from .poly import format_bivariate, format_univariate
@@ -166,13 +166,11 @@ def _cmd_generate(args):
     _emit_document(serialize_complex(delta, name=label), args.output)
 
 
-@_command("analyze", "homology, bridges, connectivity, coarboricity", *_STANDARD)
+@_command("analyze", "homology, bridges, connectivity, coarboricity", _INPUT, _JSON)
 def _cmd_analyze(args):
     delta = _read_complex(args)
-    # every refusal before any Smith form: the homology's matrix cap, then
-    # the capped sweep, whose blocks the cut search then folds
-    check_skeleton_caps(delta, range(delta.dimension))
-    subset_profile(delta, force=args.force)
+    # the matrix cap refuses before any Smith form, the top map's included
+    check_skeleton_caps(delta, range(delta.dimension + 1))
     summary = homology_summary(delta)
     bridge_list = bridges(delta)
     # a bridge lies in no coforest
@@ -185,14 +183,14 @@ def _cmd_analyze(args):
         "betti": {str(n): b for n, b in sorted(summary.betti.items())},
         "torsion": {str(n): t for n, t in sorted(summary.torsion.items())},
         "bridges": bridge_list,
+        # every least cut is exact; the key stays for readers of the schema
         "connectivity": {
             "value": conn.value,
-            "exact": conn.exact,
+            "exact": True,
             "witness": delta.facets_of_mask(conn.witness),
         },
         "coarboricity": coarb,
     }
-    suffix = "" if conn.exact else f" (no cut of size <= {conn.value - 1} found)"
     lines = [
         f"dimension: {delta.dimension}",
         f"facets: {len(delta.facets)}",
@@ -200,7 +198,7 @@ def _cmd_analyze(args):
         *(f"betti[{n}]: {b}" for n, b in sorted(summary.betti.items())),
         *(f"torsion[{n}]: {t}" for n, t in sorted(summary.torsion.items()) if t),
         f"bridges: {bridge_list}",
-        f"connectivity: {conn.value}{suffix}",
+        f"connectivity: {conn.value}",
         f"coarboricity: {'infinite' if coarb is None else coarb}",
     ]
     _emit(args, payload, "\n".join(lines), sort_keys=True)

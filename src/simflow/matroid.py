@@ -1,35 +1,35 @@
 """The simplicial matroid (column matroid of the top boundary map) and
 the covering machinery behind the flow-construction pipeline: bridges,
-facet cuts, fundamental circuits, and the coarboricity with a least
-coforest cover, both from one matroid partition in the dual matroid
-(`coforest_cover`).
+the least facet cut, fundamental circuits, and the coarboricity with a
+least coforest cover, both from one matroid partition in the dual
+matroid (`coforest_cover`).
 
 Every question about one facet set folds vectors into an echelon basis
 (`linalg.fold_vector`). A fundamental circuit is the one relation among
 its columns of `complexes.top_columns`, found by folding them with unit
-tags appended (`linalg.kernel_basis`). Cuts and covers fold rows of an
-integer kernel basis K of the boundary map, read off the one Smith form
-of that map per complex (`homology.top_smith_form`): K represents the
-dual matroid, so X is coindependent exactly when its rows of K are
-independent, and a bridge is a zero row. `RankOracle` takes one Smith
-diagonal per query. Nothing here calls it: `verify` (criterion 10) and
-the tests hold the folds to it, and perfbench/spans.py traces it.
+tags appended (`linalg.kernel_basis`). Covers fold rows of an integer
+kernel basis K of the boundary map, read off the one Smith form of that
+map per complex (`homology.top_smith_form`): K represents the dual
+matroid, so X is coindependent exactly when its rows of K are
+independent, and a bridge is a zero row. The least cut is a search over
+bases of each block's columns that sweeps no subsets
+(`facet_connectivity`). `RankOracle` takes one Smith diagonal per
+query. Nothing here calls it: `verify` (criteria 7 and 10) and the
+tests hold the folds to it, and perfbench/spans.py traces it.
 """
 
 from dataclasses import dataclass
-from math import comb
+from itertools import count
 
-from .caps import check_enum_cap
-from .complexes import restrict_columns, top_columns
-from .errors import (
-    CapExceededError,
-    FacetInBaseError,
-    IndexOutOfRangeError,
-    InfeasibleError,
-    NotABaseError,
+from .caps import check_cut_search_nodes
+from .complexes import facet_components, restrict_columns, top_columns
+from .errors import FacetInBaseError, IndexOutOfRangeError, InfeasibleError, NotABaseError
+from .homology import (
+    _component_columns,
+    subset_profile,  # not called here; perfbench/spans.py traces this name
+    top_smith_form,
 )
-from .homology import subset_profile, top_smith_form
-from .linalg import kernel_basis, snf_diagonal, span_rank
+from .linalg import fold_vector, kernel_basis, snf_diagonal, span_rank
 
 
 class RankOracle:
@@ -66,55 +66,218 @@ def bridges(delta):
 
 @dataclass
 class FacetConnectivity:
-    """Least cut size found; `exact` is False when the search bound was
-    exhausted (value is then k_max + 1, a lower bound)."""
+    """The least cut size, and the first cut of that size as a mask."""
 
     value: int
     witness: int
-    exact: bool
 
 
-def facet_connectivity(delta, k_max=None):
-    """Smallest k admitting a k-facet-cut, with its first witness.
+def facet_connectivity(delta):
+    """Least k admitting a k-facet cut, with its first witness in
+    ascending mask order.
 
-    Witnesses are searched in size order, ties broken by ascending bitmask
-    value. Cuts are sets whose removal raises beta_{d-1}, i.e. whose
-    complement has deficient rank: the sets whose rows of K are dependent.
-    The least cut size is the least over the swept blocks of the facets,
-    as a least cut lies in one block. Past the subset cap every
-    size from 1 up is tried, and that search refuses more masks than the
-    enumeration cap before it folds any.
+    A cut is a facet set whose removal raises beta_{d-1}, i.e. whose
+    complement has deficient rank. A least cut is a least cocircuit, and
+    a cocircuit lies in one block component, so each block is searched
+    on its own columns and rank for k = 2, 3, ... (`_has_cut`). A bridge
+    (a zero row of K) is a cut of size 1, and any nullity + 1 facets of
+    a block are a cut of it, so neither needs a search; a block that
+    packs t disjoint bases has no cut below t, so it is not searched
+    there. The witness is the least mask of the found size that is a cut
+    (`_first_cut`). Both searches together visit at most
+    `caps.CUT_SEARCH_NODE_CAP` nodes; past that they refuse with
+    CapExceededError.
     """
-    n = len(delta.facets)
-    if k_max is None:
-        k_max = n
+    found = bridges(delta)
+    if found:
+        return FacetConnectivity(value=1, witness=1 << found[0])
+    columns = top_columns(delta)
+    blocks = []
+    for comp in facet_components(delta):
+        cols = _component_columns(columns, comp)
+        rank = span_rank(cols)
+        empty = [None] * len(cols[0])
+        packed = len(cols) // rank
+        while packed > 1 and not _fills(cols, range(len(cols)), empty, 0, rank, packed):
+            packed -= 1
+        blocks.append((comp, cols, rank, packed))
+    nodes = [0]
+    for k in count(2):
+        hits = [
+            (comp, cols, rank)
+            for comp, cols, rank, packed in blocks
+            if len(cols) - rank < k or packed <= k and _has_cut(cols, rank, k, nodes)
+        ]
+        if hits:
+            masks = []
+            for comp, cols, rank in hits:
+                local = _first_cut(cols, rank, k, nodes)
+                masks.append(sum(1 << f for i, f in enumerate(comp) if local >> i & 1))
+            return FacetConnectivity(value=k, witness=min(masks))
 
-    bound = min(k_max, n)
-    try:
-        blocks = subset_profile(delta).blocks
-        cuts = [b.column_count - s for b in blocks for s, r, _ in b.histogram if r < b.rank]
-        least = min(cuts, default=None)
-        if least is None or least > k_max:
-            return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
-        sizes = [least]
-    except CapExceededError:
-        # without a profile, every mask up to the bound is a candidate
-        check_enum_cap(
-            sum(comb(n, k) for k in range(1, bound + 1)), what="candidate cuts"
-        )
-        sizes = range(1, bound + 1)
 
-    rows = _dual_rows(delta)
-    for k in sizes:
-        mask = (1 << k) - 1
-        while not mask >> n:
-            if span_rank([rows[f] for f in delta.facets_of_mask(mask)]) < k:
-                return FacetConnectivity(value=k, witness=mask, exact=True)
-            # the next larger mask with k bits: carry the lowest run of ones
-            low = mask & -mask
-            up = mask + low
-            mask = up | ((up ^ mask) >> 2) // low
-    return FacetConnectivity(value=k_max + 1, witness=0, exact=False)
+def _tick(nodes):
+    nodes[0] += 1
+    check_cut_search_nodes(nodes[0])
+
+
+def _undo(table, log, mark):
+    """Undo the folds into `table` logged past `mark`."""
+    while len(log) > mark:
+        pos, old = log.pop()
+        table[pos] = old
+
+
+def _fills(cols, order, base, base_rank, rank, bins):
+    """Whether `bins` disjoint sets of the columns `order` each extend the
+    echelon table `base` (of rank `base_rank`) to rank `rank`, filled
+    first fit, least filled bin first. A cut that avoids the columns of
+    `base` meets each such set (Edmonds 1965), so it then has at least
+    `bins` of the columns `order`."""
+    tables, ranks = [base[:] for _ in range(bins)], [base_rank] * bins
+    deficit, left = bins * (rank - base_rank), len(order)
+    for j in order:
+        if left < deficit:
+            return False
+        left -= 1
+        for b in sorted(range(bins), key=ranks.__getitem__):
+            if ranks[b] < rank and fold_vector(tables[b], cols[j], [])[0]:
+                ranks[b] += 1
+                deficit -= 1
+                break
+    return not deficit
+
+
+def _has_cut(cols, rank, k, nodes):
+    """Whether removing at most k of `cols` (one block, of rank `rank`)
+    lowers its rank.
+
+    A depth-first search over the cut so far, C, and the forbidden
+    columns, F, that no cut below the node may take. A node takes a
+    basis of the columns outside C, folded from F's echelon table first,
+    so it holds a basis of F. When the columns outside C reach no full
+    rank, C is a cut. Otherwise every cut that extends C and avoids F
+    meets the basis outside F, so the node branches on each of those
+    columns and forbids it for the later branches. It prunes when F
+    alone spans, and when it packs more disjoint extensions of F to a
+    basis than the columns it may still add: a cut meets each of them
+    (Edmonds 1965). F's table grows by one fold per forbidden column and
+    is undone through its log; the search keeps its frames on a stack,
+    so its depth is not bounded by Python's.
+    """
+    n = len(cols)
+    state = bytearray(n)  # 1 in the cut, 2 forbidden
+    forbidden, log = [None] * len(cols[0]), []
+    frank = 0
+
+    def expand(budget):
+        """The basis to branch on at this node, True when the cut so far
+        is a cut, or None when the node is pruned."""
+        _tick(nodes)
+        if frank == rank:
+            return None
+        table, grown, basis = forbidden[:], frank, []
+        for j in range(n):
+            if not state[j] and fold_vector(table, cols[j], [])[0]:
+                basis.append(j)
+                grown += 1
+                if grown == rank:
+                    break
+        if grown < rank:
+            return True
+        if not budget:
+            return None
+        taken = set(basis)
+        rest = [j for j in range(n) if not state[j] and j not in taken]
+        if _fills(cols, rest, forbidden, frank, rank, budget):
+            return None
+        return basis
+
+    basis = expand(k)
+    if basis is True:
+        return True
+    # each frame: a node's basis, the next branch, and F's log mark and
+    # rank on entry
+    stack = [[basis, 0, 0, 0]] if basis else []
+    while stack:
+        frame = stack[-1]
+        basis, i, mark, entry_rank = frame
+        if i:
+            # the branch that took basis[i - 1] is done: forbid that column
+            b = basis[i - 1]
+            state[b] = 2
+            fold_vector(forbidden, cols[b], log)
+            frank += 1
+        if i == len(basis):
+            _undo(forbidden, log, mark)
+            frank = entry_rank
+            for b in basis:
+                state[b] = 0
+            stack.pop()
+            continue
+        frame[1] = i + 1
+        state[basis[i]] = 1
+        child = expand(k - len(stack))
+        if child is True:
+            return True
+        if child:
+            stack.append([child, 0, len(log), frank])
+    return False
+
+
+def _first_cut(cols, rank, k, nodes):
+    """The least bitmask of k of `cols` (one block, of rank `rank`) whose
+    removal lowers the rank, when k is the least size of such a set.
+
+    Columns are decided from the highest index down, leaving each out of
+    the cut before putting it in, so the first cut reached is the least
+    mask. A branch is pruned when the columns left out already span. The
+    columns left out are folded into one echelon table, undone through
+    its log; the decisions are kept on a stack."""
+    table, log = [None] * len(cols[0]), []
+    path = []  # per decided column: (log mark, rank it added) if left out, else None
+    chosen, out_rank, j = 0, 0, len(cols)  # columns below j are undecided
+    while True:
+        _tick(nodes)
+        need = k - chosen.bit_count()
+        if need == j:
+            return chosen | (1 << j) - 1
+        if need:
+            mark = len(log)
+            grew = fold_vector(table, cols[j - 1], log)[0]
+            if out_rank + grew < rank:
+                path.append((mark, grew))
+                out_rank += grew
+                j -= 1
+                continue
+            _undo(table, log, mark)
+            path.append(None)
+            chosen |= 1 << j - 1
+            j -= 1
+            continue
+        # the cut is full: it is one when the rest, left out, do not span
+        mark, grown = len(log), out_rank
+        for col in cols[:j]:
+            grown += fold_vector(table, col, log)[0]
+            if grown == rank:
+                break
+        _undo(table, log, mark)
+        if grown < rank:
+            return chosen
+        # backtrack to the last column left out, and put it in the cut
+        while True:
+            step = path.pop()
+            j += 1
+            if step is None:
+                chosen &= ~(1 << j - 1)
+                continue
+            mark, grew = step
+            _undo(table, log, mark)
+            out_rank -= grew
+            path.append(None)
+            chosen |= 1 << j - 1
+            j -= 1
+            break
 
 
 def fundamental_circuit(delta, base_mask, facet_index):

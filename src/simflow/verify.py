@@ -325,13 +325,81 @@ def profile_coarboricity(delta):
     return c
 
 
+def profile_connectivity(delta):
+    """The least cut size from the subset profile, the oracle criterion 7
+    holds the cut search to under the subset cap: a block's key (s, r', .)
+    of n columns with r' below the block's rank r stands for cuts of size
+    n - s, and a least cut lies in one block."""
+    blocks = subset_profile(delta).blocks
+    return min(b.column_count - s for b in blocks for s, r, _ in b.histogram if r < b.rank)
+
+
+def _connectivity_failures(name, delta):
+    """`facet_connectivity` against independent routes: the subset-profile
+    fold under the subset cap; up to 12 facets, the first rank-deficient
+    complement in (size, mask) order by one Smith diagonal per mask
+    (`RankOracle`); and on a graph, networkx's edge connectivity of each
+    connected component, the least of which is the graph's. Returns the
+    failures and which routes were compared."""
+    failures, routes = [], []
+    got = facet_connectivity(delta)
+    try:
+        want = profile_connectivity(delta)
+    except CapExceededError:
+        pass
+    else:
+        routes.append("profile")
+        if got.value != want:
+            failures.append(f"{name}: least cut {got.value}, the profile fold {want}")
+    n = len(delta.facets)
+    if n <= 12:
+        routes.append("ranks")
+        oracle = RankOracle(delta)
+        full = delta.full_mask
+        first = min(
+            (mask.bit_count(), mask)
+            for mask in range(1, 1 << n)
+            if oracle.rank(full & ~mask) < oracle.full_rank
+        )
+        if (got.value, got.witness) != first:
+            failures.append(f"{name}: cut {got.witness:#x}, the first by ranks {first[1]:#x}")
+    if delta.dimension == 1:
+        try:
+            import networkx
+        except ImportError:
+            return failures, routes
+        routes.append("networkx")
+        graph = networkx.Graph(delta.facets)
+        least = []
+        for nodes in networkx.connected_components(graph):
+            part = graph.subgraph(nodes)
+            want = networkx.edge_connectivity(part)
+            least.append(want)
+            value = facet_connectivity(build_complex([list(e) for e in part.edges])).value
+            if value != want:
+                failures.append(f"{name}: component cut {value}, networkx edge connectivity {want}")
+        if got.value != min(least):
+            failures.append(f"{name}: least cut {got.value}, networkx {min(least)}")
+    return failures, routes
+
+
 def check_jaeger_pipeline():
     failures = []
     ran = []
     # the integer flows of the Moore space + disk are the multiples of
     # one that is -3 on the disk, so its layers lift to no {-1, 0, 1} flow
     past_cap = [(f"complete({n},{k})", complete(n, k)) for n, k in ((8, 2), (7, 3))]
-    for name, delta in standard_corpus() + [("moore space + disk", mod3_moore_disk())] + past_cap:
+    moore = [("moore space", mod3_moore_space()), ("moore space + disk", mod3_moore_disk())]
+    # with its last edge subdivided, a graph has a least cut of two at
+    # the new vertex, among its last facets
+    subdivided = [(f"{name} subdivided", subdivide_facet(delta, len(delta.facets) - 1))
+                  for name, delta in standard_corpus()]
+    compared = Counter()
+    for name, delta in standard_corpus() + subdivided + moore + past_cap:
+        found, routes = _connectivity_failures(name, delta)
+        failures += found
+        compared.update(routes)
+    for name, delta in standard_corpus() + moore[1:] + past_cap:
         if bridges(delta):
             continue
         c = coarboricity(delta)
@@ -350,14 +418,12 @@ def check_jaeger_pipeline():
         d = delta.dimension
         try:
             fold = profile_coarboricity(delta)
-            connected = facet_connectivity(delta).value >= d + 2
         except CapExceededError:
-            # past the subset cap, where the cut search would refuse at the
-            # enumeration cap: these complete complexes are (d+2)-connected
-            fold, connected = c, True
+            # past the subset cap there is no profile to fold
+            fold = c
         if fold != c:
             failures.append(f"{name}: partition gives {c} coforests, the profile fold {fold}")
-        if connected and c > d + 2:
+        if facet_connectivity(delta).value >= d + 2 and c > d + 2:
             failures.append(f"{name}: ({d}+2)-connected but coarboricity {c}")
     if not ran:
         failures.append("no bridgeless fixtures found")
@@ -380,7 +446,10 @@ def check_jaeger_pipeline():
         "moore space + disk (its flow -3 on one facet) among them; "
         "coarboricity by matroid partition equals the subset-profile fold "
         "under the subset cap, and is <= d+2 wherever (d+2)-connected, "
-        "complete(8,2) and complete(7,3) past the cap among them; "
+        "complete(8,2) and complete(7,3) past the cap among them; the least "
+        f"cut equals the profile fold on {compared['profile']} complexes, the "
+        f"first cut by per-mask ranks on {compared['ranks']} and networkx's "
+        f"edge connectivity on {compared['networkx']} graph(s); "
         "rp2 + odd triangle refused at the triangle's part",
     )
 

@@ -271,4 +271,4 @@ def test_disjoint_triangles_fold_to_closed_forms(k):
     assert coarboricity(delta) == 3
     cut = facet_connectivity(delta)
     # the first two edges of the first triangle cut off vertex 0
-    assert (cut.value, cut.witness, cut.exact) == (2, 0b11, True)
+    assert (cut.value, cut.witness) == (2, 0b11)

@@ -32,8 +32,10 @@ from simflow.fixtures import (
     petersen,
     rp2,
     mod3_moore_disk,
+    mod3_moore_space,
     rp2_odd_triangle,
     simplex_boundary,
+    standard_corpus,
 )
 from simflow.flows import ModularFlow, is_modular_flow, tensions_from_colorings
 from simflow.io import parse_document
@@ -433,14 +435,22 @@ def test_cli_cap_refusal_and_force(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("n", [8, 10])
-def test_cli_analyze_past_the_subset_cap_refuses_at_once(monkeypatch, capsys, n):
-    # K_n has n(n-1)/2 facets; no cut search runs before the refusal
+def test_cli_analyze_answers_past_the_subset_cap(monkeypatch, capsys, n):
+    # K_n has n(n-1)/2 facets, past the cap of 24, and no sweep runs: its
+    # least cut is the n - 1 edges at vertex 0
+    monkeypatch.delenv("SIMFLOW_SUBSET_CAP", raising=False)
     doc = serialize_complex(make_fixture("complete", n=n, k=2))
     start = time.perf_counter()
-    code, out, err = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
-    assert time.perf_counter() - start < 1.0
-    assert code == 3 and out == ""
-    assert f"over {n * (n - 1) // 2} facets exceeds the cap" in err
+    code, out, err = _run_cli(
+        ["analyze", "--json"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["facets"] == n * (n - 1) // 2
+    assert payload["connectivity"] == {
+        "exact": True, "value": n - 1, "witness": list(range(n - 1))
+    }
 
 
 def test_cli_refuses_a_facet_with_too_many_faces(monkeypatch, capsys):
@@ -472,11 +482,13 @@ def test_cli_analyze_refuses_a_large_lower_skeleton_at_once(monkeypatch, capsys)
     assert "Smith normal form of a 1001 x 2002 boundary map in dimension 4" in err
 
 
-@pytest.mark.parametrize("n, k, facets", [(8, 2, 28), (7, 3, 35)], ids=["K_8^2", "K_7^3"])
-def test_cli_jaeger_answers_past_the_subset_cap(n, k, facets, monkeypatch, capsys):
-    """The cover is a matroid partition, not a sweep: complete complexes
-    past the subset cap get a nowhere-zero 4-flow at once, while
-    `analyze`, which sweeps first, still refuses them."""
+@pytest.mark.parametrize(
+    "n, k, facets, cut", [(8, 2, 28, 7), (7, 3, 35, 5)], ids=["K_8^2", "K_7^3"]
+)
+def test_cli_jaeger_answers_past_the_subset_cap(n, k, facets, cut, monkeypatch, capsys):
+    """The cover is a matroid partition and the least cut a search over
+    bases, not sweeps: complete complexes past the subset cap get a
+    nowhere-zero 4-flow at once, and `analyze` answers them."""
     monkeypatch.delenv("SIMFLOW_SUBSET_CAP", raising=False)
     delta = complete(n, k)
     assert len(delta.facets) == facets
@@ -492,11 +504,8 @@ def test_cli_jaeger_answers_past_the_subset_cap(n, k, facets, monkeypatch, capsy
     assert is_modular_flow(delta, ModularFlow(q=4, values=tuple(payload["values"])))
     assert elapsed < 1
     code, out, err = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 3 and out == ""
-    assert err == (
-        f"cap exceeded: subset expansion over {facets} facets exceeds the cap of 24 "
-        "(set SIMFLOW_SUBSET_CAP or pass force=True / --force)\n"
-    )
+    assert (code, err) == (0, "")
+    assert f"connectivity: {cut}\ncoarboricity: 2\n" in out
 
 
 def test_cli_jaeger_reads_only_the_codimension_one_map(monkeypatch, capsys):
@@ -948,15 +957,16 @@ def test_help_follows_the_terminal_width(monkeypatch, capsys):
 def test_cli_analyze_refuses_past_the_subset_cap_before_any_smith_form(
     monkeypatch, capsys
 ):
-    # K_16^4: 1,820 facets, whose homology alone takes seconds
+    # K_16^4: 1,820 facets, whose top map (560 x 1820) is past the matrix
+    # cap; its Smith form would carry an 1820 x 1820 transform
     doc = serialize_complex(make_fixture("complete", n=16, k=4))
     start = time.perf_counter()
     code, out, err = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (3, "")
     assert err == (
-        "cap exceeded: subset expansion over 1820 facets exceeds the cap of 24"
-        " (set SIMFLOW_SUBSET_CAP or pass force=True / --force)\n"
+        "cap exceeded: Smith normal form of a 560 x 1820 boundary map in dimension 3"
+        " (1019200 entries) exceeds the cap of 1000000 entries\n"
     )
 
 
@@ -967,10 +977,44 @@ def test_cli_analyze_forced_past_the_matrix_cap_refuses_before_the_sweep(
     def never(*args, **kwargs):
         raise AssertionError("sweep past the matrix cap")
 
-    monkeypatch.setattr(simflow.cli, "subset_profile", never)
+    monkeypatch.setattr(simflow.homology, "_component_sweep", never)
     doc = serialize_complex(make_fixture("complete", n=16, k=5))
+    code, out, err = _run_cli(["analyze"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert "Smith normal form of a 560 x 1820 boundary map in dimension 3" in err
+
+
+def test_cli_analyze_takes_no_force(monkeypatch, capsys):
+    # the least cut is a search over bases, so there is no cap to override
+    doc = serialize_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
     code, out, err = _run_cli(
         ["analyze", "--force"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
     )
-    assert (code, out) == (3, "")
-    assert "Smith normal form of a 560 x 1820 boundary map in dimension 3" in err
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --force" in err
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        *(delta for _, delta in standard_corpus()),
+        mod3_moore_space(),
+        mod3_moore_disk(),
+        complete(6, 3),
+        complete(8, 2),
+    ],
+    ids=[*(name for name, _ in standard_corpus()), "moore", "moore+disk", "K_6^3", "K_8^2"],
+)
+def test_cli_analyze_never_sweeps(delta, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("analyze swept a block")
+
+    monkeypatch.setattr(simflow.homology, "_component_sweep", never)
+    code, out, err = _run_cli(
+        ["analyze", "--json"],
+        stdin_text=serialize_complex(delta),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["connectivity"]["exact"] is True

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from simflow import matroid
+from simflow import caps
 from simflow import (
     CapExceededError,
     FacetInBaseError,
@@ -89,26 +89,20 @@ def test_facet_connectivity_examples():
     simplex = build_complex([[0, 1, 2]])
     assert facet_connectivity(simplex).value == 1
     tetra = facet_connectivity(simplex_boundary(2))
-    assert tetra.value == 2 and tetra.exact
+    assert tetra.value == 2
     assert tetra.witness.bit_count() == 2
     k4 = facet_connectivity(complete(4, 2))
     assert k4.value == 3
     assert facet_connectivity(petersen()).value == 3
 
 
-def test_facet_connectivity_bound_exhausted():
-    got = facet_connectivity(complete(4, 2), k_max=2)
-    assert not got.exact and got.value == 3
-
-
 def test_facet_connectivity_refuses_a_search_past_the_cap(monkeypatch):
-    # 45 facets are past the subset cap; trying every mask up to size 45
-    # would fold 2^45 - 1 of them
-    calls = []
-    monkeypatch.setattr(matroid, "span_rank", lambda vectors: calls.append(1))
-    with pytest.raises(CapExceededError, match="candidate cuts"):
+    # K_10^2 takes hundreds of nodes to rule out cuts below 9; with a bound
+    # of 50 the search refuses as its 51st node opens
+    monkeypatch.setattr(caps, "CUT_SEARCH_NODE_CAP", 50)
+    with pytest.raises(CapExceededError, match="node bound of 50 nodes") as refusal:
         facet_connectivity(complete(10, 2))
-    assert calls == []
+    assert refusal.value.needed == 51
 
 
 def test_classify_forest_cases():
@@ -377,23 +371,39 @@ def test_circuits_are_the_minimal_masks_of_rank_one_short():
         assert circuits(delta) == want
 
 
-@pytest.mark.parametrize("cap", [None, "0"])
-def test_connectivity_witness_is_the_first_rank_deficient_complement(monkeypatch, cap):
-    """Both searches: the one sized by the histogram, and (with a subset
-    cap of 0) the one that tries every size from 1 up."""
-    if cap is not None:
-        monkeypatch.setenv("SIMFLOW_SUBSET_CAP", cap)
+def _first_cut_by_ranks(delta):
+    """(size, mask) of the first rank-deficient complement in (size, mask)
+    order, by one Smith diagonal per mask."""
+    oracle = RankOracle(delta)
+    full = delta.full_mask
+    return min(
+        (mask.bit_count(), mask)
+        for mask in range(1, 1 << len(delta.facets))
+        if oracle.rank(full & ~mask) < oracle.full_rank
+    )
+
+
+def test_connectivity_witness_is_the_first_rank_deficient_complement():
     for delta in _small_corpus():
-        oracle = RankOracle(delta)
-        full = delta.full_mask
-        cuts = [
-            mask
-            for mask in range(1, 1 << len(delta.facets))
-            if oracle.rank(full & ~mask) < oracle.full_rank
-        ]
-        first = min(cuts, key=lambda mask: (mask.bit_count(), mask))
+        size, first = _first_cut_by_ranks(delta)
         got = facet_connectivity(delta)
-        assert (got.value, got.witness, got.exact) == (first.bit_count(), first, True)
+        assert (got.value, got.witness) == (size, first)
+
+
+def test_connectivity_search_on_random_complexes():
+    """Random points, graphs and 2-complexes of up to 12 facets in up to
+    three pieces: the least cut and its witness agree with per-mask ranks."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_columns import complexes
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(complexes(max_vertices=6, max_facets=4))
+    def check(delta):
+        size, first = _first_cut_by_ranks(delta)
+        got = facet_connectivity(delta)
+        assert (got.value, got.witness) == (size, first)
+
+    check()
 
 
 def test_rank_is_monotone_and_bounded():

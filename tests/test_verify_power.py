@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from simflow import homology, linalg, verify
+from simflow import homology, linalg, matroid, verify
 from simflow.complexes import build_complex, restrict_columns
 from simflow.fixtures import mod3_moore_space, rp2
 
@@ -35,6 +35,16 @@ def test_criterion_05_fails_on_an_off_by_one_bott_coefficient(monkeypatch):
     result = verify.check_specialization_identities()
     assert not result.passed
     assert "complemented Bott != flow specialization of TKR" in result.detail
+
+
+def test_criterion_07_fails_on_a_cut_search_that_branches_on_one_facet(monkeypatch):
+    # each node branches only on the first facet of its basis, so the
+    # search follows one greedy path and misses cuts off it
+    mutant = _mutant(matroid, "_has_cut", "        return basis\n", "        return basis[:1]\n")
+    monkeypatch.setattr(matroid, "_has_cut", mutant)
+    result = verify.check_jaeger_pipeline()
+    assert not result.passed
+    assert "least cut 3, the profile fold 2" in result.detail
 
 
 def test_criterion_10_fails_on_a_smith_form_without_the_divisibility_step(monkeypatch):
