@@ -13,10 +13,11 @@ visited more than CUT_SEARCH_NODE_CAP nodes, a bound no option or
 variable changes. The coforest cover (a matroid partition) and the lift
 of a Z_2^r flow (an elimination) search nothing and take no cap.
 A dense Smith form of a lower boundary map refuses more entries than
-the matrix cap, and `analyze` holds the top map to it too. The sweep of one block component memoises at most
-SWEEP_MEMO_CAP subtrees; past that it still reads its memo but adds
-nothing to it, so the cap bounds the memo's memory, and a subtree it
-could not keep is swept again.
+the matrix cap; `analyze` and `construct` hold the top map to it too.
+The sweep of one block component memoises at most SWEEP_MEMO_CAP
+subtrees; past that it still reads its memo but adds nothing to it, so
+the cap bounds the memo's memory, and a subtree it could not keep is
+swept again.
 """
 
 import os

@@ -284,7 +284,9 @@ def _cmd_quasi(args):
     _JSON,
 )
 def _cmd_construct(args):
-    flow = jaeger_flow(_read_complex(args))
+    delta = _read_complex(args)
+    check_skeleton_caps(delta, [delta.dimension])
+    flow = jaeger_flow(delta)
     values = list(flow.values)
     payload = {"modulus": flow.q, "values": values, "nowhere_zero": flow.nowhere_zero}
     _emit(args, payload, f"modulus: {flow.q}\nvalues: " + ",".join(map(str, values)))

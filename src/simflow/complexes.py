@@ -6,7 +6,8 @@ dense nonnegative ints on ingest so every derived matrix is deterministic;
 the relabeling map is kept on the complex. Facet subsets are plain int
 bitmasks over the canonical facet order. `top_columns` is the one cached
 list of top boundary columns and `column_components` the one union-find
-that splits columns into block components.
+that splits columns into block components; the facets' block record
+(`homology.facet_blocks`) splits them once per complex.
 """
 
 from dataclasses import dataclass

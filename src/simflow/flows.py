@@ -278,22 +278,21 @@ def circuits(delta, force=False):
     in ascending order.
 
     A circuit lies inside one block component (the matroid is their
-    direct sum), so each component's masks are scanned on their own, as
-    the sweep admits them. Masks are scanned by size, so a dependent mask
+    direct sum), so each block's masks are scanned on their own, as the
+    sweep admits them. Masks are scanned by size, so a dependent mask
     that contains no circuit found so far is minimal. Dependence folds
-    the mask's boundary columns into one echelon basis. No command calls
+    the mask's block columns into one echelon basis. No command calls
     it: `verify` filters tensions by it, and perfbench/spans.py traces it.
     """
-    cols, components = _sweep_columns(delta, force=force)
     found = []
-    for comp in components:
+    for comp, cols, _ in _sweep_columns(delta, force=force):
         local = []
         for size in range(1, len(comp) + 1):
-            for combo in combinations(comp, size):
-                mask = sum(1 << j for j in combo)
+            for combo in combinations(range(len(comp)), size):
+                mask = sum(1 << comp[i] for i in combo)
                 if any(c & mask == c for c in local):
                     continue
-                if span_rank([cols[j] for j in combo]) < size:
+                if span_rank([cols[i] for i in combo]) < size:
                     local.append(mask)
         found += local
     return sorted(found)

@@ -35,19 +35,21 @@ that names one subset folds its vectors into a fresh basis
 per complex (`top_smith_form`), and the sweep of a complex that is one
 block component reads it to choose its side.
 
-`_sweep_columns` is the one admission rule: it names the columns a
-sweep visits and refuses more of them than the subset cap. They are the
-facets (`complexes.top_columns`) for `subset_profile`, and for
-`flow_profile` the series-reduced columns (`series_reduce`, run once
-per complex) when some column reduces. `sweep_size`, which tells
+`_sweep_columns` is the one admission rule: past the subset cap it
+refuses, else it returns the block record a sweep visits, built once
+per complex: per block component its column indices, its columns dense
+over the rows it touches, and its rank (`ColumnBlock`). That is the
+facets' record (`facet_blocks`, which the cut search and the circuits
+read too), or for `flow_profile` that of the series-reduced columns
+(`series_reduce`) when some column reduces. `sweep_size`, which tells
 `method="auto"` what a fresh sweep would cost, and `flows.circuits` ask
 it too. A ridge in exactly two facets, both with coefficient +-1, ties
 their flow values together, so the pair carries one degree of freedom.
 The reduction keeps every mod-q kernel size and every nowhere-zero
-count, but not the matroid, so colorings and the Tutte polynomials
-stay on `subset_profile`. Flow counts fold whichever
-profile is cached, since both give every mod-q kernel size; the
-reduced columns are swept only when neither is.
+count, but not the matroid, so colorings and the Tutte polynomials stay
+on `subset_profile`. Flow counts fold whichever profile is cached, since
+both give every mod-q kernel size; the reduced columns are swept only
+when neither is.
 """
 
 from collections import Counter, namedtuple
@@ -59,13 +61,7 @@ from operator import add
 from .caps import SWEEP_MEMO_CAP, check_matrix_cap, check_subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
 from .errors import CapExceededError
-from .linalg import (
-    IntMatrix,
-    fold_vector,
-    smith_normal_form,
-    snf_diagonal,
-    span_rank,
-)
+from .linalg import IntMatrix, fold_vector, smith_normal_form, snf_diagonal, span_rank
 
 
 @dataclass
@@ -210,17 +206,18 @@ def _saturated_prefix(table, cols, open_bits, nonunit):
     return open_bits - 1
 
 
-def _component_sweep(cols):
+def _component_sweep(cols, full_rank):
     """Histogram of one block component's column subsets, keyed by
     (size, rank, torsion).
 
-    `cols` holds each column as a dense list of ints. A depth-first search
-    decides facets from the highest index down and keeps an echelon basis
-    of the selected columns, adding one column per step and undoing it on
-    the way back. A basis whose pivots are all +-1 spans a saturated
-    lattice (no torsion); any other basis gets a Smith diagonal of its own
-    few rows. Once the lattice is saturated and of full rank, no further
-    column changes it, so the whole subtree is counted with binomials.
+    `cols` holds each column as a dense sequence of ints; `full_rank` is
+    their rank. A depth-first search decides facets from the highest index
+    down and keeps an echelon basis of the selected columns, adding one
+    column per step and undoing it on the way back. A basis whose pivots
+    are all +-1 spans a saturated lattice (no torsion); any other basis
+    gets a Smith diagonal of its own few rows. Once the lattice is
+    saturated and of full rank, no further column changes it, so the whole
+    subtree is counted with binomials.
 
     Each node returns its subtree's counts relative to itself, as a pair
     (free, torsion). `free` is one integer of the torsion-free counts:
@@ -249,7 +246,6 @@ def _component_sweep(cols):
     """
     n = len(cols)
     nrows = len(cols[0]) if cols else 0
-    full_rank = span_rank(cols)
     table = [None] * nrows
     log = []
     width = n + 1  # bits per digit: no count reaches 2^(n+1)
@@ -332,8 +328,8 @@ def _component_sweep(cols):
 
 
 def _lower_rank_sweep(cols, snf=None):
-    """`_component_sweep(cols)`, swept on whichever side has the lower
-    rank.
+    """`_component_sweep` of `cols`, swept on whichever side has the
+    lower rank.
 
     One Smith form of the n columns gives their rank r and a kernel basis
     K (the columns of V past the rank), an n x (n - r) integer matrix
@@ -352,8 +348,8 @@ def _lower_rank_sweep(cols, snf=None):
         snf = smith_normal_form(IntMatrix(list(zip(*cols)), cols=n))
     r = snf.rank
     if n - r >= r or any(m != 1 for m in snf.diagonal):
-        return _component_sweep(cols)
-    dual = _component_sweep([row[r:] for row in snf.V.data])
+        return _component_sweep(cols, r)
+    dual = _component_sweep([row[r:] for row in snf.V.data], n - r)
     return Counter({(n - s, rank - s + r, tors): c for (s, rank, tors), c in dual.items()})
 
 
@@ -374,21 +370,18 @@ def _join_keys(key1, key2):
 
 
 class SubsetProfile:
-    """What every expansion consumes: one `Block` per block component in
-    `components`, each swept on its own, on its lower-rank side: its
-    columns, or, when its column lattice is saturated and its nullity is
-    below its rank, the rows of an integer kernel basis
-    (`_lower_rank_sweep`). Folds are products (`expand`), maxima and
-    minima over blocks. `rank_full` is the rank of all `column_count`
-    columns together. `snf` is the Smith form of the matrix whose columns
-    are `columns`, passed only when that matrix is one component: its
-    sweep then reuses it.
+    """What every expansion consumes: one `Block` per block of a block
+    record, each swept on its own, on its lower-rank side: its columns,
+    or, when its column lattice is saturated and its nullity is below its
+    rank, the rows of an integer kernel basis (`_lower_rank_sweep`).
+    Folds are products (`expand`), maxima and minima over blocks.
+    `rank_full` is the rank of all `column_count` columns together.
+    `snf` is the Smith form of the record's one block, when it has one.
     """
 
-    def __init__(self, columns, components, snf=None):
-        self.components = components
-        sweeps = [_lower_rank_sweep(_component_columns(columns, c), snf) for c in components]
-        self.blocks = [Block(h, len(c), max(r for _, r, _ in h)) for h, c in zip(sweeps, components)]
+    def __init__(self, record, snf=None):
+        self.components = [comp for comp, _, _ in record]
+        self.blocks = [Block(_lower_rank_sweep(c, snf), len(c), r) for _, c, r in record]
         self.rank_full = sum(block.rank for block in self.blocks)
         self.column_count = sum(block.column_count for block in self.blocks)
 
@@ -423,30 +416,42 @@ class SubsetProfile:
         return lcm(*(m for block in self.blocks for _, _, tors in block.histogram for m in tors))
 
 
-def _component_columns(columns, comp):
-    """Dense columns of one block component over the rows it touches."""
-    rows = range(len(columns[comp[0]]))
-    touched = [i for i in rows if any(columns[j][i] for j in comp)]
-    return [[columns[j][i] for i in touched] for j in comp]
+ColumnBlock = namedtuple("ColumnBlock", "indices columns rank")
+
+
+def _block_record(delta, key, columns, split):
+    """The block record of `columns` split by `split()`, cached under `key`."""
+    record = delta._cache.get(key)
+    if record is None:
+        record = []
+        for comp in split():
+            touched = sorted({i for j in comp for i, v in enumerate(columns[j]) if v})
+            # lists: freed small tuples wait on free lists, raising peak RSS
+            cols = [[columns[j][i] for i in touched] for j in comp]
+            record.append(ColumnBlock(comp, cols, span_rank(cols)))
+        delta._cache[key] = record
+    return record
+
+
+def facet_blocks(delta):
+    """The facets' block record: `top_columns` split by `facet_components`."""
+    return _block_record(delta, "facet_blocks", top_columns(delta), lambda: facet_components(delta))
 
 
 def _sweep_columns(delta, flows=False, force=False):
-    """The columns a fresh sweep for `flow_profile` (`flows`) or for
-    `subset_profile` visits, with their block components: the
-    series-reduced columns (reduced once per complex) when flows are
-    asked for and some column reduces, else the facets. Every sweep is
-    admitted here: more of these columns than the subset cap raise
-    CapExceededError unless forced."""
+    """The block record a fresh sweep for `flow_profile` (`flows`) or for
+    `subset_profile` visits, refused past the subset cap unless forced: the
+    series-reduced columns' when flows are asked for and some reduce, else
+    the facets'."""
     if flows:
-        reduced = delta._cache.get("reduced_columns")
-        if reduced is None:
-            columns = series_reduce(top_columns(delta))
-            reduced = delta._cache["reduced_columns"] = columns, column_components(columns)
-        if len(reduced[0]) < len(delta.facets):
-            check_subset_cap(len(reduced[0]), force=force, what="series-reduced columns")
-            return reduced
+        cols = delta._cache.get("reduced_columns")
+        if cols is None:
+            cols = delta._cache["reduced_columns"] = series_reduce(top_columns(delta))
+        if len(cols) < len(delta.facets):
+            check_subset_cap(len(cols), force=force, what="series-reduced columns")
+            return _block_record(delta, "reduced_blocks", cols, lambda: column_components(cols))
     check_subset_cap(len(delta.facets), force=force)
-    return top_columns(delta), facet_components(delta)
+    return facet_blocks(delta)
 
 
 def subset_profile(delta, force=False, jobs=None):
@@ -457,17 +462,11 @@ def subset_profile(delta, force=False, jobs=None):
     """
     profile = delta._cache.get("subset_profile")
     if profile is None:
-        columns, components = _sweep_columns(delta, force=force)
-        profile = delta._cache["subset_profile"] = _facet_profile(delta, columns, components)
+        record = _sweep_columns(delta, force=force)
+        # one block is the whole top map, every row of which is nonzero
+        snf = top_smith_form(delta) if len(record) == 1 else None
+        profile = delta._cache["subset_profile"] = SubsetProfile(record, snf)
     return profile
-
-
-def _facet_profile(delta, columns, components):
-    """The SubsetProfile of the facets. When they are one component, its
-    sweep reuses the top Smith form: that component is the whole top map,
-    every row of which is nonzero."""
-    snf = top_smith_form(delta) if len(components) == 1 else None
-    return SubsetProfile(columns, components, snf)
 
 
 def series_reduce(columns):
@@ -517,38 +516,29 @@ def series_reduce(columns):
 
 def sweep_size(delta, flows=False, force=False):
     """Subsets that a fresh sweep for `flow_profile` (`flows`) or for
-    `subset_profile` would visit at most: the sum of 2^|component| over
-    the block components of `_sweep_columns`. 0 when a profile it can
+    `subset_profile` would visit at most: the sum of 2^|block| over
+    the blocks of `_sweep_columns`. 0 when a profile it can
     fold is cached (for flows, either one), None when the subset cap
-    refuses the sweep. A component swept on its dual side closes its
-    subtrees after n - r rows, one of dependent columns shares subtrees
-    through its memo, and one of independent columns with torsion closes
-    each subtree whose columns span a saturated lattice, so each may
-    visit far fewer subsets and this is an upper bound. `auto` prices
-    each subset it counts at one unit cost all the same."""
+    refuses the sweep. An upper bound: the dual side, the memo and the
+    closed saturated subtrees may visit far fewer subsets, but `auto`
+    prices each subset it counts at one unit cost all the same."""
     if "subset_profile" in delta._cache or flows and "flow_profile" in delta._cache:
         return 0
     try:
-        components = _sweep_columns(delta, flows=flows, force=force)[1]
+        record = _sweep_columns(delta, flows=flows, force=force)
     except CapExceededError:
         return None
-    return sum(1 << len(comp) for comp in components)
+    return sum(1 << len(block.indices) for block in record)
 
 
 def flow_profile(delta, force=False):
     """The SubsetProfile that flow counts fold: any cached profile of the
     top boundary columns, else a fresh sweep of `_sweep_columns(delta,
-    flows=True)`, cached as the subset profile when nothing reduces.
-
-    Both profiles give every mod-q kernel size, so flow counts fold
-    either one exactly: series reduction keeps each kernel's size and
-    nowhere-zero count, and only merges facets whose flow values are tied.
-    """
+    flows=True)`, which is the subset profile when nothing reduces."""
     profile = delta._cache.get("flow_profile") or delta._cache.get("subset_profile")
     if profile is None:
-        columns, components = _sweep_columns(delta, flows=True, force=force)
-        if columns is top_columns(delta):
-            profile = delta._cache["subset_profile"] = _facet_profile(delta, columns, components)
-        else:
-            profile = delta._cache["flow_profile"] = SubsetProfile(columns, components)
+        record = _sweep_columns(delta, flows=True, force=force)
+        if record is not delta._cache.get("reduced_blocks"):
+            return subset_profile(delta, force=force)
+        profile = delta._cache["flow_profile"] = SubsetProfile(record)
     return profile

@@ -5,27 +5,28 @@ least coforest cover, both from one matroid partition in the dual
 matroid (`coforest_cover`).
 
 Every question about one facet set folds vectors into an echelon basis
-(`linalg.fold_vector`). A fundamental circuit is the one relation among
-its columns of `complexes.top_columns`, found by folding them with unit
-tags appended (`linalg.kernel_basis`). Covers fold rows of an integer
-kernel basis K of the boundary map, read off the one Smith form of that
-map per complex (`homology.top_smith_form`): K represents the dual
-matroid, so X is coindependent exactly when its rows of K are
-independent, and a bridge is a zero row. The least cut is a search over
-bases of each block's columns that sweeps no subsets
-(`facet_connectivity`). `RankOracle` takes one Smith diagonal per
-query. Nothing here calls it: `verify` (criteria 7 and 10) and the
-tests hold the folds to it, and perfbench/spans.py traces it.
+(`linalg.fold_vector`), each block's columns and rank read off the
+facets' block record (`homology.facet_blocks`). A fundamental circuit is
+the one relation among its columns in the facet's block, found by
+folding them with unit tags appended (`linalg.kernel_basis`). Covers
+fold rows of an integer kernel basis K of the boundary map, read off the
+one Smith form of that map per complex (`homology.top_smith_form`): K
+represents the dual matroid, so X is coindependent exactly when its rows
+of K are independent, and a bridge is a zero row. The least cut is a
+search over bases of each block's columns that sweeps no subsets
+(`facet_connectivity`). `RankOracle` takes one Smith diagonal per query.
+Nothing here calls it: `verify` (criteria 7 and 10) and the tests hold
+the folds to it, and perfbench/spans.py traces it.
 """
 
 from dataclasses import dataclass
 from itertools import count
 
 from .caps import check_cut_search_nodes
-from .complexes import facet_components, restrict_columns, top_columns
+from .complexes import restrict_columns
 from .errors import FacetInBaseError, IndexOutOfRangeError, InfeasibleError, NotABaseError
 from .homology import (
-    _component_columns,
+    facet_blocks,
     subset_profile,  # not called here; perfbench/spans.py traces this name
     top_smith_form,
 )
@@ -91,11 +92,8 @@ def facet_connectivity(delta):
     found = bridges(delta)
     if found:
         return FacetConnectivity(value=1, witness=1 << found[0])
-    columns = top_columns(delta)
     blocks = []
-    for comp in facet_components(delta):
-        cols = _component_columns(columns, comp)
-        rank = span_rank(cols)
+    for comp, cols, rank in facet_blocks(delta):
         empty = [None] * len(cols[0])
         packed = len(cols) // rank
         while packed > 1 and not _fills(cols, range(len(cols)), empty, 0, rank, packed):
@@ -282,20 +280,29 @@ def _first_cut(cols, rank, k, nodes):
 
 def fundamental_circuit(delta, base_mask, facet_index):
     """Support of the unique rational dependency in base + one facet. The
-    base is a maximal forest exactly when it has rank-many facets and one
-    relation with the facet, which takes the facet (else the base has one)."""
+    base is a maximal forest exactly when each block holds rank-many of
+    its facets, independent; in the facet's block that is one relation
+    with the facet, which takes the facet (else the base has one)."""
     n = len(delta.facets)
     if not 0 <= facet_index < n:
         raise IndexOutOfRangeError(f"facet index {facet_index} out of range")
     if base_mask >> facet_index & 1:
         raise FacetInBaseError(f"facet {facet_index} already in the base")
-    cols = top_columns(delta)
-    selected = delta.facets_of_mask(base_mask | 1 << facet_index)
-    basis = kernel_basis([cols[f] for f in selected])
-    sized = base_mask.bit_count() == len(selected) - 1 == top_smith_form(delta).rank
-    if not sized or len(basis) != 1 or not basis[0][selected.index(facet_index)]:
-        raise NotABaseError("base must be a maximal forest")
-    return sum(1 << f for t, f in zip(basis[0], selected) if t)
+    circuit = None
+    for comp, cols, rank in facet_blocks(delta):
+        picked = [i for i, f in enumerate(comp) if base_mask >> f & 1]
+        if facet_index in comp:
+            picked.append(comp.index(facet_index))
+            relations = kernel_basis([cols[i] for i in picked])
+            if len(picked) - 1 != rank or len(relations) != 1 or not relations[0][-1]:
+                break
+            circuit = sum(1 << comp[i] for i, t in zip(picked, relations[0]) if t)
+        elif not len(picked) == rank == span_rank([cols[i] for i in picked]):
+            break
+    else:
+        if not base_mask >> n:  # bits past the facets name no facet set
+            return circuit
+    raise NotABaseError("base must be a maximal forest")
 
 
 def coarboricity(delta):

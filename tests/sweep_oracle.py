@@ -14,8 +14,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 from simflow import homology
-from simflow.complexes import facet_components, top_columns
-from simflow.homology import _component_columns
+from simflow.homology import facet_blocks
 from simflow.linalg import snf_diagonal
 
 
@@ -43,12 +42,9 @@ def _join(t1, t2):
 
 
 def oracle_profile(delta):
-    """The global histogram, built by visiting every mask of every
-    component."""
-    columns = top_columns(delta)
-    sweeps = [
-        per_mask_sweep(_component_columns(columns, comp)) for comp in facet_components(delta)
-    ]
+    """The global histogram, built by visiting every mask of every block
+    of the facets' block record."""
+    sweeps = [per_mask_sweep(block.columns) for block in facet_blocks(delta)]
     hist = Counter({(0, 0, ()): 1})
     for ranks, tors in sweeps:
         local = Counter(
@@ -75,9 +71,9 @@ def watch_sides():
         given.append(cols)
         return lower(cols, *shared)
 
-    def watched_sweep(vectors):
+    def watched_sweep(vectors, rank):
         sides.append("primal" if vectors is given[-1] else "dual")
-        return sweep(vectors)
+        return sweep(vectors, rank)
 
     with mock.patch.object(homology, "_lower_rank_sweep", watched_lower), mock.patch.object(
         homology, "_component_sweep", watched_sweep

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from simflow import homology
+from simflow import cli, homology
 from simflow.complexes import (
     boundary_matrix,
     build_complex,
@@ -106,4 +106,20 @@ def test_series_reduction_runs_once_per_complex(monkeypatch):
     assert count_nz_flows(ladder, 2) == 0
     assert count_nz_flows(ladder, 3) == 2
     assert "flow_profile" not in ladder._cache
+    assert len(calls) == 1
+
+
+def test_facet_components_run_once_per_complex(monkeypatch, capsys):
+    # K_4 plus a triangle: two blocks; flows sweep the series-reduced
+    # columns, colorings the facets, and analyze and construct read the
+    # facets' block record that the colorings built
+    calls = []
+    split = homology.facet_components
+    monkeypatch.setattr(homology, "facet_components", lambda d: calls.append(1) or split(d))
+    delta = build_complex([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [4, 5], [5, 6], [4, 6]])
+    monkeypatch.setattr(cli, "_read_complex", lambda args: delta)
+    for argv in ["flows", "--q", "3"], ["colorings", "--k", "4"], ["analyze"], ["construct", "--jaeger"]:
+        assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("0\n576\n") and "connectivity: 2\n" in out and "modulus: 8\n" in out
     assert len(calls) == 1

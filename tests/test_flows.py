@@ -30,7 +30,7 @@ from simflow import (
     serialize_complex,
 )
 from simflow.cli import main
-from simflow.complexes import facet_components, subdivide_facet, top_columns
+from simflow.complexes import subdivide_facet, top_columns
 from simflow.fixtures import (
     _RP2_FACES,
     complete,
@@ -44,7 +44,7 @@ from simflow.fixtures import (
     standard_corpus,
 )
 from simflow.flows import circuits, is_modular_flow
-from simflow.homology import homology_summary, subset_profile, sweep_size
+from simflow.homology import facet_blocks, homology_summary, subset_profile, sweep_size
 from simflow.linalg import enumerate_kernel_mod_q, kernel_basis, kernel_count_mod_q, span_rank
 from simflow.matroid import bridges
 from simflow.verify import PETERSEN_FLOWS_AT_5, _tensions_by_circuits
@@ -301,8 +301,7 @@ def test_circuits_scan_each_block_on_its_own(monkeypatch):
         want = _circuits_of_all_masks(delta)
         scanned.clear()
         assert circuits(delta) == want
-        cols = top_columns(delta)
-        block = {id(cols[j]): b for b, comp in enumerate(facet_components(delta)) for j in comp}
+        block = {id(col): b for b, (_, cols, _) in enumerate(facet_blocks(delta)) for col in cols}
         assert scanned and all(len({block[id(v)] for v in vectors}) == 1 for vectors in scanned)
 
     check()

@@ -214,7 +214,7 @@ def test_sweep_takes_smith_diagonals_only_of_non_unit_pivots(monkeypatch):
     subset_profile(build_complex([list(f) for f in petersen().facets]))
     assert calls == []
     # {(2, 1)} has pivot 2; adding (1, 0) turns it into pivots 1, 1
-    histogram = homology._component_sweep([[1, 0], [2, 1]])
+    histogram = homology._component_sweep([[1, 0], [2, 1]], 2)
     assert histogram == {(0, 0, ()): 1, (1, 1, ()): 2, (2, 2, ()): 1}
     assert calls == [1]
 

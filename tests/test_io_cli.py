@@ -28,6 +28,7 @@ from simflow.cli import COMMANDS, _UsageError, build_parser, main
 from simflow.fixtures import (
     FIXTURE_PARAMS,
     complete,
+    cycle,
     make_fixture,
     petersen,
     rp2,
@@ -968,6 +969,29 @@ def test_cli_analyze_refuses_past_the_subset_cap_before_any_smith_form(
         "cap exceeded: Smith normal form of a 560 x 1820 boundary map in dimension 3"
         " (1019200 entries) exceeds the cap of 1000000 entries\n"
     )
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [(lambda: complete(16, 4), "560 x 1820"), (lambda: cycle(1001), "1001 x 1001")],
+    ids=["K_16^4", "cycle(1001)"],
+)
+def test_cli_construct_refuses_a_top_map_past_the_matrix_cap(make, shape, monkeypatch, capsys):
+    # both hung without the check: K_16^4 in the top Smith form, the
+    # 1001-edge cycle in the cover
+    def never(*args, **kwargs):
+        raise AssertionError("Smith form past the matrix cap")
+
+    monkeypatch.setattr(simflow.homology, "smith_normal_form", never)
+    monkeypatch.setattr(simflow.linalg, "smith_normal_form", never)
+    code, out, err = _run_cli(
+        ["construct", "--jaeger"],
+        stdin_text=serialize_complex(make()),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, out) == (3, "")
+    assert f"Smith normal form of a {shape} boundary map in dimension" in err
 
 
 def test_cli_analyze_forced_past_the_matrix_cap_refuses_before_the_sweep(

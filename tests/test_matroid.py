@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from simflow import caps
+from simflow import caps, flows, matroid
 from simflow import (
     CapExceededError,
     FacetInBaseError,
@@ -173,12 +173,22 @@ def test_fundamental_circuit_refuses_a_full_size_base_whose_relation_misses_the_
 
 @pytest.mark.parametrize(
     "delta",
-    [cycle(4), complete(4, 2), simplex_boundary(2), rp2()],
-    ids=["cycle4", "K4", "tetrahedron", "rp2"],
+    [
+        cycle(4),
+        complete(4, 2),
+        simplex_boundary(2),
+        rp2(),
+        build_complex([*complete(4, 2).facets, (4, 5), (5, 6), (4, 6)]),
+    ],
+    ids=["cycle4", "K4", "tetrahedron", "rp2", "K4+triangle"],
 )
 def test_fundamental_circuit_takes_exactly_the_maximal_forests(delta):
     """Every (mask, facet outside it): a circuit comes back exactly when
-    `classify_forest` calls the mask a maximal forest."""
+    `classify_forest` calls the mask a maximal forest. On K_4 plus a
+    triangle, a triangle of K_4 and two edges of the other triangle have
+    the size of a maximal forest and a circuit through the third edge of
+    the other triangle, but are no forest: K_4's block must be checked
+    too."""
     n = len(delta.facets)
     for mask in range(1 << n):
         flags = classify_forest(delta, mask)
@@ -190,6 +200,35 @@ def test_fundamental_circuit_takes_exactly_the_maximal_forests(delta):
             else:
                 with pytest.raises(NotABaseError):
                     fundamental_circuit(delta, mask, f)
+
+
+def test_jaeger_circuits_fold_one_block_each(monkeypatch):
+    """On 100 disjoint triangles, each fundamental circuit of the Jaeger
+    construction folds its own triangle's columns only: `kernel_basis`
+    gets two base edges and the facet, never the whole base."""
+    delta = build_complex(
+        [[3 * i + a, 3 * i + b] for i in range(100) for a, b in ((0, 1), (1, 2), (0, 2))]
+    )
+    widths, inside = [], []
+    kernel, circuit = matroid.kernel_basis, flows.fundamental_circuit
+
+    def recording(vectors):
+        if inside:
+            widths.append(len(vectors))
+        return kernel(vectors)
+
+    def tracked(*args):
+        inside.append(True)
+        try:
+            return circuit(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(matroid, "kernel_basis", recording)
+    monkeypatch.setattr(flows, "fundamental_circuit", tracked)
+    flow = jaeger_flow(delta)
+    assert flow.q == 8 and flow.nowhere_zero
+    assert len(widths) == 300 and max(widths) == 3
 
 
 def test_fundamental_circuit_minimality():

@@ -13,7 +13,6 @@ import pytest
 from simflow import homology
 from simflow.complexes import (
     build_complex,
-    facet_components,
     restrict_columns,
     subdivide_facet,
     top_columns,
@@ -27,12 +26,12 @@ from simflow.fixtures import (
     rp2_odd_triangle,
 )
 from simflow.homology import (
-    _component_columns,
     _component_sweep,
     _lower_rank_sweep,
+    facet_blocks,
     subset_profile,
 )
-from simflow.linalg import snf_diagonal
+from simflow.linalg import snf_diagonal, span_rank
 from sweep_oracle import oracle_profile, per_mask_sweep, watch_sides
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -53,8 +52,7 @@ def _per_mask_histogram(cols):
 def _component_side(delta):
     """The one block component's columns, its swept histogram and the
     side it was swept on."""
-    (comp,) = facet_components(delta)
-    cols = _component_columns(top_columns(delta), comp)
+    ((_, cols, _),) = facet_blocks(delta)
     with watch_sides() as sides:
         histogram = homology._lower_rank_sweep(cols)
     return cols, histogram, sides
@@ -138,11 +136,11 @@ def test_component_sweep_on_integer_columns(cols):
     again with a memo capped at one entry, the one subtree kept is read
     back wherever it recurs, and every other is swept afresh."""
     want = _per_mask_histogram(cols)
-    assert _component_sweep(cols) == want
+    assert _component_sweep(cols, span_rank(cols)) == want
     assert _lower_rank_sweep(cols) == want
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homology, "SWEEP_MEMO_CAP", 1)
-        assert _component_sweep(cols) == want
+        assert _component_sweep(cols, span_rank(cols)) == want
 
 
 @st.composite
@@ -174,7 +172,7 @@ def test_component_sweep_on_independent_columns_with_torsion(cols):
     whose columns, with every column it can still select, span a
     saturated lattice, counting its subsets by size with binomials."""
     want = _per_mask_histogram(cols)
-    assert _component_sweep(cols) == want
+    assert _component_sweep(cols, span_rank(cols)) == want
     assert _lower_rank_sweep(cols) == want
 
 
@@ -305,12 +303,11 @@ def test_sweep_frees_its_memo_on_return():
     """The memo is freed by reference counting as the sweep returns, not
     left in a reference cycle for the garbage collector."""
     delta = complete(6, 2)
-    (comp,) = facet_components(delta)
-    cols = _component_columns(top_columns(delta), comp)
+    ((_, cols, rank),) = facet_blocks(delta)
     gc.collect()
     gc.disable()
     try:
-        _component_sweep(cols)
+        _component_sweep(cols, rank)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -327,9 +324,7 @@ def test_memo_budget_keeps_the_histogram(monkeypatch, make, budget):
     swept again and the histogram is unchanged."""
     monkeypatch.setattr(homology, "SWEEP_MEMO_CAP", budget)
     delta = make()
-    columns = top_columns(delta)
-    for comp in facet_components(delta):
-        cols = _component_columns(columns, comp)
+    for _, cols, _ in facet_blocks(delta):
         assert _lower_rank_sweep(cols) == _oracle_histogram(tuple(map(tuple, cols)))
 
 

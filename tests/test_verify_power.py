@@ -37,6 +37,16 @@ def test_criterion_05_fails_on_an_off_by_one_bott_coefficient(monkeypatch):
     assert "complemented Bott != flow specialization of TKR" in result.detail
 
 
+def test_criterion_06_fails_on_a_fold_that_keeps_only_the_last_block(monkeypatch):
+    # rp2 + rp2 is two blocks: V4 flows are a product over both, and
+    # without the product only the last block's 3 are counted
+    mutant = _mutant(homology, "SubsetProfile", "if total is not None:", "if False:")
+    monkeypatch.setattr(homology, "SubsetProfile", mutant)
+    result = verify.check_group_flow_counts()
+    assert not result.passed
+    assert "V4 flows: 3 != 9" in result.detail
+
+
 def test_criterion_07_fails_on_a_cut_search_that_branches_on_one_facet(monkeypatch):
     # each node branches only on the first facet of its basis, so the
     # search follows one greedy path and misses cuts off it
