@@ -4,7 +4,7 @@ Subset expansions sweep all 2^n subsets of n columns: the facets, or for
 flow counts the series-reduced columns. The cap refuses more than
 SIMFLOW_SUBSET_CAP columns (default 24) unless the caller forces; a
 value that is not a non-negative integer raises SettingError.
-`homology._sweep_columns` is its one caller: every sweep, the sweep
+`homology._admit_sweep` is its one caller: every sweep, the sweep
 size that `method="auto"` compares and the circuit scan are admitted
 there. Kernel enumeration and the face list of a new complex refuse
 more items than the enumeration cap. The least-cut search

@@ -15,22 +15,23 @@ product over the profile's blocks. `method="auto"` folds whenever such
 a profile is cached, or the subset cap admits the columns it would
 sweep and the sweep, priced at `SUBSET_US` per subset, costs no more
 than the enumeration, priced at `ENUM_SETUP_US` plus `KERNEL_VECTOR_US`
-per kernel vector or `COLORING_US` per coloring. The kernel size and
-the kernel search read the one Smith form of the top boundary map per
-complex (`homology.top_smith_form`). `method="kernel_enum"` enumerates
-the unreduced kernel: it is the oracle the folds are held to. Tension
-counts come from the coloring count through the chromatic relation
-(`tensions_from_colorings`); `verify` holds them to a direct filter of
-the circuit system (`circuits`). The flow quasipolynomial is
-read off the flow profile, one constituent per residue class, and so is
-the count of nowhere-zero Z_2^r flows: the r-th power of each subset's
-mod-2 flow count, folded by inclusion-exclusion. The 2^c-flow
-construction sweeps no subsets: c is the part count of one matroid
-partition (`matroid.coforest_cover`).
+per kernel vector or `COLORING_US` per coloring. Kernel sizes, the
+kernel search and the top rank and torsion read the blocks' Smith
+forms (`homology.facet_blocks`): a mod-q kernel is their product.
+`method="kernel_enum"` enumerates the unreduced kernel: it is the
+oracle the folds are held to. Tension counts come from the coloring
+count through the chromatic relation (`tensions_from_colorings`);
+`verify` holds them to a direct filter of the circuit system
+(`circuits`). The flow quasipolynomial is read off the flow profile,
+one constituent per residue class, and so is the count of nowhere-zero
+Z_2^r flows: the r-th power of each subset's mod-2 flow count, folded
+by inclusion-exclusion. The 2^c-flow construction sweeps no subsets:
+c is the part count of one matroid partition (`matroid.coforest_cover`).
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .caps import DEFAULT_ENUM_CAP, check_enum_cap
 from .complexes import boundary_matrix, top_columns
@@ -44,14 +45,15 @@ from .errors import (
     RelationMismatchError,
 )
 from .homology import (
-    _sweep_columns,
+    _admit_sweep,
+    facet_blocks,
     flow_profile,
     subset_profile,
     sweep_size,
     t_q_of,
-    top_smith_form,
 )
 from .linalg import (
+    IntMatrix,
     count_nowhere_zero_box,
     count_nowhere_zero_kernel_mod_q,
     enumerate_kernel_mod_q,  # not called here; perfbench/spans.py traces this name
@@ -197,8 +199,8 @@ def _flow_expansion(delta, q, force=False):
 def count_nz_flows(delta, q, method="auto", force=False):
     """Number of nowhere-zero q-flows, by kernel enumeration of the top
     boundary map or by the subset inclusion-exclusion expansion over the
-    flow profile (both exact). The enumeration reads the kernel off the
-    complex's one Smith form of that map."""
+    flow profile (both exact). The enumeration multiplies the blocks'
+    counts once the enumeration cap admits their product."""
     if q < 1:
         raise BadModulusError(f"modulus must be >= 1, got {q}")
     n = len(delta.facets)
@@ -208,13 +210,17 @@ def count_nz_flows(delta, q, method="auto", force=False):
         method = _auto_route(
             sweep_size(delta, flows=True, force=force),
             "kernel_enum",
-            lambda: top_smith_form(delta).kernel_count(q),
+            lambda: prod(block.form.kernel_count(q) for block in facet_blocks(delta)),
             KERNEL_VECTOR_US,
             DEFAULT_ENUM_CAP,
         )
     if method == "kernel_enum":
-        top = boundary_matrix(delta, delta.dimension).matrix
-        return count_nowhere_zero_kernel_mod_q(top, q, top_smith_form(delta))
+        blocks = facet_blocks(delta)
+        check_enum_cap(prod(block.form.kernel_count(q) for block in blocks))
+        return prod(
+            count_nowhere_zero_kernel_mod_q(IntMatrix(list(zip(*cols)), cols=len(cols)), q, form)
+            for _, cols, form in blocks
+        )
     if method == "subset_expansion":
         return _flow_expansion(delta, q, force=force)
     raise BadParamsError(f"unknown method {method!r}")
@@ -285,7 +291,8 @@ def circuits(delta, force=False):
     it: `verify` filters tensions by it, and perfbench/spans.py traces it.
     """
     found = []
-    for comp, cols, _ in _sweep_columns(delta, force=force):
+    _admit_sweep(delta, force=force)
+    for comp, cols, _ in facet_blocks(delta):
         local = []
         for size in range(1, len(comp) + 1):
             for combo in combinations(range(len(comp)), size):
@@ -317,12 +324,12 @@ def tensions_from_colorings(delta, k, colorings):
     Each tension is the coboundary of |ker(coboundary mod k)| colorings,
     which gives the torsion-weighted chromatic relation
     t_k(F) * T(k) = k^(|F| - beta_d - |R|) * X(k). beta_d and t_k(F)
-    are read off the Smith form of the top boundary map. A relation that
-    is not an exact multiple raises RelationMismatchError.
+    are read off the blocks' Smith forms. A relation that is not an
+    exact multiple raises RelationMismatchError.
     """
-    snf = top_smith_form(delta)
-    t_full = t_q_of(snf.diagonal, k)
-    exp = snf.rank - ridge_count(delta)  # |F| - beta_d is the rank
+    blocks = facet_blocks(delta)
+    t_full = prod(t_q_of(block.form.diagonal, k) for block in blocks)
+    exp = sum(block.form.rank for block in blocks) - ridge_count(delta)  # |F| - beta_d
     num = colorings * k ** max(exp, 0)
     den = t_full * k ** max(-exp, 0)
     if num % den:
@@ -491,7 +498,7 @@ def jaeger_flow(delta):
     cover = coforest_cover(delta)
     c = len(cover.parts)
     n = len(delta.facets)
-    full_rank = top_smith_form(delta).rank
+    full_rank = sum(block.form.rank for block in facet_blocks(delta))
     words = [0] * n
     for k, part in enumerate(cover.parts):
         # greedy base of the complement: keep each column that grows the span
@@ -545,7 +552,7 @@ def min_flow_number(delta, q_max, force=False):
     """
     if q_max < 2:
         raise BadParamsError(f"q_max must be >= 2, got {q_max}")
-    if bridges(delta) and all(m == 1 for m in top_smith_form(delta).diagonal):
+    if bridges(delta) and all(m == 1 for b in facet_blocks(delta) for m in b.form.diagonal):
         return None
     stop = None
     q = 2

@@ -29,27 +29,24 @@ their direct sum, so every fold is a product, a max or a min over them.
 The basis is grown with `linalg.fold_vector`, the one integer echelon
 routine, which `_reduced_fold` wraps where the memo keys on the basis.
 The memo lives for one component's sweep, under the cap
-`caps.SWEEP_MEMO_CAP`; nothing else per subset is kept: a rank question
-that names one subset folds its vectors into a fresh basis
-(`linalg.span_rank`). The Smith form of the whole top map is taken once
-per complex (`top_smith_form`), and the sweep of a complex that is one
-block component reads it to choose its side.
+`caps.SWEEP_MEMO_CAP`; nothing else per subset is kept.
 
-`_sweep_columns` is the one admission rule: past the subset cap it
-refuses, else it returns the block record a sweep visits, built once
-per complex: per block component its column indices, its columns dense
-over the rows it touches, and its rank (`ColumnBlock`). That is the
-facets' record (`facet_blocks`, which the cut search and the circuits
-read too), or for `flow_profile` that of the series-reduced columns
-(`series_reduce`) when some column reduces. `sweep_size`, which tells
-`method="auto"` what a fresh sweep would cost, and `flows.circuits` ask
-it too. A ridge in exactly two facets, both with coefficient +-1, ties
-their flow values together, so the pair carries one degree of freedom.
-The reduction keeps every mod-q kernel size and every nowhere-zero
-count, but not the matroid, so colorings and the Tutte polynomials stay
-on `subset_profile`. Flow counts fold whichever profile is cached, since
-both give every mod-q kernel size; the reduced columns are swept only
-when neither is.
+The block record of a complex, built on first read, holds per block
+component its column indices, its columns dense over the rows it
+touches, and their Smith form with transform (`ColumnBlock`). The top
+map is block-diagonal, so its rank, torsion and mod-q kernels are read
+off the blocks' forms, and no Smith form of the whole map is taken.
+`_admit_sweep` is the one admission rule: past the subset cap it
+refuses, else it says whether a sweep visits the facets' record
+(`facet_blocks`) or, for `flow_profile` when some column reduces, that
+of the series-reduced columns (`series_reduce`). `sweep_size` reads
+only their cached split into blocks. A ridge in exactly two facets,
+both with coefficient +-1, ties their flow values together, so the
+pair carries one degree of freedom. The reduction keeps every mod-q
+kernel size and every nowhere-zero count, but not the matroid, so
+colorings and the Tutte polynomials stay on `subset_profile`. Flow
+counts fold whichever profile is cached, since both give every mod-q
+kernel size; the reduced columns are swept only when neither is.
 """
 
 from collections import Counter, namedtuple
@@ -61,7 +58,7 @@ from operator import add
 from .caps import SWEEP_MEMO_CAP, check_matrix_cap, check_subset_cap
 from .complexes import boundary_matrix, column_components, facet_components, top_columns
 from .errors import CapExceededError
-from .linalg import IntMatrix, fold_vector, smith_normal_form, snf_diagonal, span_rank
+from .linalg import IntMatrix, fold_vector, smith_normal_form, snf_diagonal
 
 
 @dataclass
@@ -94,19 +91,6 @@ def _skeleton_snfs(delta, dims):
     return snfs
 
 
-def top_smith_form(delta):
-    """Smith normal form of the top boundary map, taken once per complex
-    and cached. `method="auto"` reads mod-q kernel sizes off its
-    diagonal, the kernel search and `matroid._dual_rows` read its
-    transform V, `homology_summary` its diagonal, and the sweep of a
-    complex that is one block component reads both."""
-    snf = delta._cache.get("top_snf")
-    if snf is None:
-        top = boundary_matrix(delta, delta.dimension).matrix
-        snf = delta._cache["top_snf"] = smith_normal_form(top)
-    return snf
-
-
 def codim1_cycle_rank(delta):
     """Nullity of the boundary map one dimension below the top, the only
     map of the lower skeleton it eliminates.
@@ -124,15 +108,12 @@ def homology_summary(delta):
     """Reduced Betti numbers and torsion of the complex."""
     d = delta.dimension
     snfs = _skeleton_snfs(delta, range(d))
-    top_diag = top_smith_form(delta).diagonal
-    top_rank = len(top_diag)
-
-    betti = {}
-    torsion = {}
-    betti[d] = len(delta.facets) - top_rank
+    blocks = facet_blocks(delta)
+    top_rank = sum(block.form.rank for block in blocks)
+    betti, torsion = {d: len(delta.facets) - top_rank}, {}
     if d >= 1:
         betti[d - 1] = codim1_cycle_rank(delta) - top_rank
-        torsion[d - 1] = [m for m in top_diag if m > 1]
+        torsion[d - 1] = list(_smith_chain([m for b in blocks for m in b.form.diagonal if m > 1]))
     for n in range(d - 1):
         nullity_n = len(delta.faces(n)) - len(snfs[n])
         betti[n] = nullity_n - len(snfs[n + 1])
@@ -327,12 +308,12 @@ def _component_sweep(cols, full_rank):
     return histogram
 
 
-def _lower_rank_sweep(cols, snf=None):
+def _lower_rank_sweep(cols, snf):
     """`_component_sweep` of `cols`, swept on whichever side has the
     lower rank.
 
-    One Smith form of the n columns gives their rank r and a kernel basis
-    K (the columns of V past the rank), an n x (n - r) integer matrix
+    `snf`, the Smith form of the n columns, gives their rank r and a
+    kernel basis K (the columns of V past the rank), an n x (n - r) matrix
     whose rows represent the dual matroid. When n - r < r and every
     invariant factor is 1 (the column lattice is saturated), the n rows
     of K are swept instead, and each dual key (s, r*, t) of a row set Y
@@ -341,11 +322,8 @@ def _lower_rank_sweep(cols, snf=None):
     Z^m / A Z^n is free, the torsion of Z^m / A Z^X is that of
     A Z^n / A Z^X = Z^Y / K_Y Z^(n-r), read off the Smith diagonal of
     K_Y. The dual sweep closes a subtree at rank n - r instead of r.
-    `snf` is that Smith form when the caller holds one.
     """
     n = len(cols)
-    if snf is None:
-        snf = smith_normal_form(IntMatrix(list(zip(*cols)), cols=n))
     r = snf.rank
     if n - r >= r or any(m != 1 for m in snf.diagonal):
         return _component_sweep(cols, r)
@@ -358,15 +336,19 @@ def _lower_rank_sweep(cols, snf=None):
 Block = namedtuple("Block", "histogram column_count rank")
 
 
+def _smith_chain(factors):
+    """The invariant factors of a sum of cyclic groups of the orders
+    `factors`, each above 1: already these when each divides the next."""
+    if all(b % a == 0 for a, b in zip(factors, factors[1:])):
+        return tuple(factors)
+    diag = [[m * (i == j) for j in range(len(factors))] for i, m in enumerate(factors)]
+    return tuple(m for m in snf_diagonal(diag) if m > 1)
+
+
 def _join_keys(key1, key2):
-    """The key of a union of subsets of two blocks: its torsion is the
-    Smith diagonal of both factor lists set on one diagonal."""
+    """The key of a union of subsets of two blocks."""
     (s1, r1, t1), (s2, r2, t2) = key1, key2
-    tors = t1 + t2
-    if t1 and t2:
-        diag = [[m * (i == j) for j in range(len(tors))] for i, m in enumerate(tors)]
-        tors = tuple(m for m in snf_diagonal(diag) if m > 1)
-    return s1 + s2, r1 + r2, tors
+    return s1 + s2, r1 + r2, _smith_chain(t1 + t2)
 
 
 class SubsetProfile:
@@ -376,12 +358,11 @@ class SubsetProfile:
     rank, the rows of an integer kernel basis (`_lower_rank_sweep`).
     Folds are products (`expand`), maxima and minima over blocks.
     `rank_full` is the rank of all `column_count` columns together.
-    `snf` is the Smith form of the record's one block, when it has one.
     """
 
-    def __init__(self, record, snf=None):
+    def __init__(self, record):
         self.components = [comp for comp, _, _ in record]
-        self.blocks = [Block(_lower_rank_sweep(c, snf), len(c), r) for _, c, r in record]
+        self.blocks = [Block(_lower_rank_sweep(c, f), len(c), f.rank) for _, c, f in record]
         self.rank_full = sum(block.rank for block in self.blocks)
         self.column_count = sum(block.column_count for block in self.blocks)
 
@@ -416,42 +397,52 @@ class SubsetProfile:
         return lcm(*(m for block in self.blocks for _, _, tors in block.histogram for m in tors))
 
 
-ColumnBlock = namedtuple("ColumnBlock", "indices columns rank")
+# A record's block: its column indices, columns dense over its rows, Smith form.
+ColumnBlock = namedtuple("ColumnBlock", "indices columns form")
 
 
-def _block_record(delta, key, columns, split):
-    """The block record of `columns` split by `split()`, cached under `key`."""
-    record = delta._cache.get(key)
+def _block_split(delta, reduced):
+    """The facets' or the series-reduced (`reduced`) columns and their blocks, cached."""
+    split = delta._cache.get(("split", reduced))
+    if split is None:
+        cols = delta._cache["reduced_columns"] if reduced else top_columns(delta)
+        comps = column_components(cols) if reduced else facet_components(delta)
+        split = delta._cache["split", reduced] = cols, comps
+    return split
+
+
+def facet_blocks(delta, reduced=False):
+    """The block record of the facets, or of the series-reduced columns
+    (`reduced`), cached. A lone block keeps its zero rows: they change nothing."""
+    record = delta._cache.get(("blocks", reduced))
     if record is None:
+        columns, comps = _block_split(delta, reduced)
         record = []
-        for comp in split():
-            touched = sorted({i for j in comp for i, v in enumerate(columns[j]) if v})
-            # lists: freed small tuples wait on free lists, raising peak RSS
-            cols = [[columns[j][i] for i in touched] for j in comp]
-            record.append(ColumnBlock(comp, cols, span_rank(cols)))
-        delta._cache[key] = record
+        for comp in comps:
+            cols = columns
+            if len(comps) > 1:
+                touched = sorted({i for j in comp for i, v in enumerate(columns[j]) if v})
+                # lists: freed small tuples wait on free lists, raising peak RSS
+                cols = [[columns[j][i] for i in touched] for j in comp]
+            form = smith_normal_form(IntMatrix(list(zip(*cols)), cols=len(cols)))
+            record.append(ColumnBlock(comp, cols, form))
+        delta._cache["blocks", reduced] = record
     return record
 
 
-def facet_blocks(delta):
-    """The facets' block record: `top_columns` split by `facet_components`."""
-    return _block_record(delta, "facet_blocks", top_columns(delta), lambda: facet_components(delta))
-
-
-def _sweep_columns(delta, flows=False, force=False):
-    """The block record a fresh sweep for `flow_profile` (`flows`) or for
-    `subset_profile` visits, refused past the subset cap unless forced: the
-    series-reduced columns' when flows are asked for and some reduce, else
-    the facets'."""
+def _admit_sweep(delta, flows=False, force=False):
+    """Whether a fresh sweep for `flow_profile` (`flows`) or for
+    `subset_profile` visits the series-reduced columns (flows, and some
+    column reduces) or the facets. Refuses past the subset cap unless forced."""
     if flows:
         cols = delta._cache.get("reduced_columns")
         if cols is None:
             cols = delta._cache["reduced_columns"] = series_reduce(top_columns(delta))
         if len(cols) < len(delta.facets):
             check_subset_cap(len(cols), force=force, what="series-reduced columns")
-            return _block_record(delta, "reduced_blocks", cols, lambda: column_components(cols))
+            return True
     check_subset_cap(len(delta.facets), force=force)
-    return facet_blocks(delta)
+    return False
 
 
 def subset_profile(delta, force=False, jobs=None):
@@ -462,10 +453,8 @@ def subset_profile(delta, force=False, jobs=None):
     """
     profile = delta._cache.get("subset_profile")
     if profile is None:
-        record = _sweep_columns(delta, force=force)
-        # one block is the whole top map, every row of which is nonzero
-        snf = top_smith_form(delta) if len(record) == 1 else None
-        profile = delta._cache["subset_profile"] = SubsetProfile(record, snf)
+        _admit_sweep(delta, force=force)
+        profile = delta._cache["subset_profile"] = SubsetProfile(facet_blocks(delta))
     return profile
 
 
@@ -516,29 +505,27 @@ def series_reduce(columns):
 
 def sweep_size(delta, flows=False, force=False):
     """Subsets that a fresh sweep for `flow_profile` (`flows`) or for
-    `subset_profile` would visit at most: the sum of 2^|block| over
-    the blocks of `_sweep_columns`. 0 when a profile it can
-    fold is cached (for flows, either one), None when the subset cap
-    refuses the sweep. An upper bound: the dual side, the memo and the
-    closed saturated subtrees may visit far fewer subsets, but `auto`
-    prices each subset it counts at one unit cost all the same."""
+    `subset_profile` would visit at most: the sum of 2^|block| over the
+    cached split (`_block_split`) of what `_admit_sweep` names. 0 when a
+    profile it can fold is cached (for flows, either one), None when the
+    subset cap refuses. An upper bound: the dual side, the memo and the
+    closed saturated subtrees may visit far fewer subsets."""
     if "subset_profile" in delta._cache or flows and "flow_profile" in delta._cache:
         return 0
     try:
-        record = _sweep_columns(delta, flows=flows, force=force)
+        reduced = _admit_sweep(delta, flows=flows, force=force)
     except CapExceededError:
         return None
-    return sum(1 << len(block.indices) for block in record)
+    return sum(1 << len(comp) for comp in _block_split(delta, reduced)[1])
 
 
 def flow_profile(delta, force=False):
     """The SubsetProfile that flow counts fold: any cached profile of the
-    top boundary columns, else a fresh sweep of `_sweep_columns(delta,
-    flows=True)`, which is the subset profile when nothing reduces."""
+    top boundary columns, else a fresh sweep of the series-reduced
+    columns' block record, or the subset profile when nothing reduces."""
     profile = delta._cache.get("flow_profile") or delta._cache.get("subset_profile")
     if profile is None:
-        record = _sweep_columns(delta, flows=True, force=force)
-        if record is not delta._cache.get("reduced_blocks"):
+        if not _admit_sweep(delta, flows=True, force=force):
             return subset_profile(delta, force=force)
-        profile = delta._cache["flow_profile"] = SubsetProfile(record)
+        profile = delta._cache["flow_profile"] = SubsetProfile(facet_blocks(delta, reduced=True))
     return profile

@@ -9,8 +9,8 @@ Every question about one facet set folds vectors into an echelon basis
 facets' block record (`homology.facet_blocks`). A fundamental circuit is
 the one relation among its columns in the facet's block, found by
 folding them with unit tags appended (`linalg.kernel_basis`). Covers
-fold rows of an integer kernel basis K of the boundary map, read off the
-one Smith form of that map per complex (`homology.top_smith_form`): K
+fold rows of an integer kernel basis K of the boundary map, assembled
+from the kernel bases in the blocks' Smith forms (`_dual_rows`): K
 represents the dual matroid, so X is coindependent exactly when its rows
 of K are independent, and a bridge is a zero row. The least cut is a
 search over bases of each block's columns that sweeps no subsets
@@ -28,7 +28,6 @@ from .errors import FacetInBaseError, IndexOutOfRangeError, InfeasibleError, Not
 from .homology import (
     facet_blocks,
     subset_profile,  # not called here; perfbench/spans.py traces this name
-    top_smith_form,
 )
 from .linalg import fold_vector, kernel_basis, snf_diagonal, span_rank
 
@@ -51,13 +50,18 @@ class RankOracle:
 
 def _dual_rows(delta):
     """Row f holds facet f's entries in an integer kernel basis K of the
-    top boundary map (cached): row f of the transform V of
-    `homology.top_smith_form`, past the rank. Every row has the nullity
-    as its length."""
+    top boundary map (cached): its row of its block's V past the block's
+    rank, at the block's offset, zero elsewhere; as long as the nullity."""
     rows = delta._cache.get("dual_rows")
     if rows is None:
-        snf = top_smith_form(delta)
-        rows = delta._cache["dual_rows"] = [row[snf.rank :] for row in snf.V.data]
+        rows = delta._cache["dual_rows"] = [None] * len(delta.facets)
+        width = 0
+        for comp, _, form in facet_blocks(delta):
+            for f, row in zip(comp, form.V.data):
+                rows[f] = [0] * width + row[form.rank :]
+            width += len(comp) - form.rank
+        for row in rows:
+            row += [0] * (width - len(row))
     return rows
 
 
@@ -93,12 +97,12 @@ def facet_connectivity(delta):
     if found:
         return FacetConnectivity(value=1, witness=1 << found[0])
     blocks = []
-    for comp, cols, rank in facet_blocks(delta):
+    for comp, cols, form in facet_blocks(delta):
         empty = [None] * len(cols[0])
-        packed = len(cols) // rank
-        while packed > 1 and not _fills(cols, range(len(cols)), empty, 0, rank, packed):
+        packed = len(cols) // form.rank
+        while packed > 1 and not _fills(cols, range(len(cols)), empty, 0, form.rank, packed):
             packed -= 1
-        blocks.append((comp, cols, rank, packed))
+        blocks.append((comp, cols, form.rank, packed))
     nodes = [0]
     for k in count(2):
         hits = [
@@ -289,15 +293,15 @@ def fundamental_circuit(delta, base_mask, facet_index):
     if base_mask >> facet_index & 1:
         raise FacetInBaseError(f"facet {facet_index} already in the base")
     circuit = None
-    for comp, cols, rank in facet_blocks(delta):
+    for comp, cols, form in facet_blocks(delta):
         picked = [i for i, f in enumerate(comp) if base_mask >> f & 1]
         if facet_index in comp:
             picked.append(comp.index(facet_index))
             relations = kernel_basis([cols[i] for i in picked])
-            if len(picked) - 1 != rank or len(relations) != 1 or not relations[0][-1]:
+            if len(picked) - 1 != form.rank or len(relations) != 1 or not relations[0][-1]:
                 break
             circuit = sum(1 << comp[i] for i, t in zip(picked, relations[0]) if t)
-        elif not len(picked) == rank == span_rank([cols[i] for i in picked]):
+        elif not len(picked) == form.rank == span_rank([cols[i] for i in picked]):
             break
     else:
         if not base_mask >> n:  # bits past the facets name no facet set

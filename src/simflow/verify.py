@@ -47,7 +47,7 @@ from .flows import (
     ridge_count,
 )
 from .errors import CapExceededError, HasBridgeError, InfeasibleError, InternalError, SimflowError
-from .homology import subset_profile, t_q_of, top_smith_form
+from .homology import subset_profile, t_q_of
 from .linalg import (
     IntMatrix,
     count_nowhere_zero_kernel_mod_q,
@@ -198,7 +198,8 @@ def _bott_by_tkr(delta):
     """The flow specialization of TKR as a polynomial in lambda,
     (-1)^beta_d T(0, 1 - lambda), ascending: what complemented Bott
     must equal."""
-    beta_top = len(delta.facets) - top_smith_form(delta).rank
+    top = boundary_matrix(delta, delta.dimension).matrix
+    beta_top = len(delta.facets) - len(snf_diagonal(top.data))  # not the blocks' forms
     coeffs = [0] * (len(delta.facets) + 1)
     for (i, j), c in tkr_polynomial(delta).coeffs.items():
         if i == 0:
@@ -226,12 +227,12 @@ def _specialization_failures(name, delta, moduli):
         failures.append(f"{name}: complemented Bott != flow specialization of TKR")
     n = len(delta.facets)
     rows = ridge_count(delta)
-    beta_top = n - top_smith_form(delta).rank
+    top = boundary_matrix(delta, delta.dimension).matrix
+    beta_top = n - len(snf_diagonal(top.data))
     flow_sign = -1 if beta_top % 2 else 1
     col_sign = -1 if (n - beta_top) % 2 else 1
     col_exp = rows - n + beta_top
     plain = tkr_polynomial(delta) if subset_profile(delta).torsion_period() == 1 else None
-    top = boundary_matrix(delta, delta.dimension).matrix
     flows, colorings = {}, {}
     for q in moduli:
         qt = q_tkr_polynomial(delta, q)
@@ -611,8 +612,9 @@ def _tension_failures(name, delta):
     the torsion of H_{d-1}, so only those k are compared. With at most 10
     facets the filter enumerates at most 5^10 < 10^7 vectors."""
     failures = []
+    diagonal = snf_diagonal(boundary_matrix(delta, delta.dimension).matrix.data)
     for k in range(2, 6):
-        if t_q_of(top_smith_form(delta).diagonal, k) != 1:
+        if t_q_of(diagonal, k) != 1:
             continue
         try:
             got = count_nz_tensions(delta, k)

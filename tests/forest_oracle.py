@@ -14,15 +14,24 @@ reads too, folds the corank bound of Edmonds' theorem over the subset
 profile.
 
 `matroid_rank` and `matroid_corank` fold one facet set's vectors into a
-fresh echelon basis, as the library's bridges, cuts and covers do.
+fresh echelon basis, as the library's bridges, cuts and covers do. The
+full rank and the kernel basis come from one Smith form of the whole
+top boundary map, not from the library's per-block forms.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from simflow.complexes import top_columns
-from simflow.homology import codim1_cycle_rank, top_smith_form
-from simflow.linalg import span_rank
-from simflow.matroid import _dual_rows
+from simflow.complexes import boundary_matrix, top_columns
+from simflow.homology import codim1_cycle_rank
+from simflow.linalg import smith_normal_form, span_rank
+
+
+@lru_cache(maxsize=8)
+def _top_form(delta):
+    """Smith form of the whole top boundary map of `delta` (complexes
+    hash by identity and never change)."""
+    return smith_normal_form(boundary_matrix(delta, delta.dimension).matrix)
 
 
 def matroid_rank(delta, mask):
@@ -35,8 +44,8 @@ def matroid_corank(delta, mask):
     """Dual rank |X| + r(F \\ X) - r(F), equivalently
     |X| + beta_{d-1}(full) - beta_{d-1}(complement): the rank of X's rows
     of an integer kernel basis of the top boundary map."""
-    rows = _dual_rows(delta)
-    return span_rank([rows[f] for f in delta.facets_of_mask(mask)])
+    form = _top_form(delta)
+    return span_rank([form.V.data[f][form.rank :] for f in delta.facets_of_mask(mask)])
 
 
 @dataclass
@@ -55,7 +64,7 @@ def classify_forest(delta, mask):
     """
     r = matroid_rank(delta, mask)
     z = codim1_cycle_rank(delta)
-    full_rank = top_smith_form(delta).rank
+    full_rank = _top_form(delta).rank
     return ForestFlags(
         forest=r == mask.bit_count(),
         maximal=r == full_rank,

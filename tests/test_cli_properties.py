@@ -124,9 +124,9 @@ def test_flow_folds_read_a_cached_facet_profile(monkeypatch):
     built = []
     profile_class = homology.SubsetProfile
 
-    def counting(columns, components, *shared):
-        built.append(len(columns))
-        return profile_class(columns, components, *shared)
+    def counting(record):
+        built.append(len(record))
+        return profile_class(record)
 
     monkeypatch.setattr(homology, "SubsetProfile", counting)
 

@@ -123,3 +123,65 @@ def test_facet_components_run_once_per_complex(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("0\n576\n") and "connectivity: 2\n" in out and "modulus: 8\n" in out
     assert len(calls) == 1
+
+
+def test_sweep_size_reads_the_block_sizes_only(monkeypatch):
+    # pricing a sweep needs only the split into blocks: no record, no
+    # Smith form, no rank fold
+    from simflow.fixtures import mod3_moore_space, standard_corpus
+
+    corpus = [delta.facets for _, delta in standard_corpus()] + [mod3_moore_space().facets]
+    want = [
+        [homology.sweep_size(build_complex(facets), flows=flows) for flows in (False, True)]
+        for facets in corpus
+    ]
+
+    def never(*args):
+        raise AssertionError("sweep_size took a Smith form or folded a rank")
+
+    for name in ("smith_normal_form", "span_rank", "snf_diagonal", "fold_vector"):
+        monkeypatch.setattr(homology, name, never, raising=False)
+    for facets, sizes in zip(corpus, want):
+        delta = build_complex(facets)
+        assert [homology.sweep_size(delta, flows=flows) for flows in (False, True)] == sizes
+        assert not any(key[0] == "blocks" for key in delta._cache if isinstance(key, tuple))
+    assert all(size > 0 for sizes in want for size in sizes)
+
+
+def test_one_smith_form_per_block_and_none_of_the_whole_map(monkeypatch, capsys):
+    # every command on a complex of several blocks: each block of the
+    # facets, and of the series-reduced columns where flows sweep them,
+    # gets one Smith form with transform, and the whole top map none
+    from simflow import linalg
+    from simflow.fixtures import mod3_moore_space
+
+    shapes = []
+    for module in (homology, linalg):
+        form = module.smith_normal_form
+        monkeypatch.setattr(
+            module, "smith_normal_form", lambda mat, form=form: shapes.append(mat.cols) or form(mat)
+        )
+    k4_triangle = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [4, 5], [5, 6], [4, 6]]
+    moore = [[v + 6 for v in f] for f in mod3_moore_space().facets]
+    reduced_blocks = []
+    for facets in k4_triangle, [list(f) for f in rp2().facets] + moore:
+        delta = build_complex(facets)
+        monkeypatch.setattr(cli, "_read_complex", lambda args: delta)
+        shapes.clear()
+        for argv in (
+            ["analyze"],
+            ["flows", "--q", "3", "--method", "kernel_enum"],
+            ["flows", "--q", "4", "--force"],
+            ["min-q", "--max", "4", "--force"],
+            ["quasi", "--force"],
+            ["tensions", "--k", "3", "--force"],
+            ["colorings", "--k", "2", "--force"],
+            ["construct", "--jaeger"],
+        ):
+            assert cli.main(argv) in (0, 2)
+        records = [delta._cache.get(("blocks", reduced), []) for reduced in (False, True)]
+        assert sorted(shapes) == sorted(len(block.columns) for record in records for block in record)
+        assert len(records[0]) > 1 and len(delta.facets) not in shapes
+        reduced_blocks.append(len(records[1]))
+    assert reduced_blocks[0] == 2
+    capsys.readouterr()

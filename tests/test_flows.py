@@ -674,10 +674,10 @@ def test_auto_prices_the_sweep_against_the_enumeration(route_calls):
     edges = [[a + s, b + s] for s in (0, 4) for a, b in combinations(range(4), 2)]
     delta = build_complex(edges)
     assert count_nz_flows(delta, 2) == 0  # 156 us for 64 vectors: enumerate
-    assert route_calls["enum"] == 1
+    assert route_calls["enum"] == 2  # one kernel walk per block
     assert "subset_profile" not in delta._cache
     got = {q: count_nz_flows(delta, q) for q in (3, 4, 5)}  # 223 us at q = 3: sweep
-    assert route_calls["enum"] == 1
+    assert route_calls["enum"] == 2
     for q, count in got.items():
         assert count == count_nz_flows(build_complex(edges), q, method="kernel_enum")
     # K_4: 2^6 subsets (96 us) against 150 us plus 0.4 us per coloring:
@@ -747,9 +747,9 @@ def test_series_reduction_prices_the_reduced_sweep(route_calls, monkeypatch, cap
 
 
 def test_one_smith_form_of_the_top_map_per_complex(monkeypatch):
-    """`auto`'s kernel sizes, the kernel search, the sweep of a lone
-    block component, `homology_summary` and `bridges` all read one
-    Smith form of the top boundary map."""
+    """On a complex that is one block, `auto`'s kernel sizes, the kernel
+    search, the sweep, `homology_summary` and `bridges` all read the
+    block's Smith form, which is that of the whole top boundary map."""
     from simflow import homology, linalg
 
     top_forms = []

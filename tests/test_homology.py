@@ -20,7 +20,7 @@ from simflow.fixtures import (
     standard_corpus,
 )
 from simflow import homology
-from simflow.homology import HomologySummary, codim1_cycle_rank, t_q_of, top_smith_form
+from simflow.homology import HomologySummary, codim1_cycle_rank, t_q_of
 from simflow.linalg import smith_normal_form, snf_diagonal
 
 
@@ -40,8 +40,8 @@ def subset_homology(delta, mask):
 
 
 def test_summary_takes_the_top_diagonal_once(monkeypatch):
-    # one Smith diagonal per lower boundary map, and the complex's one
-    # Smith form of the top map
+    # one Smith diagonal per lower boundary map, and the Smith form of
+    # the top map's one block
     calls = []
     monkeypatch.setattr(
         homology, "snf_diagonal", lambda rows: calls.append("diagonal") or snf_diagonal(rows)
@@ -123,14 +123,18 @@ def test_universal_coefficient_count():
     # and the torsion case itself
     for q in range(1, 8):
         count = kernel_count_mod_q(boundary_matrix(rp2(), 2).matrix, q)
-        assert count == t_q_of(top_smith_form(rp2()).diagonal, q)
+        assert count == t_q_of(_top_diagonal(rp2()), q)
+
+
+def _top_diagonal(delta):
+    return snf_diagonal(boundary_matrix(delta, delta.dimension).matrix.data)
 
 
 def test_torsion_weight_examples():
     """t_q of the top Smith diagonal: |Tor(H_{d-1}, Z_q)|."""
-    assert t_q_of(top_smith_form(rp2()).diagonal, 2) == 2
-    assert t_q_of(top_smith_form(rp2()).diagonal, 3) == 1
-    assert t_q_of(top_smith_form(simplex_boundary(2)).diagonal, 5) == 1
+    assert t_q_of(_top_diagonal(rp2()), 2) == 2
+    assert t_q_of(_top_diagonal(rp2()), 3) == 1
+    assert t_q_of(_top_diagonal(simplex_boundary(2)), 5) == 1
 
 
 def test_top_betti_matches_sympy_rank():
@@ -231,6 +235,16 @@ def test_torsion_of_a_disjoint_union_is_in_invariant_factors():
     assert [tors for (size, _, tors) in profile.histogram if size == n] == [(6,)]
     assert homology_summary(delta).torsion[1] == [6]
     assert profile.torsion_period() == 6
+    # the kernel search and the tension relation read the two blocks'
+    # forms; the expansion folds the profile, and the tensions of a
+    # disjoint union are the product of its parts'
+    from simflow.flows import count_nz_flows, count_nz_tensions
+
+    for q in range(2, 7):
+        enum = count_nz_flows(delta, q, method="kernel_enum")
+        assert enum == count_nz_flows(delta, q, method="subset_expansion", force=True)
+        parts = count_nz_tensions(rp2(), q) * count_nz_tensions(mod3_moore_space(), q)
+        assert count_nz_tensions(delta, q, force=True) == parts
 
 
 @pytest.mark.parametrize("k", [1, 2, 9])

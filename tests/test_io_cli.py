@@ -527,8 +527,9 @@ def test_cli_jaeger_reads_only_the_codimension_one_map(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fixture", [petersen, lambda: simplex_boundary(12)], ids=["petersen", "12-sphere"])
 def test_cli_jaeger_takes_one_smith_elimination(fixture, monkeypatch, capsys):
-    """The top map's Smith form, for the bridges, the cover and the rank
-    the bases are held to; every fundamental circuit is a fold."""
+    """The Smith form of the top map's one block, for the bridges, the
+    cover and the rank the bases are held to; every fundamental circuit
+    is a fold."""
     from simflow import linalg
 
     calls = []
@@ -588,20 +589,37 @@ def test_matrix_cap_admits_the_eleven_simplex():
 
 
 def test_cli_kernel_enum_past_the_enum_cap_exit_3_before_walking(monkeypatch, capsys):
-    # K_7 has 21 edges and beta = 15: 3^15 kernel vectors mod 3
+    # K_7 has 21 edges and beta = 15: 3^15 kernel vectors mod 3. 100
+    # disjoint triangles hold 3 per block, so 3^100 over the product of
+    # the blocks, which the cap refuses before any block is searched
     def never(*args):
         raise AssertionError("walked past the cap")
 
     monkeypatch.setattr(simflow.linalg, "smith_normal_form", never)
     monkeypatch.setattr(simflow.linalg, "count_nowhere_zero_box", never)
+    monkeypatch.setattr(simflow.flows, "count_nowhere_zero_kernel_mod_q", never)
+    triangles = [[3 * i + a, 3 * i + b] for i in range(100) for a, b in ((0, 1), (1, 2), (0, 2))]
+    for delta, beta in (make_fixture("complete", n=7, k=2), 15), (build_complex(triangles), 100):
+        code, out, err = _run_cli(
+            ["flows", "--q", "3", "--method", "kernel_enum"],
+            stdin_text=serialize_complex(delta),
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 3 and out == ""
+        assert f"enumeration of {3**beta} vectors exceeds the cap" in err
+
+
+def test_cli_analyze_joins_the_torsion_of_the_blocks(monkeypatch, capsys):
+    # RP^2 and a disjoint mod-3 Moore space: H_1 = Z_2 + Z_3 = Z_6, one
+    # invariant factor from the Smith forms of two blocks
+    moore = [[v + 6 for v in f] for f in mod3_moore_space().facets]
+    union = build_complex([list(f) for f in rp2().facets] + moore)
     code, out, err = _run_cli(
-        ["flows", "--q", "3", "--method", "kernel_enum"],
-        stdin_text=serialize_complex(make_fixture("complete", n=7, k=2)),
-        monkeypatch=monkeypatch,
-        capsys=capsys,
+        ["analyze"], stdin_text=serialize_complex(union), monkeypatch=monkeypatch, capsys=capsys
     )
-    assert code == 3 and out == ""
-    assert f"enumeration of {3**15} vectors exceeds the cap" in err
+    assert (code, err) == (0, "")
+    assert "torsion[1]: [6]\n" in out
 
 
 def test_cli_refuses_a_fixture_with_too_many_faces(monkeypatch, capsys):

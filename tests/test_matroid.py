@@ -339,8 +339,8 @@ def test_coarboricity_agrees_with_literal_corank_sweep():
 
 def test_bridges_take_one_kernel_basis(monkeypatch):
     """`bridges` reads the zero rows of one kernel basis, the columns of
-    V past the rank in the complex's one Smith form of the top map: no
-    Smith diagonal and no sweep."""
+    V past the rank in the Smith form of Petersen's one block: no Smith
+    diagonal and no sweep."""
     from simflow import homology, matroid
 
     calls = []

@@ -31,7 +31,7 @@ from simflow.homology import (
     facet_blocks,
     subset_profile,
 )
-from simflow.linalg import snf_diagonal, span_rank
+from simflow.linalg import IntMatrix, smith_normal_form, snf_diagonal, span_rank
 from sweep_oracle import oracle_profile, per_mask_sweep, watch_sides
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -49,12 +49,17 @@ def _per_mask_histogram(cols):
     )
 
 
+def _form(cols):
+    """The Smith form of `cols` that a block record would hold."""
+    return smith_normal_form(IntMatrix(list(zip(*cols)), cols=len(cols)))
+
+
 def _component_side(delta):
     """The one block component's columns, its swept histogram and the
     side it was swept on."""
-    ((_, cols, _),) = facet_blocks(delta)
+    ((_, cols, form),) = facet_blocks(delta)
     with watch_sides() as sides:
-        histogram = homology._lower_rank_sweep(cols)
+        histogram = homology._lower_rank_sweep(cols, form)
     return cols, histogram, sides
 
 
@@ -137,7 +142,7 @@ def test_component_sweep_on_integer_columns(cols):
     back wherever it recurs, and every other is swept afresh."""
     want = _per_mask_histogram(cols)
     assert _component_sweep(cols, span_rank(cols)) == want
-    assert _lower_rank_sweep(cols) == want
+    assert _lower_rank_sweep(cols, _form(cols)) == want
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homology, "SWEEP_MEMO_CAP", 1)
         assert _component_sweep(cols, span_rank(cols)) == want
@@ -173,7 +178,7 @@ def test_component_sweep_on_independent_columns_with_torsion(cols):
     saturated lattice, counting its subsets by size with binomials."""
     want = _per_mask_histogram(cols)
     assert _component_sweep(cols, span_rank(cols)) == want
-    assert _lower_rank_sweep(cols) == want
+    assert _lower_rank_sweep(cols, _form(cols)) == want
 
 
 def _sides_of_oracle_run(strategy, settings, check):
@@ -303,11 +308,11 @@ def test_sweep_frees_its_memo_on_return():
     """The memo is freed by reference counting as the sweep returns, not
     left in a reference cycle for the garbage collector."""
     delta = complete(6, 2)
-    ((_, cols, rank),) = facet_blocks(delta)
+    ((_, cols, form),) = facet_blocks(delta)
     gc.collect()
     gc.disable()
     try:
-        _component_sweep(cols, rank)
+        _component_sweep(cols, form.rank)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -324,8 +329,8 @@ def test_memo_budget_keeps_the_histogram(monkeypatch, make, budget):
     swept again and the histogram is unchanged."""
     monkeypatch.setattr(homology, "SWEEP_MEMO_CAP", budget)
     delta = make()
-    for _, cols, _ in facet_blocks(delta):
-        assert _lower_rank_sweep(cols) == _oracle_histogram(tuple(map(tuple, cols)))
+    for _, cols, form in facet_blocks(delta):
+        assert _lower_rank_sweep(cols, form) == _oracle_histogram(tuple(map(tuple, cols)))
 
 
 @functools.cache

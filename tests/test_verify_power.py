@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from simflow import homology, linalg, matroid, verify
+from simflow import complexes, flows, homology, linalg, matroid, verify
 from simflow.complexes import build_complex, restrict_columns
 from simflow.fixtures import mod3_moore_space, rp2
 
@@ -22,6 +22,21 @@ def _mutant(module, name, old, new):
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
+
+
+def test_criterion_03_fails_on_a_kernel_search_that_drops_the_torsion(monkeypatch):
+    # every box coordinate below the rank gets radix gcd(1, q) = 1, so
+    # RP^2's one mod-2 flow, which comes from its torsion, is lost
+    mutant = _mutant(
+        linalg,
+        "count_nowhere_zero_kernel_mod_q",
+        "gcd(res.diagonal[i] if i < res.rank else 0, q)",
+        "gcd(1 if i < res.rank else 0, q)",
+    )
+    monkeypatch.setattr(flows, "count_nowhere_zero_kernel_mod_q", mutant)
+    result = verify.check_rp2_quasipolynomial()
+    assert not result.passed
+    assert "q=2: direct=0 quasi=1" in result.detail
 
 
 def test_criterion_05_fails_on_an_off_by_one_bott_coefficient(monkeypatch):
@@ -55,6 +70,16 @@ def test_criterion_07_fails_on_a_cut_search_that_branches_on_one_facet(monkeypat
     result = verify.check_jaeger_pipeline()
     assert not result.passed
     assert "least cut 3, the profile fold 2" in result.detail
+
+
+def test_criterion_09_fails_on_a_boundary_map_without_signs(monkeypatch):
+    # every face of a simplex enters its boundary with sign +1, so the
+    # columns of the triangle K_3^2 become independent
+    mutant = _mutant(complexes, "boundary_matrix", "sign = -sign", "sign = 1")
+    monkeypatch.setattr(verify, "boundary_matrix", mutant)
+    result = verify.check_structural_invariants()
+    assert not result.passed
+    assert "rank K_3^2: 3 != C(2,1)" in result.detail
 
 
 def test_criterion_10_fails_on_a_smith_form_without_the_divisibility_step(monkeypatch):
